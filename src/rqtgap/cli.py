@@ -13,13 +13,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import ValidationError
+from .errors import DegenerateConditioningError, ValidationError
 from .functionals import classical_bound_I, eval_I, eval_I_from_correlators, ideal_I_value
 from .linalg import Z
 from .network import StarNetwork, ideal_network, load_strategy
@@ -29,12 +30,18 @@ from .robustness import (
     verify_sos_identity_A,
     verify_sos_identity_B,
 )
-from .rqt import max_j_over_t, seesaw_real, threads_cap
+from .rqt import max_j_over_t, seesaw_real
 from .selftest import verify_selftest_noiseless
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+def _usage_error(message: str) -> int:
+    """Print a one-line usage error to stderr; returns EXIT_USAGE."""
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -67,8 +74,7 @@ def _rows_to_human(header: list[str], rows: list[list]) -> str:
 
 def cmd_gap(args) -> int:
     if args.n_min < 2 or args.n_min > args.n_max:
-        print("error: need 2 <= n-min <= n-max", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("need 2 <= n-min <= n-max")
     header = [
         "n", "beta_Q", "beta_C_enumerated", "beta_CQT",
         "beta_RQT_exact", "beta_RQT_cert_bound", "gap_ratio",
@@ -96,7 +102,7 @@ def cmd_gap(args) -> int:
     return EXIT_OK
 
 
-def _verify_batteries(n: int, seed: int, net: StarNetwork) -> dict:
+def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -> dict:
     report: dict = {"n": n, "seed": seed, "rng": linalg.RNG_NAME, "checks": []}
 
     battery = verify_selftest_noiseless(n, net)
@@ -128,7 +134,6 @@ def _verify_batteries(n: int, seed: int, net: StarNetwork) -> dict:
     # Backend agreement: dense trace, correlator assembly and the
     # closed-form kernel must tell the same story on the ideal strategy.
     back = 0.0
-    ideal = ideal_network(n)
     for l in range(1 << n):
         ref = ideal_I_value(n, l)
         back = max(back, abs(eval_I(ideal, l) - ref))
@@ -143,22 +148,25 @@ def _verify_batteries(n: int, seed: int, net: StarNetwork) -> dict:
 
 def cmd_verify(args) -> int:
     if args.n < 2 or args.n > args.dense_cap:
-        print(f"error: need 2 <= n <= dense cap ({args.dense_cap})", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"need 2 <= n <= dense cap ({args.dense_cap})")
     if args.strategy:
-        net = load_strategy(args.strategy)
+        try:
+            net = load_strategy(args.strategy)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            return _usage_error(f"cannot load strategy file {args.strategy}: {why}")
         if net.n != args.n:
-            print("error: strategy file is for a different n", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        net = ideal_network(args.n)
+            return _usage_error("strategy file is for a different n")
+    ideal = ideal_network(args.n)
+    if not args.strategy:
+        net = ideal
     if args.inject_broken:
         obs = list(net.observables)
         obs[1] = (obs[1][0], Z.astype(complex), obs[1][2])
         net = StarNetwork(net.n, net.sources, tuple(obs), net.eve_povm)
     try:
-        report = _verify_batteries(args.n, args.seed, net)
-    except ValidationError as exc:
+        report = _verify_batteries(args.n, args.seed, net, ideal)
+    except (ValidationError, DegenerateConditioningError) as exc:
         report = {"n": args.n, "seed": args.seed, "passed": False, "error": str(exc)}
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     if not report["passed"]:
@@ -170,20 +178,24 @@ def cmd_verify(args) -> int:
 
 def cmd_noise_curve(args) -> int:
     if args.n < 2:
-        print("error: need n >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("need n >= 2")
     eps_grid = args.eps if args.eps else [0.0, 1e-6, 1e-4, 1e-2]
+    if not all(math.isfinite(e) for e in eps_grid):
+        return _usage_error("eps values must be finite")
     if any(e < 0 for e in eps_grid):
-        print("error: eps values must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("eps values must be nonnegative")
     try:
         eps_star: Optional[float] = epsilon_threshold(args.n, 1.0)
     except ValueError:
         eps_star = None  # n = 2: the noiseless bound already sits at 1
+    except OverflowError:
+        return _usage_error(f"n = {args.n} overflows double precision")
     header = ["n", "eps", "beta_rqt_upper", "beta_cqt", "gap_nontrivial", "eps_star"]
     rows = []
     for eps in sorted(eps_grid):
         bound = beta_rqt_upper(args.n, eps)
+        if not math.isfinite(bound):
+            return _usage_error(f"beta_rqt_upper({args.n}, {eps!r}) overflows double precision")
         rows.append(
             [
                 args.n,
@@ -206,8 +218,9 @@ def cmd_noise_curve(args) -> int:
 
 def cmd_seesaw(args) -> int:
     if args.n < 2 or args.n > args.dense_cap:
-        print(f"error: need 2 <= n <= dense cap ({args.dense_cap})", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"need 2 <= n <= dense cap ({args.dense_cap})")
+    if args.restarts < 1:
+        return _usage_error("need --restarts >= 1")
     result = seesaw_real(
         ideal_network(args.n), restarts=args.restarts, seed=args.seed,
         trace_path=args.trace,
@@ -218,7 +231,6 @@ def cmd_seesaw(args) -> int:
         "seed": args.seed,
         "rng": result.rng,
         "restarts": args.restarts,
-        "threads_cap": threads_cap(),
         "best_J": result.best_J,
         "per_restart": list(result.per_restart),
         "exact_maximum": float(exact.max_value),

@@ -14,14 +14,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import ConfigurationError, ValidationError
-from .linalg import DenseOperator, tensor_embed
+from .errors import ConfigurationError, InternalConsistencyError, ValidationError
+from .linalg import DenseOperator, expect_local, tensor_embed
 from .network import (
     TILDE_0,
     TILDE_1,
     StarNetwork,
-    conditional_expectation,
     conditional_state,
+    placed_observables,
 )
 from .pauli import OutcomeLabel, PauliWord, ghz_expectation
 
@@ -79,23 +79,42 @@ def build_I_operator(
 
 
 def eval_I(net: StarNetwork, l: int) -> float:
-    """<I_l> on the conditional state rho^l; 2(n-1) for the ideal network."""
-    pairs = [(t[0], t[1]) for t in net.observables]
-    op = build_I_operator(net.n, l, pairs)
-    rho = conditional_state(net, l)
-    return float(np.real(np.trace(op.mat @ rho.mat)))
+    """<I_l> on the conditional state rho^l; 2(n-1) for the ideal network.
+
+    Each term of I_l is a product of local observables, so it is evaluated
+    factor by factor on rho^l; `build_I_operator` is the dense oracle.
+    """
+    n = net.n
+    lab = OutcomeLabel(n, l)
+    tp = tilde_pair(net.observable(1, 0), net.observable(1, 1))
+    rho = conditional_state(net, l).mat
+    dims = net.party_dims
+    placed = {0: tp.a_tilde_1}
+    placed.update({i: net.observable(i + 1, 1) for i in range(1, n)})
+    value = (n - 1) * expect_local(rho, dims, placed)
+    for i in range(1, n):
+        term = expect_local(rho, dims, {0: tp.a_tilde_0, i: net.observable(i + 1, 0)})
+        value = value + (-1) ** lab.bit(i + 1) * term
+    return float(np.real((-1) ** lab.bit(1) * value))
 
 
 def eval_I_from_correlators(net: StarNetwork, l: int) -> float:
     """Same functional assembled from conditional correlators (cross-check path)."""
     n = net.n
     lab = OutcomeLabel(n, l)
-    value = (n - 1) * conditional_expectation(net, [TILDE_1] + [1] * (n - 1), l)
+    rho = conditional_state(net, l).mat
+    value = (n - 1) * _correlator(net, rho, [TILDE_1] + [1] * (n - 1))
     for i in range(2, n + 1):
         settings: list = [TILDE_0] + [None] * (n - 1)
         settings[i - 1] = 0
-        value += (-1) ** lab.bit(i) * conditional_expectation(net, settings, l)
+        value += (-1) ** lab.bit(i) * _correlator(net, rho, settings)
     return (-1) ** lab.bit(1) * value
+
+
+def _correlator(net: StarNetwork, rho: np.ndarray, settings: Sequence) -> float:
+    """conditional_expectation on an already computed rho^l."""
+    placed = placed_observables(net, settings)
+    return float(np.real(expect_local(rho, net.party_dims, placed)))
 
 
 def ideal_I_value(n: int, l: int) -> float:
@@ -161,9 +180,10 @@ def eval_J(net: StarNetwork, l: int = 0) -> float:
     for i in range(n):
         if net.observables[i][2] is None:
             raise ConfigurationError(f"party {i + 1} has no third observable")
+    rho = conditional_state(net, 0).mat
     total = 0.0
     for weight, settings in j_correlator_settings(n):
-        total += weight * conditional_expectation(net, settings, 0)
+        total += weight * _correlator(net, rho, settings)
     return -2.0 / (n * (n - 1)) * total
 
 
@@ -235,7 +255,11 @@ def report(net: StarNetwork, with_rqt_analysis: bool = True) -> FunctionalReport
 
         # The exact enumerated optimum never exceeds the 1/(n-1) bound;
         # the reported ratio divides by that certified bound by convention.
-        assert float(max_j_over_t(n).max_value) <= beta_rqt + 1e-15
+        exact = float(max_j_over_t(n).max_value)
+        if exact > beta_rqt + 1e-15:
+            raise InternalConsistencyError(
+                f"real optimum {exact!r} exceeds the certified bound {beta_rqt!r}"
+            )
     return FunctionalReport(
         n=n,
         values_I=values_I,

@@ -1,15 +1,18 @@
 """Dense complex linear algebra over explicit tensor-product spaces.
 
-Everything here is deliberately simple dense numpy: this module is the
-ground-truth oracle that the faster, structure-exploiting code paths are
-differential-tested against.
+`kron_all`, `tensor_embed` and `functionals.build_I_operator` build full
+2^n x 2^n operators. They are the ground-truth oracle: the SOS identities
+use them, and the tests check the production paths against them.
+Production code evaluates local observables with `expect_local`, which
+contracts one tensor factor at a time and never forms the product
+operator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,6 +179,36 @@ def partial_trace(rho: DenseOperator, keep: Iterable[int]) -> DenseOperator:
     return DenseOperator(t.reshape(d, d), kept_dims if kept_dims else (1,))
 
 
+def expect_local(
+    rho: np.ndarray, local_dims: Sequence[int], placed: Mapping[int, np.ndarray]
+) -> np.ndarray:
+    """Tr[((x)_i placed.get(i, 1)) rho] without forming the product operator.
+
+    `rho` is a matrix on the factors `local_dims`, optionally with leading
+    batch axes; the result has the batch shape (a 0-d array for a plain
+    matrix). The factors are contracted one at a time, last first, so the
+    cost is O(dim^2); a factor missing from `placed` is a partial trace.
+    Factors need not be Hermitian.
+    """
+    dims = tuple(local_dims)
+    t = np.asarray(rho)
+    batch = t.shape[:-2]
+    left = t.shape[-1]
+    for i in reversed(range(len(dims))):
+        d = dims[i]
+        left //= d
+        # Axes (..., r, a, s, a'): factor i is the last one not yet contracted.
+        t = t.reshape(batch + (left, d, left, d))
+        m = placed.get(i)
+        if m is None:
+            t = np.trace(t, axis1=-3, axis2=-1)
+        else:
+            # sum_{a, a'} m[a', a] t[..., r, a, s, a']
+            pairs = np.swapaxes(t, -3, -2).reshape(batch + (left, left, d * d))
+            t = pairs @ np.ravel(np.transpose(m))
+    return t.reshape(batch)
+
+
 class Norms(NamedTuple):
     trace_norm: float
     operator_norm: float
@@ -205,11 +238,6 @@ def checks(m: DenseOperator, tol: float = 1e-10) -> Checks:
     real = bool(np.max(np.abs(a.imag)) <= tol)
     pm1 = herm and bool(np.max(np.abs(a @ a - eye)) <= tol)
     return Checks(herm, unit, real, pm1)
-
-
-def conjugate_in_basis(m: DenseOperator) -> DenseOperator:
-    """Entrywise complex conjugate in the computational basis."""
-    return DenseOperator(m.mat.conj(), m.local_dims)
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator, real: bool) -> np.ndarray:

@@ -1,9 +1,12 @@
 """The star-network scenario: sources, observables, Eve's measurement.
 
 Global state order is A_1 E_1 A_2 E_2 ... ; Eve's POVM acts on the joined
-E factors in the order E_1 ... E_N. Conditional states are produced by a
-direct tensor contraction that never materializes the full joint density
-matrix, so the ideal scenario stays cheap up to n = 7.
+E factors in the order E_1 ... E_N. A conditional state never materializes
+the joint density matrix: Eve's POVM element is pushed through one source
+at a time, n small matmuls per outcome. The POVM itself is held densely,
+2^n elements of 2^n x 2^n entries, which bounds n in memory and time.
+Correlators contract local observables factor by factor (`expect_local`)
+instead of building kron operators.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import io
 import itertools
 import json
 import math
-import string
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigurationError, DegenerateConditioningError, ValidationError
-from .linalg import DenseOperator, StateVector, X, Z, kron_all
+from .linalg import DenseOperator, StateVector, X, Z
 
 CONDITIONING_THRESHOLD = 1e-14
 
@@ -157,33 +159,34 @@ def _conditional_unnormalized(net: StarNetwork, l: int) -> np.ndarray:
     """P(l) * rho^l as a matrix on the joined A factors.
 
     rho~[a, a'] = sum_{e, e''} R_l[e, e''] prod_i S_i[a_i, e''_i, a'_i, e_i].
+
+    R_l's axes are regrouped into pairs (e_1 e''_1, e_2 e''_2, ...). Each
+    source in turn maps the leading pair to its (a_i a'_i) pair through the
+    transfer matrix Lambda_i[(a, a'), (e, e'')] = S_i[a, e'', a', e], and
+    the result is rotated to the back, so n small matmuls do the whole sum.
     """
     n = net.n
-    letters = string.ascii_letters
-    if 4 * n > len(letters):
-        raise ValueError("too many parties for the contraction alphabet")
-    e = letters[:n]
-    epp = letters[n : 2 * n]
-    a = letters[2 * n : 3 * n]
-    ap = letters[3 * n : 4 * n]
-    operands = [net.eve_povm[l].reshape(net.eve_dims + net.eve_dims)]
-    specs = [e + epp]
+    de = net.eve_dims
+    pairs = [k for i in range(n) for k in (i, n + i)]
+    t = net.eve_povm[l].reshape(de + de).transpose(pairs)
     for i in range(n):
-        da, de = net.sources[i].local_dims
-        operands.append(net.sources[i].mat.reshape(da, de, da, de))
-        specs.append(a[i] + epp[i] + ap[i] + e[i])
-    expr = ",".join(specs) + "->" + a + ap
-    t = np.einsum(expr, *operands, optimize=True)
-    d = math.prod(net.party_dims)
+        da, dei = net.sources[i].local_dims
+        lam = net.sources[i].mat.reshape(da, dei, da, dei).transpose(0, 2, 3, 1)
+        # t^T @ lam^T lands the new pair at the back without a copy of t.
+        t = t.reshape(dei * dei, -1).T @ lam.reshape(da * da, dei * dei).T
+    # t's axes are now the pairs (a_1 a'_1, ..., a_n a'_n); split them
+    # into rows a and columns a'.
+    pa = net.party_dims
+    t = t.reshape(tuple(d for p in pa for d in (p, p)))
+    t = t.transpose([2 * i for i in range(n)] + [2 * i + 1 for i in range(n)])
+    d = math.prod(pa)
     return t.reshape(d, d)
 
 
 def eve_outcome_probability(net: StarNetwork, l: int) -> float:
     """P(l) = Tr[R_l (x)_i Tr_A rho_{A_i E_i}]."""
-    marg = kron_all(
-        linalg.partial_trace(s, keep=[1]).mat for s in net.sources
-    )
-    return float(np.real(np.trace(net.eve_povm[l] @ marg)))
+    marg = {i: linalg.partial_trace(s, keep=[1]).mat for i, s in enumerate(net.sources)}
+    return float(np.real(linalg.expect_local(net.eve_povm[l], net.eve_dims, marg)))
 
 
 def conditional_state(net: StarNetwork, l: int) -> DenseOperator:
@@ -195,26 +198,29 @@ def conditional_state(net: StarNetwork, l: int) -> DenseOperator:
     return DenseOperator(raw / p, net.party_dims)
 
 
+def placed_observables(net: StarNetwork, settings: Sequence) -> dict[int, np.ndarray]:
+    """Factor index -> observable for each party whose setting is not None."""
+    if len(settings) != net.n:
+        raise ValueError("need one setting per party")
+    return {i: net.observable(i + 1, s) for i, s in enumerate(settings) if s is not None}
+
+
 def expectation(net: StarNetwork, settings: Sequence, l: int) -> float:
     """<A_{1,x_1} ... A_{N,x_N} R_l> = Tr[((x) A_{i,x_i}) (x) R_l rho].
 
     Includes the P(l) weight, matching the correlator definition
     sum_a (-1)^{sum a_i} p(a, l | x).
     """
-    if len(settings) != net.n:
-        raise ValueError("need one setting per party")
+    placed = placed_observables(net, settings)
     raw = _conditional_unnormalized(net, l)
-    op = kron_all(net.observable(i + 1, s) for i, s in enumerate(settings))
-    return float(np.real(np.trace(op @ raw)))
+    return float(np.real(linalg.expect_local(raw, net.party_dims, placed)))
 
 
 def conditional_expectation(net: StarNetwork, settings: Sequence, l: int) -> float:
     """Correlator on the post-measurement state rho^l."""
-    if len(settings) != net.n:
-        raise ValueError("need one setting per party")
+    placed = placed_observables(net, settings)
     rho = conditional_state(net, l)
-    op = kron_all(net.observable(i + 1, s) for i, s in enumerate(settings))
-    return float(np.real(np.trace(op @ rho.mat)))
+    return float(np.real(linalg.expect_local(rho.mat, net.party_dims, placed)))
 
 
 @dataclass(frozen=True)
@@ -261,7 +267,7 @@ def correlation_table(net: StarNetwork) -> CorrelationTable:
     n = net.n
     shape = (3,) * n + (2,) * n + (1 << n,)
     probs = np.zeros(shape)
-    raws = [_conditional_unnormalized(net, l) for l in range(1 << n)]
+    raws = np.stack([_conditional_unnormalized(net, l) for l in range(1 << n)])
     for x in itertools.product(range(3), repeat=n):
         effects = []
         for i, xi in enumerate(x):
@@ -269,9 +275,8 @@ def correlation_table(net: StarNetwork) -> CorrelationTable:
             eye = np.eye(a_op.shape[0], dtype=complex)
             effects.append(((eye + a_op) / 2, (eye - a_op) / 2))
         for a in itertools.product(range(2), repeat=n):
-            m = kron_all(effects[i][ai] for i, ai in enumerate(a))
-            for l in range(1 << n):
-                probs[x + a + (l,)] = np.real(np.trace(m @ raws[l]))
+            placed = {i: effects[i][ai] for i, ai in enumerate(a)}
+            probs[x + a] = np.real(linalg.expect_local(raws, net.party_dims, placed))
     return CorrelationTable(n, probs)
 
 

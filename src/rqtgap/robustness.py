@@ -198,19 +198,12 @@ def epsilon_threshold(n: int, target: float) -> float:
     c = target - base
     a = 2.0**n
     b = f_n(n) * math.sqrt(2.0)
+    disc = b * b + 4.0 * a * c
+    if not math.isfinite(disc):
+        raise OverflowError(f"epsilon_threshold overflows double precision at n = {n}")
     # Rationalized positive root: avoids the cancellation in -b + sqrt(...).
-    u = 2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c))
+    u = 2.0 * c / (b + math.sqrt(disc))
     return u * u
-
-
-@dataclass(frozen=True)
-class NoiseBudget:
-    epsilon: float
-    prob_tolerance: float
-
-    def __post_init__(self):
-        if self.epsilon < 0 or self.prob_tolerance < 0:
-            raise ValueError("noise budget entries must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalConsistencyError
-from .linalg import I2, DenseOperator, X, Y, Z, kron_all, partial_trace
+from .linalg import I2, DenseOperator, X, Y, Z, expect_local, kron_all, partial_trace
 from .network import StarNetwork, conditional_state, ideal_network
 from .functionals import eval_J, j_correlator_settings
 
@@ -195,14 +194,11 @@ def _j_value(rho0: np.ndarray, net: StarNetwork, third: list[np.ndarray]) -> flo
     n = net.n
     total = 0.0
     for weight, settings in j_correlator_settings(n):
-        mats = []
-        for p, s in enumerate(settings):
-            if s == 2:
-                mats.append(third[p])
-            else:
-                mats.append(net.observable(p + 1, s))
-        op = kron_all(mats)
-        total += weight * float(np.real(np.trace(op @ rho0)))
+        placed = {
+            p: third[p] if s == 2 else net.observable(p + 1, s)
+            for p, s in enumerate(settings)
+        }
+        total += weight * float(np.real(expect_local(rho0, net.party_dims, placed)))
     return -2.0 / (n * (n - 1)) * total
 
 
@@ -238,8 +234,7 @@ def seesaw_real(
     the linear coefficient matrix from basis evaluations and solves it
     exactly by eigendecomposition (an O diag(+/-1) O^T update with O real
     orthogonal). Restarts are independent; ties resolve to the earliest
-    restart. Honors the RQTGAP_THREADS env var only as a cap on restart
-    batching; evaluation is deterministic regardless.
+    restart.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -297,11 +292,3 @@ def seesaw_real(
         per_restart=tuple(per_restart),
         seed=seed,
     )
-
-
-def threads_cap() -> int:
-    """Parallelism cap from the RQTGAP_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("RQTGAP_THREADS", "1")))
-    except ValueError:
-        return 1

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rqtgap
 from rqtgap.cli import main
 from rqtgap.linalg import Y
-from rqtgap.network import ideal_network, save_strategy
+from rqtgap.network import StarNetwork, ideal_network, save_strategy
 
 
 def run(capsys, *argv):
@@ -80,6 +85,17 @@ def test_verify_strategy_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_strategy_with_impossible_outcome_fails(tmp_path, capsys):
+    net = ideal_network(2)
+    povm = (0 * net.eve_povm[0], net.eve_povm[0] + net.eve_povm[1]) + net.eve_povm[2:]
+    path = tmp_path / "strategy.json"
+    save_strategy(StarNetwork(2, net.sources, net.observables, povm), path)
+    code, out, err = run(capsys, "verify", "--n", "2", "--strategy", str(path))
+    assert code == 1
+    assert "outcome 0 has probability" in json.loads(out)["error"]
+    assert err.startswith("FAIL: ")
+
+
 def test_noise_curve_csv(capsys):
     code, out, _ = run(
         capsys, "--format", "csv", "noise-curve", "--n", "3",
@@ -133,3 +149,35 @@ def test_outputs_deterministic(tmp_path, capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seesaw", "--n", "3", "--restarts", "0"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/missing.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/truncated.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/no_sources.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}"],
+        ["noise-curve", "--n", "2000"],
+        ["noise-curve", "--n", "1023"],
+        ["noise-curve", "--n", "5", "--eps", "nan"],
+        ["noise-curve", "--n", "5", "--eps", "inf"],
+        ["noise-curve", "--n", "5", "--eps", "1e308"],
+    ],
+    ids=lambda argv: " ".join(argv).replace("{tmp}/", "").replace("{tmp}", "DIR"),
+)
+def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
+    (tmp_path / "truncated.json").write_text('{"n": 2')
+    (tmp_path / "no_sources.json").write_text('{"n": 2}')
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(rqtgap.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rqtgap.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""

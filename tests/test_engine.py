@@ -1,0 +1,136 @@
+"""Differential tests of the conditional-state engine against the dense
+oracle (`kron_all`, `tensor_embed`, `build_I_operator`) on random inputs."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rqtgap.functionals import build_I_operator, eval_I, eval_I_from_correlators
+from rqtgap.linalg import (
+    DenseOperator,
+    expect_local,
+    kron_all,
+    partial_trace,
+    random_pm1_observable,
+    tensor_embed,
+)
+from rqtgap.network import (
+    StarNetwork,
+    _conditional_unnormalized,
+    conditional_state,
+    eve_outcome_probability,
+    ideal_network,
+)
+from rqtgap.robustness import NOISE_MODELS, apply_noise
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _random_povm(dim: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Full-rank, hence non-projective, effects normalized to sum to 1."""
+    effects = []
+    for _ in range(count):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        effects.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(effects))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return [inv_sqrt @ e @ inv_sqrt for e in effects]
+
+
+def _random_network(party_dims, eve_dims, seed: int) -> StarNetwork:
+    rng = np.random.default_rng(seed)
+    n = len(party_dims)
+    sources = tuple(
+        DenseOperator(_random_density(da * de, rng), (da, de))
+        for da, de in zip(party_dims, eve_dims)
+    )
+    obs = tuple(
+        tuple(random_pm1_observable(da, int(rng.integers(2**32))).mat for _ in range(3))
+        for da in party_dims
+    )
+    povm = tuple(_random_povm(math.prod(eve_dims), 1 << n, rng))
+    return StarNetwork(n, sources, obs, povm)
+
+
+def _dense_conditional(net: StarNetwork, l: int) -> np.ndarray:
+    """Tr_E[(1_A (x) R_l) rho] from the full joint state of all sources."""
+    n = net.n
+    joint = kron_all(s.mat for s in net.sources)  # order A_1 E_1 ... A_n E_n
+    local = tuple(d for s in net.sources for d in s.local_dims)
+    # Regroup the factors as A_1 ... A_n E_1 ... E_n.
+    order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+    t = joint.reshape(local + local).transpose(order + [2 * n + k for k in order])
+    dims = tuple(local[k] for k in order)
+    joint = t.reshape(joint.shape)
+    lifted = kron_all([np.eye(math.prod(net.party_dims)), net.eve_povm[l]]) @ joint
+    return partial_trace(DenseOperator(lifted, dims), keep=range(n)).mat
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    dims=st.integers(2, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.sampled_from((2, 3)), min_size=n, max_size=n),
+            st.lists(st.sampled_from((2, 3)), min_size=n, max_size=n),
+        )
+    ),
+    seed=SEEDS,
+    data=st.data(),
+)
+def test_kernel_matches_dense_joint_state(dims, seed, data):
+    party_dims, eve_dims = dims
+    net = _random_network(party_dims, eve_dims, seed)
+    l = data.draw(st.integers(0, (1 << net.n) - 1), label="l")
+    raw = _conditional_unnormalized(net, l)
+    dense = _dense_conditional(net, l)
+    np.testing.assert_allclose(raw, dense, atol=1e-12)
+    assert eve_outcome_probability(net, l) == pytest.approx(np.trace(dense).real, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    batch=st.sampled_from(((), (3,))),
+    seed=SEEDS,
+    data=st.data(),
+)
+def test_expect_local_matches_tensor_embed(dims, batch, seed, data):
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    rho = rng.normal(size=batch + (d, d)) + 1j * rng.normal(size=batch + (d, d))
+    where = data.draw(st.sets(st.integers(0, len(dims) - 1)), label="placed")
+    # Non-Hermitian factors: the seesaw probes with matrix units.
+    placed = {
+        i: rng.normal(size=(dims[i],) * 2) + 1j * rng.normal(size=(dims[i],) * 2)
+        for i in where
+    }
+    op = tensor_embed(dims, placed)
+    got = expect_local(rho, dims, placed)
+    assert got.shape == batch
+    want = np.trace(op @ rho, axis1=-2, axis2=-1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    model=st.sampled_from(NOISE_MODELS),
+    n=st.sampled_from((3, 4)),
+    strength=st.floats(0.0, 0.3),
+)
+def test_eval_I_matches_dense_bell_operator(model, n, strength):
+    net = apply_noise(ideal_network(n), model, strength)
+    pairs = [(t[0], t[1]) for t in net.observables]
+    for l in range(1 << n):
+        op = build_I_operator(n, l, pairs).mat
+        want = np.trace(op @ conditional_state(net, l).mat).real
+        assert eval_I(net, l) == pytest.approx(want, abs=1e-12)
+        assert eval_I_from_correlators(net, l) == pytest.approx(want, abs=1e-12)

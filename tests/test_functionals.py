@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rqtgap.errors import ConfigurationError
+import rqtgap.rqt
+from rqtgap.errors import ConfigurationError, InternalConsistencyError
 from rqtgap.functionals import (
     build_I_operator,
     classical_bound_I,
@@ -120,3 +122,13 @@ def test_report_contents_and_serialization():
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0].startswith("l,value_I")
     assert len(csv_text.splitlines()) == 1 + 8
+
+
+def test_report_rejects_optimum_above_certified_bound(monkeypatch):
+    # A plain assert would vanish under python -O; the guard must raise.
+    monkeypatch.setattr(
+        rqtgap.rqt, "max_j_over_t", lambda n: rqtgap.rqt.TMaximum(Fraction(1, 1), (1,) * n)
+    )
+    with pytest.raises(InternalConsistencyError, match="certified bound"):
+        report(ideal_network(3))
+    assert report(ideal_network(3), with_rqt_analysis=False).gap_ratio == 2.0
