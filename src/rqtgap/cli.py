@@ -37,6 +37,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# Largest n accepted by verify and seesaw: Eve's POVM, 2^n elements of 4^n
+# entries, must fit the dense entry budget.
+MAX_N = (linalg.ENTRY_CAPACITY.bit_length() - 1) // 3
+
 
 def _usage_error(message: str) -> int:
     """Print a one-line usage error to stderr; returns EXIT_USAGE."""
@@ -131,8 +135,9 @@ def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -
         {"name": "sos_identity_B_residual", "measured": res_b, "bound": 1e-9, "passed": res_b <= 1e-9}
     )
 
-    # Backend agreement: dense trace, correlator assembly and the
-    # closed-form kernel must tell the same story on the ideal strategy.
+    # Backend agreement: the factor-by-factor contraction (eval_I), the
+    # correlator assembly and the closed-form GHZ kernel must tell the same
+    # story on the ideal strategy.
     back = 0.0
     for l in range(1 << n):
         ref = ideal_I_value(n, l)
@@ -147,8 +152,8 @@ def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -
 
 
 def cmd_verify(args) -> int:
-    if args.n < 2 or args.n > args.dense_cap:
-        return _usage_error(f"need 2 <= n <= dense cap ({args.dense_cap})")
+    if not 2 <= args.n <= MAX_N:
+        return _usage_error(f"need 2 <= n <= {MAX_N}")
     if args.strategy:
         try:
             net = load_strategy(args.strategy)
@@ -217,8 +222,8 @@ def cmd_noise_curve(args) -> int:
 
 
 def cmd_seesaw(args) -> int:
-    if args.n < 2 or args.n > args.dense_cap:
-        return _usage_error(f"need 2 <= n <= dense cap ({args.dense_cap})")
+    if not 2 <= args.n <= MAX_N:
+        return _usage_error(f"need 2 <= n <= {MAX_N}")
     if args.restarts < 1:
         return _usage_error("need --restarts >= 1")
     result = seesaw_real(
@@ -246,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rqtgap")
     p.add_argument("--format", choices=["json", "csv", "human"], default="human")
     p.add_argument("--out", default=None, help="write output to a file")
-    p.add_argument("--dense-cap", type=int, default=8,
-                   help="largest n accepted by dense commands")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gap", help="gap table over a range of n")
@@ -283,6 +286,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if args.format == "csv" and args.command in ("verify", "seesaw"):
+        return _usage_error(f"{args.command} writes JSON only; drop --format csv")
+    if args.out:
+        # Append mode creates a missing file but keeps an existing one intact
+        # until the output is ready.
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            return _usage_error(f"cannot write --out {args.out}: {exc.strerror}")
     return args.func(args)
 
 

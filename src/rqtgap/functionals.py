@@ -42,11 +42,16 @@ def tilde_pair(a0: np.ndarray, a1: np.ndarray) -> TildePair:
     return TildePair((a0 - a1) / SQRT2, (a0 + a1) / SQRT2)
 
 
-def _require_pm1(m: np.ndarray, who: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if not linalg.checks(DenseOperator(m, (m.shape[0],))).is_pm1_observable:
-        raise ValidationError(f"{who} is not a +/-1 observable")
-    return m
+def validated_pairs(
+    n: int, observables: Sequence[Sequence[np.ndarray]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(A_{i,0}, A_{i,1}) for each of the n parties, each checked to be +/-1."""
+    if n < 2 or len(observables) != n:
+        raise ValueError("need observable pairs for n >= 2 parties")
+    return [
+        tuple(linalg.require_pm1(obs[x], f"A_{i + 1},{x}") for x in (0, 1))
+        for i, obs in enumerate(observables)
+    ]
 
 
 def build_I_operator(
@@ -59,13 +64,8 @@ def build_I_operator(
 
     with identity padding on uninvolved factors.
     """
-    if n < 2 or len(observables) != n:
-        raise ValueError("need observable pairs for n >= 2 parties")
+    pairs = validated_pairs(n, observables)
     lab = OutcomeLabel(n, l)
-    pairs = [
-        (_require_pm1(obs[0], f"A_{i + 1},0"), _require_pm1(obs[1], f"A_{i + 1},1"))
-        for i, obs in enumerate(observables)
-    ]
     dims = tuple(p[0].shape[0] for p in pairs)
     tp = tilde_pair(*pairs[0])
     placed = {0: tp.a_tilde_1}
@@ -180,11 +180,45 @@ def eval_J(net: StarNetwork, l: int = 0) -> float:
     for i in range(n):
         if net.observables[i][2] is None:
             raise ConfigurationError(f"party {i + 1} has no third observable")
-    rho = conditional_state(net, 0).mat
+    third = [t[2] for t in net.observables]
+    return j_value(conditional_state(net, 0).mat, net, third)
+
+
+def j_value(
+    rho: np.ndarray,
+    net: StarNetwork,
+    third: Sequence[np.ndarray],
+    open_party: Optional[int] = None,
+) -> float | np.ndarray:
+    """J_N on the conditional state `rho` with A_{i,2} = third[i], one
+    `expect_local` call per term of `j_correlator_settings`.
+
+    With `open_party` = i, party i's row and column axes become batch axes
+    and only the terms holding party i at setting 2 are summed, giving the
+    real matrix K with J = Tr(K^T A_{i,2}) + (J at A_{i,2} = 0): K[a, b] is
+    the response to the matrix unit E_ab. third[i] is then not read.
+    """
+    n = net.n
+    dims = net.party_dims
+    keep = list(range(n))
+    if open_party is not None:
+        t = np.moveaxis(rho.reshape(dims + dims), (open_party, n + open_party), (0, 1))
+        keep.remove(open_party)
+        dims = tuple(dims[p] for p in keep)
+        rest = math.prod(dims)
+        rho = t.reshape(t.shape[:2] + (rest, rest))
     total = 0.0
     for weight, settings in j_correlator_settings(n):
-        total += weight * _correlator(net, rho, settings)
-    return -2.0 / (n * (n - 1)) * total
+        if open_party is not None and settings[open_party] != 2:
+            continue
+        placed = {
+            k: third[p] if settings[p] == 2 else net.observable(p + 1, settings[p])
+            for k, p in enumerate(keep)
+        }
+        total = total + weight * np.real(expect_local(rho, dims, placed))
+    scale = -2.0 / (n * (n - 1))
+    # The batch axes hold K^T: entry (a', a) is the coefficient of A[a, a'].
+    return float(scale * total) if open_party is None else scale * total.T
 
 
 def cqt_strategy(n: int) -> StarNetwork:

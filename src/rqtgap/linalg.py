@@ -16,26 +16,13 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, ValidationError
 
-# Entry budget for any single dense object (matrix entries, not bytes).
-_ENTRY_CAPACITY = 2**26
+# Entry budget for any single dense object (matrix entries, not bytes). The
+# CLI derives its largest n from it.
+ENTRY_CAPACITY = 2**26
 
 RNG_NAME = "pcg64"  # np.random.default_rng bit generator, recorded in outputs
-
-
-def set_entry_capacity(n: int) -> int:
-    """Set the global dense-entry cap; returns the previous value."""
-    global _ENTRY_CAPACITY
-    if n < 1:
-        raise ValueError("capacity must be positive")
-    old = _ENTRY_CAPACITY
-    _ENTRY_CAPACITY = n
-    return old
-
-
-def entry_capacity() -> int:
-    return _ENTRY_CAPACITY
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -64,9 +51,9 @@ class DenseOperator:
             raise ValueError(
                 f"local_dims {self.local_dims} do not multiply to dim {mat.shape[0]}"
             )
-        if mat.size > _ENTRY_CAPACITY:
+        if mat.size > ENTRY_CAPACITY:
             raise CapacityError(
-                f"{mat.size} entries exceed the configured cap {_ENTRY_CAPACITY}"
+                f"{mat.size} entries exceed the cap {ENTRY_CAPACITY}"
             )
 
     @property
@@ -126,9 +113,9 @@ def identity(local_dims: Iterable[int]) -> DenseOperator:
 def kron(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """Kronecker product; local factors of `b` are appended after those of `a`."""
     dim = a.dim * b.dim
-    if dim * dim > _ENTRY_CAPACITY:
+    if dim * dim > ENTRY_CAPACITY:
         raise CapacityError(
-            f"kron result would hold {dim * dim} entries, cap is {_ENTRY_CAPACITY}"
+            f"kron result would hold {dim * dim} entries, cap is {ENTRY_CAPACITY}"
         )
     return DenseOperator(np.kron(a.mat, b.mat), a.local_dims + b.local_dims)
 
@@ -238,6 +225,15 @@ def checks(m: DenseOperator, tol: float = 1e-10) -> Checks:
     real = bool(np.max(np.abs(a.imag)) <= tol)
     pm1 = herm and bool(np.max(np.abs(a @ a - eye)) <= tol)
     return Checks(herm, unit, real, pm1)
+
+
+def require_pm1(m: np.ndarray, who: str) -> np.ndarray:
+    """`m` as a complex matrix; ValidationError naming `who` unless it is a
+    +/-1 observable (Hermitian with square 1)."""
+    m = np.asarray(m, dtype=complex)
+    if not checks(DenseOperator(m, (m.shape[0],))).is_pm1_observable:
+        raise ValidationError(f"{who} is not a +/-1 observable")
+    return m
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator, real: bool) -> np.ndarray:

@@ -79,8 +79,7 @@ class StarNetwork:
                     continue
                 if m.shape != (da, da):
                     raise ValidationError(f"party {i + 1} setting {x}: wrong dimension")
-                if not linalg.checks(DenseOperator(m, (da,))).is_pm1_observable:
-                    raise ValidationError(f"party {i + 1} setting {x}: not a +/-1 observable")
+                linalg.require_pm1(m, f"party {i + 1} setting {x}")
             obs.append(triple)
         object.__setattr__(self, "observables", tuple(obs))
         for i, rho in enumerate(self.sources):

@@ -16,27 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import InternalConsistencyError, ValidationError
-from .functionals import build_I_operator, eval_I, tilde_pair
+from .errors import InternalConsistencyError
+from .functionals import build_I_operator, eval_I, tilde_pair, validated_pairs
 from .linalg import DenseOperator, tensor_embed
 from .network import StarNetwork, conditional_state, eve_outcome_probability, ideal_network
 from .pauli import OutcomeLabel
 from .rqt import SeesawResult, seesaw_real
-
-
-def _validated_pairs(n, observables):
-    if n < 2 or len(observables) != n:
-        raise ValueError("need observable pairs for n >= 2 parties")
-    pairs = []
-    for i, obs in enumerate(observables):
-        pair = []
-        for x in (0, 1):
-            m = np.asarray(obs[x], dtype=complex)
-            if not linalg.checks(DenseOperator(m, (m.shape[0],))).is_pm1_observable:
-                raise ValidationError(f"A_{i + 1},{x} is not a +/-1 observable")
-            pair.append(m)
-        pairs.append(tuple(pair))
-    return pairs
 
 
 def sos_terms_A(n: int, l: int, observables: Sequence[Sequence[np.ndarray]]) -> dict:
@@ -44,7 +29,7 @@ def sos_terms_A(n: int, l: int, observables: Sequence[Sequence[np.ndarray]]) -> 
 
     2 (beta_Q 1 - I_l) = (n-1) P_1^2 + sum_{i>=2} P_i^2.
     """
-    pairs = _validated_pairs(n, observables)
+    pairs = validated_pairs(n, observables)
     lab = OutcomeLabel(n, l)
     dims = tuple(p[0].shape[0] for p in pairs)
     tp = tilde_pair(*pairs[0])
@@ -66,7 +51,7 @@ def sos_terms_B(n: int, l: int, observables: Sequence[Sequence[np.ndarray]]) -> 
     2 beta_Q J_l = J_l^2 + sum_{i<j} Q_{i,j}^2 + (n-1) sum_j T_j^2,
     with J_l = beta_Q 1 - I_l.
     """
-    pairs = _validated_pairs(n, observables)
+    pairs = validated_pairs(n, observables)
     lab = OutcomeLabel(n, l)
     dims = tuple(p[0].shape[0] for p in pairs)
     tp = tilde_pair(*pairs[0])
@@ -242,9 +227,11 @@ def apply_noise(net: StarNetwork, model: str, strength: float) -> StarNetwork:
         return StarNetwork(net.n, sources, net.observables, net.eve_povm)
     if model == "rotate_observables":
         c, s = math.cos(strength), math.sin(strength)
-        rot = np.array([[c, -s], [s, c]])
         obs = [net.observables[0]]
         for triple in net.observables[1:]:
+            # A rotation of the first two basis directions, identity elsewhere.
+            rot = np.eye(triple[1].shape[0])
+            rot[:2, :2] = [[c, -s], [s, c]]
             a1 = rot @ triple[1] @ rot.T
             obs.append((triple[0], a1, triple[2]))
         return StarNetwork(net.n, net.sources, tuple(obs), net.eve_povm)

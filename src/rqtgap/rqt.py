@@ -18,9 +18,9 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalConsistencyError
-from .linalg import I2, DenseOperator, X, Y, Z, expect_local, kron_all, partial_trace
+from .linalg import I2, DenseOperator, X, Y, Z, kron_all, partial_trace
 from .network import StarNetwork, conditional_state, ideal_network
-from .functionals import eval_J, j_correlator_settings
+from .functionals import j_value
 
 # Single-qubit basis order for the block decomposition:
 # sigma_0 = 1, sigma_1 = Z, sigma_2 = X, sigma_3 = Y.
@@ -185,23 +185,6 @@ def construct_optimal_real_strategy(n: int) -> StarNetwork:
 # --- seesaw ---------------------------------------------------------------
 
 
-def _j_value(rho0: np.ndarray, net: StarNetwork, third: list[np.ndarray]) -> float:
-    """J_N on a fixed conditional state with candidate third observables.
-
-    Accepts non-Hermitian placeholders so the per-party linear functional
-    can be extracted from basis matrices.
-    """
-    n = net.n
-    total = 0.0
-    for weight, settings in j_correlator_settings(n):
-        placed = {
-            p: third[p] if s == 2 else net.observable(p + 1, s)
-            for p, s in enumerate(settings)
-        }
-        total += weight * float(np.real(expect_local(rho0, net.party_dims, placed)))
-    return -2.0 / (n * (n - 1)) * total
-
-
 def _best_real_observable(k: np.ndarray) -> np.ndarray:
     """argmax of Tr(K A) over real symmetric A with A^2 = 1."""
     sym = (k + k.T) / 2.0
@@ -230,11 +213,11 @@ def seesaw_real(
     """Alternating maximization of J_N over entrywise-real +/-1 third
     observables, states and first two observables held fixed.
 
-    J_N is affine in each party's A_{i,2}, so the per-party step extracts
-    the linear coefficient matrix from basis evaluations and solves it
-    exactly by eigendecomposition (an O diag(+/-1) O^T update with O real
-    orthogonal). Restarts are independent; ties resolve to the earliest
-    restart.
+    J_N is affine in each party's A_{i,2}, so the per-party step takes the
+    linear coefficient matrix from `j_value` with that party left open (one
+    partial contraction per term) and solves it exactly by
+    eigendecomposition (an O diag(+/-1) O^T update with O real orthogonal).
+    Restarts are independent; ties resolve to the earliest restart.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -254,24 +237,12 @@ def seesaw_real(
                 ).mat.real
                 for i in range(n)
             ]
-            current = _j_value(rho0, net_base, third)
+            current = j_value(rho0, net_base, third)
             for it in range(max_iter):
                 for i in range(n):
-                    d = dims[i]
-                    zero = [m for m in third]
-                    zero[i] = np.zeros((d, d))
-                    c0 = _j_value(rho0, net_base, zero)
-                    k = np.zeros((d, d))
-                    for a in range(d):
-                        for b in range(d):
-                            basis = [m for m in third]
-                            e = np.zeros((d, d))
-                            e[a, b] = 1.0
-                            basis[i] = e
-                            # J = Tr(K^T A) + c0, so K[a, b] is the E_ab response.
-                            k[a, b] = _j_value(rho0, net_base, basis) - c0
+                    k = j_value(rho0, net_base, third, open_party=i)
                     third[i] = _best_real_observable(k)
-                new = _j_value(rho0, net_base, third)
+                new = j_value(rho0, net_base, third)
                 if trace_fh:
                     trace_fh.write(json.dumps({"restart": r, "iter": it, "J": new}) + "\n")
                 if new - current < tol:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ValidationError
 from .functionals import eval_I
-from .linalg import DenseOperator, StateVector, X, Z, fidelity_with_pure
+from .linalg import StateVector, X, Z, fidelity_with_pure
 from .network import (
     StarNetwork,
     conditional_state,
@@ -32,7 +31,7 @@ class CanonicalizationResult:
     """Unitary u on the padded factor and the distances from canonical form.
 
     residual_a0 measures how far u a0 u^dag is from Z (x) 1 on the padded
-    state (zero by construction); residual_a1 the distance of
+    state (zero up to rounding, by construction); residual_a1 the distance of
     u a1 u^dag |psi> from (X (x) 1)|psi>. The anticommutator norm on the
     state is recorded along with both the stated linear bound and the
     sharper quadratic one the construction actually achieves.
@@ -47,13 +46,6 @@ class CanonicalizationResult:
     quadratic_bound: float
 
 
-def _pm1(m: np.ndarray, who: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if not linalg.checks(DenseOperator(m, (m.shape[0],))).is_pm1_observable:
-        raise ValidationError(f"{who} is not a +/-1 observable")
-    return m
-
-
 def canonicalize_pair(
     a0: np.ndarray, a1: np.ndarray, psi: StateVector, pad: bool = True
 ) -> CanonicalizationResult:
@@ -66,8 +58,8 @@ def canonicalize_pair(
     outside the X (x) 1 form lives in the diagonal blocks, whose action on
     the state is exactly half the anticommutator's.
     """
-    a0 = _pm1(a0, "a0")
-    a1 = _pm1(a1, "a1")
+    a0 = linalg.require_pm1(a0, "a0")
+    a1 = linalg.require_pm1(a1, "a1")
     d = a0.shape[0]
     if a1.shape[0] != d:
         raise ValueError("observables act on different dimensions")
@@ -107,6 +99,9 @@ def canonicalize_pair(
         extra += 1
         row += 1
 
+    # Padding directions act as +1 where they top up the +1 side, else -1.
+    a0_pad = np.diag([1.0] * (d + m - len(plus)) + [-1.0] * (m - len(minus))).astype(complex)
+    a0_pad[:d, :d] = a0
     a1_pad = np.eye(padded, dtype=complex)
     a1_pad[:d, :d] = a1
     a1_rot = basis @ a1_pad @ basis.conj().T
@@ -123,8 +118,7 @@ def canonicalize_pair(
 
     z_target = np.kron(np.kron(Z.astype(complex), np.eye(m)), np.eye(rest))
     x_target = np.kron(np.kron(X.astype(complex), np.eye(m)), np.eye(rest))
-    a0_fin = np.kron(u_total @ (basis.conj().T @ np.diag([1.0] * m + [-1.0] * m).astype(complex) @ basis) @ u_total.conj().T, np.eye(rest))
-    # The line above reconstructs u a0_pad u^dag from the exact diagonal form.
+    a0_fin = np.kron(u_total @ a0_pad @ u_total.conj().T, np.eye(rest))
     a1_fin = np.kron(u_total @ a1_pad @ u_total.conj().T, np.eye(rest))
 
     residual_a0 = float(np.linalg.norm((a0_fin - z_target) @ psi_rot))

@@ -72,7 +72,7 @@ def test_verify_broken_fails(capsys):
 def test_verify_rejects_large_n(capsys):
     code, _, _ = run(capsys, "verify", "--n", "9")
     assert code == 2
-    code, _, _ = run(capsys, "--dense-cap", "4", "verify", "--n", "5")
+    code, _, _ = run(capsys, "seesaw", "--n", "9")
     assert code == 2
 
 
@@ -164,6 +164,9 @@ def test_unknown_subcommand_is_usage_error(capsys):
         ["noise-curve", "--n", "5", "--eps", "nan"],
         ["noise-curve", "--n", "5", "--eps", "inf"],
         ["noise-curve", "--n", "5", "--eps", "1e308"],
+        ["--out", "{tmp}/no/such/dir/x.json", "gap", "--n-min", "2", "--n-max", "3"],
+        ["--format", "csv", "verify", "--n", "2"],
+        ["--format", "csv", "seesaw", "--n", "2"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}/", "").replace("{tmp}", "DIR"),
 )

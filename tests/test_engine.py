@@ -1,14 +1,23 @@
-"""Differential tests of the conditional-state engine against the dense
-oracle (`kron_all`, `tensor_embed`, `build_I_operator`) on random inputs."""
+"""Differential tests of the conditional-state engine and the seesaw's
+coefficient matrix against the dense oracle (`kron_all`, `tensor_embed`,
+`build_I_operator`), and strategy-file round trips, on random inputs."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqtgap.functionals import build_I_operator, eval_I, eval_I_from_correlators
+from rqtgap.functionals import (
+    build_I_operator,
+    eval_I,
+    eval_I_from_correlators,
+    j_correlator_settings,
+    j_value,
+)
 from rqtgap.linalg import (
     DenseOperator,
     expect_local,
@@ -23,6 +32,8 @@ from rqtgap.network import (
     conditional_state,
     eve_outcome_probability,
     ideal_network,
+    load_strategy,
+    save_strategy,
 )
 from rqtgap.robustness import NOISE_MODELS, apply_noise
 
@@ -75,17 +86,18 @@ def _dense_conditional(net: StarNetwork, l: int) -> np.ndarray:
     return partial_trace(DenseOperator(lifted, dims), keep=range(n)).mat
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    dims=st.integers(2, 3).flatmap(
+def _network_dims(max_n: int):
+    """(party dims, Eve dims), each in {2, 3}, for n = 2..max_n parties."""
+    return st.integers(2, max_n).flatmap(
         lambda n: st.tuples(
             st.lists(st.sampled_from((2, 3)), min_size=n, max_size=n),
             st.lists(st.sampled_from((2, 3)), min_size=n, max_size=n),
         )
-    ),
-    seed=SEEDS,
-    data=st.data(),
-)
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(dims=_network_dims(3), seed=SEEDS, data=st.data())
 def test_kernel_matches_dense_joint_state(dims, seed, data):
     party_dims, eve_dims = dims
     net = _random_network(party_dims, eve_dims, seed)
@@ -108,7 +120,7 @@ def test_expect_local_matches_tensor_embed(dims, batch, seed, data):
     d = math.prod(dims)
     rho = rng.normal(size=batch + (d, d)) + 1j * rng.normal(size=batch + (d, d))
     where = data.draw(st.sets(st.integers(0, len(dims) - 1)), label="placed")
-    # Non-Hermitian factors: the seesaw probes with matrix units.
+    # expect_local does not require Hermitian factors.
     placed = {
         i: rng.normal(size=(dims[i],) * 2) + 1j * rng.normal(size=(dims[i],) * 2)
         for i in where
@@ -134,3 +146,66 @@ def test_eval_I_matches_dense_bell_operator(model, n, strength):
         want = np.trace(op @ conditional_state(net, l).mat).real
         assert eval_I(net, l) == pytest.approx(want, abs=1e-12)
         assert eval_I_from_correlators(net, l) == pytest.approx(want, abs=1e-12)
+
+
+def _dense_j(net: StarNetwork, rho: np.ndarray, third) -> float:
+    """J_N from Tr(tensor_embed(...) rho) per term, real part per term."""
+    n = net.n
+    total = 0.0
+    for weight, settings in j_correlator_settings(n):
+        placed = {
+            p: third[p] if s == 2 else net.observable(p + 1, s)
+            for p, s in enumerate(settings)
+        }
+        op = tensor_embed(net.party_dims, placed)
+        total += weight * np.trace(op @ rho).real
+    return -2.0 / (n * (n - 1)) * total
+
+
+@settings(max_examples=15, deadline=None)
+@given(dims=_network_dims(4), seed=SEEDS)
+def test_seesaw_coefficients_match_finite_differences(dims, seed):
+    party_dims = dims[0]
+    net = _random_network(*dims, seed)
+    rho = conditional_state(net, 0).mat
+    # Non-symmetric thirds make K and K^T differ, so the test pins which is which.
+    rng = np.random.default_rng(seed)
+    third = [rng.normal(size=(d, d)) for d in party_dims]
+    for i, d in enumerate(party_dims):
+        k = j_value(rho, net, third, open_party=i)
+        probe = list(third)
+        probe[i] = np.zeros((d, d))
+        j0 = _dense_j(net, rho, probe)
+        want = np.zeros((d, d))
+        for a in range(d):
+            for b in range(d):
+                probe[i] = np.zeros((d, d))
+                probe[i][a, b] = 1.0
+                want[a, b] = _dense_j(net, rho, probe) - j0
+        np.testing.assert_allclose(k, want, rtol=0, atol=1e-12)
+    assert j_value(rho, net, third) == pytest.approx(_dense_j(net, rho, third), abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dims=_network_dims(3), seed=SEEDS, with_third=st.booleans())
+def test_strategy_file_round_trip_is_bit_exact(dims, seed, with_third):
+    net = _random_network(*dims, seed)
+    if not with_third:
+        net = StarNetwork(
+            net.n, net.sources, tuple(t[:2] + (None,) for t in net.observables), net.eve_povm
+        )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "strategy.json"
+        save_strategy(net, path)
+        back = load_strategy(path)
+    assert back.n == net.n
+    for a, b in zip(back.sources, net.sources):
+        assert a.local_dims == b.local_dims
+        np.testing.assert_array_equal(a.mat, b.mat)
+    for ta, tb in zip(back.observables, net.observables):
+        for ma, mb in zip(ta, tb):
+            assert (ma is None) == (mb is None)
+            if ma is not None:
+                np.testing.assert_array_equal(ma, mb)
+    for ra, rb in zip(back.eve_povm, net.eve_povm):
+        np.testing.assert_array_equal(ra, rb)

@@ -47,12 +47,12 @@ def test_kron_matches_numpy():
 
 
 def test_capacity_guard():
-    old = linalg.set_entry_capacity(16)
-    try:
-        with pytest.raises(CapacityError):
-            kron(identity((4,)), identity((4,)))
-    finally:
-        linalg.set_entry_capacity(old)
+    # Two 2^7-dim factors make a 2^28-entry product; the guard fires before
+    # anything that large is allocated.
+    big = identity((2**7,))
+    assert big.dim**4 > linalg.ENTRY_CAPACITY
+    with pytest.raises(CapacityError):
+        kron(big, big)
 
 
 def test_tensor_embed_places_factors():

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqtgap.functionals import eval_I
-from rqtgap.linalg import random_pm1_observable
-from rqtgap.network import eve_outcome_probability, ideal_network
+from rqtgap.linalg import DenseOperator, random_pm1_observable
+from rqtgap.network import StarNetwork, eve_outcome_probability, ideal_network
 from rqtgap.robustness import (
     NOISE_MODELS,
     apply_noise,
@@ -45,6 +47,25 @@ def test_sos_identity_A_randomized():
             for _ in range(3):
                 obs = random_pairs(n, dims, rng)
                 assert verify_sos_identity_A(n, 0, obs) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.integers(2, 4), min_size=n, max_size=n)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sos_identity_A_on_random_observables(dims, seed, data):
+    rng = np.random.default_rng(seed)
+    n = len(dims)
+    obs = [
+        [random_pm1_observable(d, int(rng.integers(0, 2**63))).mat for _ in range(2)]
+        for d in dims
+    ]
+    l = data.draw(st.integers(0, (1 << n) - 1), label="l")
+    assert verify_sos_identity_A(n, l, obs) <= 1e-9
 
 
 def test_sos_identity_B_residual_vanishes():
@@ -107,6 +128,35 @@ def test_mix_povm_probability_deviation():
         assert abs(eve_outcome_probability(net, l) - 0.125) <= 0.01 / 8 + 1e-12
 
 
+def test_rotate_observables_keeps_qubit_results():
+    th = 0.07
+    net = ideal_network(3)
+    c, s = math.cos(th), math.sin(th)
+    rot = np.array([[c, -s], [s, c]])
+    noisy = apply_noise(net, "rotate_observables", th)
+    for before, after in zip(net.observables[1:], noisy.observables[1:]):
+        np.testing.assert_array_equal(after[1], rot @ before[1] @ rot.T)
+
+
+def test_rotate_observables_on_a_qutrit_party():
+    th = 0.3
+    ideal = ideal_network(2)
+    flip = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    net = StarNetwork(
+        2,
+        (ideal.sources[0], DenseOperator(np.eye(6) / 6, (3, 2))),
+        (ideal.observables[0], (np.diag([1.0, -1.0, 1.0]), flip, None)),
+        ideal.eve_povm,
+    )
+    a1 = apply_noise(net, "rotate_observables", th).observables[1][1]
+    c, s = math.cos(th), math.sin(th)
+    rot = np.array([[c, -s], [s, c]])
+    np.testing.assert_allclose(a1[:2, :2], rot @ flip[:2, :2] @ rot.T, atol=1e-15)
+    # The third basis direction is left alone.
+    np.testing.assert_array_equal(a1[2], flip[2])
+    np.testing.assert_array_equal(a1[:, 2], flip[:, 2])
+
+
 def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         apply_noise(ideal_network(2), "gamma_rays", 0.1)
@@ -131,6 +181,15 @@ def test_epsilon_threshold_roundtrip():
         assert eps > 0
         assert beta_rqt_upper(n, eps) == pytest.approx(1.0, abs=1e-10)
         assert beta_rqt_upper(n, eps * 1.01) > 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 1000), excess=st.floats(1e-12, 1e3))
+def test_epsilon_threshold_round_trips_over_wide_n(n, excess):
+    target = 1.0 / (n - 1) + excess
+    eps = epsilon_threshold(n, target)
+    assert eps >= 0
+    assert beta_rqt_upper(n, eps) == pytest.approx(target, rel=1e-12)
 
 
 def test_epsilon_threshold_rejects_unreachable_target():
