@@ -19,8 +19,10 @@ from .linalg import DenseOperator, expect_local, tensor_embed
 from .network import (
     TILDE_0,
     TILDE_1,
+    ConditionalStates,
     StarNetwork,
     conditional_state,
+    conditional_states,
     placed_observables,
 )
 from .pauli import OutcomeLabel, PauliWord, ghz_expectation
@@ -78,43 +80,57 @@ def build_I_operator(
     return DenseOperator((-1) ** lab.bit(1) * total, dims)
 
 
-def eval_I(net: StarNetwork, l: int) -> float:
-    """<I_l> on the conditional state rho^l; 2(n-1) for the ideal network.
+def _label_signs(n: int, labels: Sequence[int]) -> np.ndarray:
+    """(-1)^{l_i} with axes (label, i - 1)."""
+    bits = (np.asarray(labels)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * bits
+
+
+def I_values(net: StarNetwork, states: ConditionalStates) -> np.ndarray:
+    """<I_l> on each conditional state of `states`; 2(n-1) for the ideal
+    network.
 
     Each term of I_l is a product of local observables, so it is evaluated
-    factor by factor on rho^l; `build_I_operator` is the dense oracle.
+    factor by factor on all states at once; `build_I_operator` is the dense
+    oracle.
     """
     n = net.n
-    lab = OutcomeLabel(n, l)
+    sign = _label_signs(n, states.labels)
     tp = tilde_pair(net.observable(1, 0), net.observable(1, 1))
-    rho = conditional_state(net, l).mat
-    dims = net.party_dims
     placed = {0: tp.a_tilde_1}
     placed.update({i: net.observable(i + 1, 1) for i in range(1, n)})
-    value = (n - 1) * expect_local(rho, dims, placed)
+    value = (n - 1) * states.expect(placed)
     for i in range(1, n):
-        term = expect_local(rho, dims, {0: tp.a_tilde_0, i: net.observable(i + 1, 0)})
-        value = value + (-1) ** lab.bit(i + 1) * term
-    return float(np.real((-1) ** lab.bit(1) * value))
+        term = states.expect({0: tp.a_tilde_0, i: net.observable(i + 1, 0)})
+        value = value + sign[:, i] * term
+    return sign[:, 0] * value
 
 
-def eval_I_from_correlators(net: StarNetwork, l: int) -> float:
+def I_values_from_correlators(net: StarNetwork, states: ConditionalStates) -> np.ndarray:
     """Same functional assembled from conditional correlators (cross-check path)."""
     n = net.n
-    lab = OutcomeLabel(n, l)
-    rho = conditional_state(net, l).mat
-    value = (n - 1) * _correlator(net, rho, [TILDE_1] + [1] * (n - 1))
+    sign = _label_signs(n, states.labels)
+    value = (n - 1) * _correlator(net, states, [TILDE_1] + [1] * (n - 1))
     for i in range(2, n + 1):
         settings: list = [TILDE_0] + [None] * (n - 1)
         settings[i - 1] = 0
-        value += (-1) ** lab.bit(i) * _correlator(net, rho, settings)
-    return (-1) ** lab.bit(1) * value
+        value = value + sign[:, i - 1] * _correlator(net, states, settings)
+    return sign[:, 0] * value
 
 
-def _correlator(net: StarNetwork, rho: np.ndarray, settings: Sequence) -> float:
-    """conditional_expectation on an already computed rho^l."""
-    placed = placed_observables(net, settings)
-    return float(np.real(expect_local(rho, net.party_dims, placed)))
+def eval_I(net: StarNetwork, l: int) -> float:
+    """`I_values` for the single outcome l."""
+    return float(I_values(net, conditional_states(net, [l]))[0])
+
+
+def eval_I_from_correlators(net: StarNetwork, l: int) -> float:
+    """`I_values_from_correlators` for the single outcome l."""
+    return float(I_values_from_correlators(net, conditional_states(net, [l]))[0])
+
+
+def _correlator(net: StarNetwork, states: ConditionalStates, settings: Sequence) -> np.ndarray:
+    """The correlator of the party settings on each conditional state."""
+    return states.expect(placed_observables(net, settings))
 
 
 def ideal_I_value(n: int, l: int) -> float:

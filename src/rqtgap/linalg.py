@@ -3,9 +3,9 @@
 `kron_all`, `tensor_embed` and `functionals.build_I_operator` build full
 2^n x 2^n operators. They are the ground-truth oracle: the SOS identities
 use them, and the tests check the production paths against them.
-Production code evaluates local observables with `expect_local`, which
-contracts one tensor factor at a time and never forms the product
-operator.
+Production code evaluates local observables with `expect_local` on
+density matrices and `apply_local` on vectors, which work one tensor
+factor at a time and never form the product operator.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 
-# Entry budget for any single dense object (matrix entries, not bytes). The
-# CLI derives its largest n from it.
+# Entry budget for any single dense object (matrix entries, not bytes).
 ENTRY_CAPACITY = 2**26
 
 RNG_NAME = "pcg64"  # np.random.default_rng bit generator, recorded in outputs
@@ -196,6 +195,27 @@ def expect_local(
     return t.reshape(batch)
 
 
+def apply_local(
+    vecs: np.ndarray, local_dims: Sequence[int], placed: Mapping[int, np.ndarray]
+) -> np.ndarray:
+    """((x)_i placed.get(i, 1)) applied to each vector of `vecs`.
+
+    `vecs` holds vectors on the factors `local_dims` along its last axis,
+    with any leading batch axes; the result has the same shape. Each placed
+    factor is one matmul on its own axis, so the cost is O(dim * d) per
+    factor and the product operator is never formed.
+    """
+    t = np.asarray(vecs)
+    shape = t.shape
+    right = shape[-1]
+    for i, d in enumerate(local_dims):
+        right //= d
+        m = placed.get(i)
+        if m is not None:
+            t = np.tensordot(m, t.reshape(-1, d, right), axes=(1, 1)).transpose(1, 0, 2)
+    return t.reshape(shape)
+
+
 class Norms(NamedTuple):
     trace_norm: float
     operator_norm: float
@@ -297,3 +317,23 @@ def operator_from_json(d: dict) -> DenseOperator:
     re = np.array(d["re"], dtype=float).reshape(dim, dim)
     im = np.array(d["im"], dtype=float).reshape(dim, dim)
     return DenseOperator(re + 1j * im, tuple(d["local_dims"]))
+
+
+# A rectangular matrix: {"rows": r, "cols": c, "re": [...], "im": [...]},
+# row-major; c may be 0.
+
+
+def matrix_to_json(m: np.ndarray) -> dict:
+    return {
+        "rows": m.shape[0],
+        "cols": m.shape[1],
+        "re": [float(v) for v in m.real.ravel()],
+        "im": [float(v) for v in m.imag.ravel()],
+    }
+
+
+def matrix_from_json(d: dict) -> np.ndarray:
+    shape = (int(d["rows"]), int(d["cols"]))
+    re = np.array(d["re"], dtype=float).reshape(shape)
+    im = np.array(d["im"], dtype=float).reshape(shape)
+    return re + 1j * im

@@ -1,12 +1,15 @@
 """The star-network scenario: sources, observables, Eve's measurement.
 
 Global state order is A_1 E_1 A_2 E_2 ... ; Eve's POVM acts on the joined
-E factors in the order E_1 ... E_N. A conditional state never materializes
-the joint density matrix: Eve's POVM element is pushed through one source
-at a time, n small matmuls per outcome. The POVM itself is held densely,
-2^n elements of 2^n x 2^n entries, which bounds n in memory and time.
-Correlators contract local observables factor by factor (`expect_local`)
-instead of building kron operators.
+E factors in the order E_1 ... E_N. Eve's measurement is held as factors
+R_l = V_l V_l^dag (`EveMeasurement`): the ideal network's, like any rank-1
+projective measurement, is one 2^n x 2^n unitary, and a dense element is
+factored once at construction. Conditional states never materialize the
+joint density matrix. When every source is pure they are vectors: V's
+columns pushed through one source at a time, all outcomes at once. Mixed
+sources take the density-matrix kernel, one outcome at a time. Correlators
+contract local observables factor by factor (`expect_local`,
+`apply_local`) instead of building kron operators.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +29,13 @@ from .errors import ConfigurationError, DegenerateConditioningError, ValidationE
 from .linalg import DenseOperator, StateVector, X, Z
 
 CONDITIONING_THRESHOLD = 1e-14
+
+# A source or POVM element is factored over the eigenvalues above this
+# fraction of its largest one; the rest are rounding noise.
+RANK_CUTOFF = 1e-14
+
+# Matrix entries per batched `expect_local` call on mixed conditional states.
+MIXED_BATCH_ENTRIES = 2**20
 
 # Party-1 settings: 0, 1, 2 select A_{1,x}; the tilde settings select the
 # rotated pair (A_{1,0} -+ A_{1,1})/sqrt(2). None means identity.
@@ -48,25 +58,95 @@ def ghz_state(n: int, l: int) -> StateVector:
     return StateVector(v / np.sqrt(2.0), (2,) * n)
 
 
+def ghz_basis(n: int) -> np.ndarray:
+    """The unitary whose column l is ghz_state(n, l)."""
+    return np.stack([ghz_state(n, l).vec for l in range(1 << n)], axis=1)
+
+
+@dataclass(frozen=True)
+class EveMeasurement:
+    """Eve's POVM {R_l}, held as factors R_l = V_l V_l^dag.
+
+    `factors` has axes (e, l, c): V_l = factors[:, l, :], padded with zero
+    columns up to the largest rank. For a rank-1 projective measurement,
+    factors[:, :, 0] is one unitary whose columns are the measurement
+    vectors. Completeness, sum_l V_l V_l^dag = 1, is checked once, through
+    the stacked factors; positivity holds by construction.
+    """
+
+    factors: np.ndarray
+
+    def __post_init__(self):
+        v = np.array(self.factors, dtype=complex)
+        v.setflags(write=False)
+        object.__setattr__(self, "factors", v)
+        if v.ndim != 3:
+            raise ValueError("factors need axes (e, l, c)")
+        flat = v.reshape(v.shape[0], -1)
+        if np.max(np.abs(flat @ flat.conj().T - np.eye(v.shape[0]))) > 1e-10:
+            raise ValidationError("Eve POVM does not sum to the identity")
+
+    @classmethod
+    def from_factors(cls, factors: Sequence[np.ndarray]) -> "EveMeasurement":
+        """Stack per-outcome factors V_l, each d_E x k_l with any k_l >= 0."""
+        factors = [np.asarray(f, dtype=complex) for f in factors]
+        if not factors or any(f.ndim != 2 or f.shape[0] != factors[0].shape[0] for f in factors):
+            raise ValueError("Eve's factors need one common number of rows")
+        v = np.zeros((factors[0].shape[0], len(factors), max(1, *(f.shape[1] for f in factors))),
+                     dtype=complex)
+        for l, f in enumerate(factors):
+            v[:, l, : f.shape[1]] = f
+        return cls(v)
+
+    @classmethod
+    def from_elements(cls, elements: Sequence[np.ndarray]) -> "EveMeasurement":
+        """Factor dense POVM elements by `eigh`, one per element."""
+        factors = []
+        for l, r in enumerate(elements):
+            r = np.asarray(r, dtype=complex)
+            w, q = np.linalg.eigh((r + r.conj().T) / 2)
+            if w[0] < -1e-12:
+                raise ValidationError(f"Eve POVM element {l} is not positive")
+            keep = w > RANK_CUTOFF * w[-1]
+            factors.append(q[:, keep] * np.sqrt(w[keep]))
+        return cls.from_factors(factors)
+
+    def __len__(self) -> int:
+        return self.factors.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.factors.shape[0]
+
+    def element(self, l: int) -> np.ndarray:
+        """The dense element R_l."""
+        v = self.factors[:, l, :]
+        return v @ v.conj().T
+
+
 @dataclass(frozen=True)
 class StarNetwork:
     """N sources, per-party observable triples, Eve's 2^n-outcome POVM.
 
     observables[i] is (A_{i,0}, A_{i,1}, A_{i,2}); the third entry may be
-    None until a caller completes the strategy.
+    None until a caller completes the strategy. `eve` takes an
+    `EveMeasurement` or a sequence of dense POVM elements, which are
+    factored. `source_vectors` holds each source as a d_A x d_E matrix S_i
+    with rho_i = |S_i>><<S_i| when every source is pure, else None.
     """
 
     n: int
     sources: tuple[DenseOperator, ...]
     observables: tuple[tuple[Optional[np.ndarray], ...], ...]
-    eve_povm: tuple[np.ndarray, ...]
+    eve: EveMeasurement
+    source_vectors: Optional[tuple[np.ndarray, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least 2 external parties")
         if len(self.sources) != self.n or len(self.observables) != self.n:
             raise ValueError("need one source and one observable triple per party")
-        if len(self.eve_povm) != 1 << self.n:
+        if len(self.eve) != 1 << self.n:
             raise ValueError("Eve's POVM must have 2^n elements")
         obs = []
         for i, triple in enumerate(self.observables):
@@ -82,21 +162,23 @@ class StarNetwork:
                 linalg.require_pm1(m, f"party {i + 1} setting {x}")
             obs.append(triple)
         object.__setattr__(self, "observables", tuple(obs))
+        vectors = []
         for i, rho in enumerate(self.sources):
             if len(rho.local_dims) != 2:
                 raise ValidationError(f"source {i + 1} must be bipartite")
-            ev = np.linalg.eigvalsh(rho.mat)
-            if ev.min() < -1e-10 or abs(np.trace(rho.mat) - 1.0) > 1e-10:
+            w, q = np.linalg.eigh(rho.mat)
+            if w[0] < -1e-10 or abs(np.trace(rho.mat) - 1.0) > 1e-10:
                 raise ValidationError(f"source {i + 1} is not a density operator")
-        de = self.eve_dim
-        povm = tuple(np.asarray(r, dtype=complex) for r in self.eve_povm)
-        total = sum(povm)
-        if np.max(np.abs(total - np.eye(de))) > 1e-10:
-            raise ValidationError("Eve POVM does not sum to the identity")
-        for l, r in enumerate(povm):
-            if np.linalg.eigvalsh((r + r.conj().T) / 2).min() < -1e-12:
-                raise ValidationError(f"Eve POVM element {l} is not positive")
-        object.__setattr__(self, "eve_povm", povm)
+            if np.count_nonzero(w > RANK_CUTOFF * w[-1]) == 1:
+                vectors.append((q[:, -1] * np.sqrt(w[-1])).reshape(rho.local_dims))
+        pure = len(vectors) == self.n
+        object.__setattr__(self, "source_vectors", tuple(vectors) if pure else None)
+        eve = self.eve
+        if not isinstance(eve, EveMeasurement):
+            eve = EveMeasurement.from_elements(eve)
+        if eve.dim != self.eve_dim:
+            raise ValidationError("Eve's POVM does not act on the joined E factors")
+        object.__setattr__(self, "eve", eve)
 
     @property
     def party_dims(self) -> tuple[int, ...]:
@@ -109,6 +191,12 @@ class StarNetwork:
     @property
     def eve_dim(self) -> int:
         return math.prod(self.eve_dims)
+
+    @property
+    def eve_povm(self) -> tuple[np.ndarray, ...]:
+        """Eve's POVM elements as dense matrices, rebuilt from the factors on
+        every access: 2^n matrices of 4^n entries, the oracle for tests."""
+        return tuple(self.eve.element(l) for l in range(len(self.eve)))
 
     def observable(self, party: int, setting) -> np.ndarray:
         """Party index 1..n; setting 0/1/2, a tilde tag (party 1) or None."""
@@ -137,7 +225,7 @@ class StarNetwork:
             (t[0], t[1], np.asarray(m, dtype=complex))
             for t, m in zip(self.observables, third)
         )
-        return StarNetwork(self.n, self.sources, obs, self.eve_povm)
+        return StarNetwork(self.n, self.sources, obs, self.eve)
 
 
 def ideal_network(n: int) -> StarNetwork:
@@ -150,12 +238,12 @@ def ideal_network(n: int) -> StarNetwork:
     s2 = np.sqrt(2.0)
     obs: list[tuple] = [((X + Z) / s2, (X - Z) / s2, None)]
     obs += [(Z.copy(), X.copy(), None)] * (n - 1)
-    povm = tuple(ghz_state(n, l).projector().mat for l in range(1 << n))
-    return StarNetwork(n, (phi_plus,) * n, tuple(obs), povm)
+    eve = EveMeasurement(ghz_basis(n)[:, :, None])
+    return StarNetwork(n, (phi_plus,) * n, tuple(obs), eve)
 
 
 def _conditional_unnormalized(net: StarNetwork, l: int) -> np.ndarray:
-    """P(l) * rho^l as a matrix on the joined A factors.
+    """P(l) * rho^l as a matrix on the joined A factors, for any sources.
 
     rho~[a, a'] = sum_{e, e''} R_l[e, e''] prod_i S_i[a_i, e''_i, a'_i, e_i].
 
@@ -167,7 +255,7 @@ def _conditional_unnormalized(net: StarNetwork, l: int) -> np.ndarray:
     n = net.n
     de = net.eve_dims
     pairs = [k for i in range(n) for k in (i, n + i)]
-    t = net.eve_povm[l].reshape(de + de).transpose(pairs)
+    t = net.eve.element(l).reshape(de + de).transpose(pairs)
     for i in range(n):
         da, dei = net.sources[i].local_dims
         lam = net.sources[i].mat.reshape(da, dei, da, dei).transpose(0, 2, 3, 1)
@@ -182,19 +270,114 @@ def _conditional_unnormalized(net: StarNetwork, l: int) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def eve_outcome_probability(net: StarNetwork, l: int) -> float:
-    """P(l) = Tr[R_l (x)_i Tr_A rho_{A_i E_i}]."""
-    marg = {i: linalg.partial_trace(s, keep=[1]).mat for i, s in enumerate(net.sources)}
-    return float(np.real(linalg.expect_local(net.eve_povm[l], net.eve_dims, marg)))
+def _pure_vectors(net: StarNetwork, labels: Sequence[int]) -> np.ndarray:
+    """Unnormalized conditional vectors for pure sources, axes (l, c, a):
+
+    psi[l, c, a] = sum_e conj(V_l[e, c]) prod_i S_i[a_i, e_i],
+
+    so that P(l) rho^l = sum_c |psi[l, c]><psi[l, c]|. Each source contracts
+    the leading E axis and appends its A axis: n matmuls in all.
+    """
+    t = net.eve.factors[:, list(labels), :]
+    shape = t.shape[1:]
+    t = np.conj(t, out=t)
+    for s, de in zip(net.source_vectors, net.eve_dims):
+        # t^T @ s^T lands the new A axis at the back without a copy of t.
+        t = t.reshape(de, -1).T @ s.T
+    return t.reshape(shape + (-1,))
+
+
+@dataclass(frozen=True)
+class ConditionalStates:
+    """P(l) rho^l for each outcome in `labels`, with P(l) in `probs`.
+
+    Pure sources give `vectors` (axes l, c, a), P(l) rho^l being the sum
+    over c of |vectors[l, c]><vectors[l, c]| (zero rows pad the ranks);
+    mixed sources give the matrices `mats` (axes l, a, a'). Exactly one of
+    the two is set.
+    """
+
+    party_dims: tuple[int, ...]
+    labels: tuple[int, ...]
+    probs: np.ndarray
+    vectors: Optional[np.ndarray] = None
+    mats: Optional[np.ndarray] = None
+
+    def weighted_expect(self, placed: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Re Tr[((x)_i placed.get(i, 1)) P(l) rho^l] for each label."""
+        if self.vectors is None:
+            # expect_local copies its batch at every factor, so the stack of
+            # density matrices goes through it in slices of MIXED_BATCH_ENTRIES.
+            step = max(1, MIXED_BATCH_ENTRIES // self.mats[0].size)
+            return np.concatenate([
+                np.real(linalg.expect_local(self.mats[j : j + step], self.party_dims, placed))
+                for j in range(0, len(self.mats), step)
+            ])
+        v = self.vectors
+        applied = linalg.apply_local(v, self.party_dims, placed)
+        # Re <v|Av> from real and imaginary parts, without a conjugated copy of v.
+        return np.einsum("lca,lca->l", v.real, applied.real) + np.einsum(
+            "lca,lca->l", v.imag, applied.imag
+        )
+
+    def expect(self, placed: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Re Tr[((x)_i placed.get(i, 1)) rho^l] for each label."""
+        return self.weighted_expect(placed) / self.probs
+
+    def fidelity(self, targets: np.ndarray) -> np.ndarray:
+        """<t_l| rho^l |t_l>, one target vector per label (rows of `targets`)."""
+        if self.vectors is None:
+            raw = np.real(np.einsum("la,lab,lb->l", targets.conj(), self.mats, targets))
+        else:
+            amp = np.einsum("la,lca->lc", targets.conj(), self.vectors)
+            raw = np.sum(np.abs(amp) ** 2, axis=1)
+        return raw / self.probs
+
+    def density(self, j: int) -> np.ndarray:
+        """rho^l for l = labels[j] as a dense matrix."""
+        if self.vectors is None:
+            raw = self.mats[j]
+        else:
+            raw = self.vectors[j].T @ self.vectors[j].conj()
+        return raw / self.probs[j]
+
+
+def _unnormalized_states(net: StarNetwork, labels: Optional[Sequence[int]]) -> ConditionalStates:
+    labels = tuple(range(1 << net.n)) if labels is None else tuple(int(l) for l in labels)
+    if net.source_vectors is not None:
+        vecs = _pure_vectors(net, labels)
+        probs = np.sum(np.abs(vecs) ** 2, axis=(1, 2))
+        return ConditionalStates(net.party_dims, labels, probs, vectors=vecs)
+    d = math.prod(net.party_dims)
+    mats = np.empty((len(labels), d, d), dtype=complex)
+    for j, l in enumerate(labels):
+        mats[j] = _conditional_unnormalized(net, l)
+    probs = np.real(np.trace(mats, axis1=1, axis2=2))
+    return ConditionalStates(net.party_dims, labels, probs, mats=mats)
+
+
+def conditional_states(
+    net: StarNetwork, labels: Optional[Sequence[int]] = None
+) -> ConditionalStates:
+    """The external parties' states given each of Eve's outcomes `labels`
+    (all 2^n by default), each computed once."""
+    states = _unnormalized_states(net, labels)
+    for l, p in zip(states.labels, states.probs):
+        if p <= CONDITIONING_THRESHOLD:
+            raise DegenerateConditioningError(f"outcome {l} has probability {p:.3e}")
+    return states
 
 
 def conditional_state(net: StarNetwork, l: int) -> DenseOperator:
     """State of the external parties given Eve's outcome l."""
-    raw = _conditional_unnormalized(net, l)
-    p = float(np.real(np.trace(raw)))
-    if p <= CONDITIONING_THRESHOLD:
-        raise DegenerateConditioningError(f"outcome {l} has probability {p:.3e}")
-    return DenseOperator(raw / p, net.party_dims)
+    return DenseOperator(conditional_states(net, [l]).density(0), net.party_dims)
+
+
+def eve_outcome_probability(net: StarNetwork, l: int) -> float:
+    """P(l) = sum_c <v_c| (x)_i Tr_A rho_{A_i E_i} |v_c> over R_l's factor columns."""
+    marg = {i: linalg.partial_trace(s, keep=[1]).mat for i, s in enumerate(net.sources)}
+    v = net.eve.factors[:, l, :].T
+    return float(np.real(np.vdot(v, linalg.apply_local(v, net.eve_dims, marg))))
 
 
 def placed_observables(net: StarNetwork, settings: Sequence) -> dict[int, np.ndarray]:
@@ -202,24 +385,6 @@ def placed_observables(net: StarNetwork, settings: Sequence) -> dict[int, np.nda
     if len(settings) != net.n:
         raise ValueError("need one setting per party")
     return {i: net.observable(i + 1, s) for i, s in enumerate(settings) if s is not None}
-
-
-def expectation(net: StarNetwork, settings: Sequence, l: int) -> float:
-    """<A_{1,x_1} ... A_{N,x_N} R_l> = Tr[((x) A_{i,x_i}) (x) R_l rho].
-
-    Includes the P(l) weight, matching the correlator definition
-    sum_a (-1)^{sum a_i} p(a, l | x).
-    """
-    placed = placed_observables(net, settings)
-    raw = _conditional_unnormalized(net, l)
-    return float(np.real(linalg.expect_local(raw, net.party_dims, placed)))
-
-
-def conditional_expectation(net: StarNetwork, settings: Sequence, l: int) -> float:
-    """Correlator on the post-measurement state rho^l."""
-    placed = placed_observables(net, settings)
-    rho = conditional_state(net, l)
-    return float(np.real(linalg.expect_local(rho.mat, net.party_dims, placed)))
 
 
 @dataclass(frozen=True)
@@ -266,7 +431,7 @@ def correlation_table(net: StarNetwork) -> CorrelationTable:
     n = net.n
     shape = (3,) * n + (2,) * n + (1 << n,)
     probs = np.zeros(shape)
-    raws = np.stack([_conditional_unnormalized(net, l) for l in range(1 << n)])
+    states = _unnormalized_states(net, None)
     for x in itertools.product(range(3), repeat=n):
         effects = []
         for i, xi in enumerate(x):
@@ -275,7 +440,7 @@ def correlation_table(net: StarNetwork) -> CorrelationTable:
             effects.append(((eye + a_op) / 2, (eye - a_op) / 2))
         for a in itertools.product(range(2), repeat=n):
             placed = {i: effects[i][ai] for i, ai in enumerate(a)}
-            probs[x + a] = np.real(linalg.expect_local(raws, net.party_dims, placed))
+            probs[x + a] = states.weighted_expect(placed)
     return CorrelationTable(n, probs)
 
 
@@ -293,18 +458,27 @@ def network_to_json(net: StarNetwork) -> dict:
             [None if m is None else mat_json(m, (net.party_dims[i],)) for m in triple]
             for i, triple in enumerate(net.observables)
         ],
-        "eve_povm": [mat_json(r, net.eve_dims) for r in net.eve_povm],
+        "eve_factors": [
+            linalg.matrix_to_json(net.eve.factors[:, l, :]) for l in range(len(net.eve))
+        ],
     }
 
 
 def network_from_json(d: dict) -> StarNetwork:
+    """Inverse of `network_to_json`; also reads the dense `eve_povm` form
+    (one DenseOperator record per element) in place of `eve_factors`."""
+    if ("eve_factors" in d) == ("eve_povm" in d):
+        raise ValueError("a strategy holds exactly one of eve_factors and eve_povm")
     sources = tuple(linalg.operator_from_json(s) for s in d["sources"])
     obs = tuple(
         tuple(None if m is None else linalg.operator_from_json(m).mat for m in triple)
         for triple in d["observables"]
     )
-    povm = tuple(linalg.operator_from_json(r).mat for r in d["eve_povm"])
-    return StarNetwork(int(d["n"]), sources, obs, povm)
+    if "eve_factors" in d:
+        eve = EveMeasurement.from_factors([linalg.matrix_from_json(f) for f in d["eve_factors"]])
+    else:
+        eve = tuple(linalg.operator_from_json(r).mat for r in d["eve_povm"])
+    return StarNetwork(int(d["n"]), sources, obs, eve)
 
 
 def save_strategy(net: StarNetwork, path) -> None:

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalConsistencyError
-from .functionals import build_I_operator, eval_I, tilde_pair, validated_pairs
+from .functionals import I_values, build_I_operator, tilde_pair, validated_pairs
 from .linalg import DenseOperator, tensor_embed
-from .network import StarNetwork, conditional_state, eve_outcome_probability, ideal_network
+from .network import EveMeasurement, StarNetwork, conditional_states, ideal_network
 from .pauli import OutcomeLabel
 from .rqt import SeesawResult, seesaw_real
 
@@ -116,8 +116,9 @@ def residual_norms(net: StarNetwork, l: int) -> dict:
     """
     n = net.n
     pairs = [(t[0], t[1]) for t in net.observables]
-    rho = conditional_state(net, l).mat
-    eps = 2.0 * (n - 1) - eval_I(net, l)
+    states = conditional_states(net, [l])
+    rho = states.density(0)
+    eps = 2.0 * (n - 1) - float(I_values(net, states)[0])
     if eps < -1e-8:
         raise InternalConsistencyError(f"value above the quantum bound by {-eps:.3e}")
     eps_pos = max(eps, 0.0)
@@ -224,7 +225,7 @@ def apply_noise(net: StarNetwork, model: str, strength: float) -> StarNetwork:
             )
             for s in net.sources
         )
-        return StarNetwork(net.n, sources, net.observables, net.eve_povm)
+        return StarNetwork(net.n, sources, net.observables, net.eve)
     if model == "rotate_observables":
         c, s = math.cos(strength), math.sin(strength)
         obs = [net.observables[0]]
@@ -234,14 +235,14 @@ def apply_noise(net: StarNetwork, model: str, strength: float) -> StarNetwork:
             rot[:2, :2] = [[c, -s], [s, c]]
             a1 = rot @ triple[1] @ rot.T
             obs.append((triple[0], a1, triple[2]))
-        return StarNetwork(net.n, net.sources, tuple(obs), net.eve_povm)
+        return StarNetwork(net.n, net.sources, tuple(obs), net.eve)
     if model == "mix_povm":
-        d = net.eve_dim
-        povm = tuple(
-            (1.0 - strength) * r + strength * np.eye(d) / (1 << net.n)
-            for r in net.eve_povm
-        )
-        return StarNetwork(net.n, net.sources, net.observables, povm)
+        # (1 - s) V_l V_l^dag + (s / 2^n) 1, factored as [sqrt(1 - s) V_l, sqrt(s / 2^n) 1].
+        v = net.eve.factors
+        d, count, _ = v.shape
+        fill = np.broadcast_to(np.sqrt(strength / count) * np.eye(d)[:, None, :], (d, count, d))
+        factors = np.concatenate([np.sqrt(1.0 - strength) * v, fill], axis=2)
+        return StarNetwork(net.n, net.sources, net.observables, EveMeasurement(factors))
     raise ValueError(f"unknown noise model {model!r}; pick one of {NOISE_MODELS}")
 
 
@@ -252,11 +253,10 @@ def perturbation_experiment(
     deviation from the quantum bound, Eve uniformity, the best real J_N the
     seesaw finds, and the closed-form bound at the attained deviation."""
     net = apply_noise(ideal_network(n), noise_model, strength)
-    eps_per_l = [2.0 * (n - 1) - eval_I(net, l) for l in range(1 << n)]
+    states = conditional_states(net)
+    eps_per_l = [float(v) for v in 2.0 * (n - 1) - I_values(net, states)]
     eps_max = max(max(eps_per_l), 0.0)
-    pbar_dev = max(
-        abs(eve_outcome_probability(net, l) - 1.0 / (1 << n)) for l in range(1 << n)
-    )
+    pbar_dev = float(np.max(np.abs(states.probs - 1.0 / (1 << n))))
     see: SeesawResult = seesaw_real(net, restarts=restarts, seed=seed)
     within_budget = eps_max >= 0 and pbar_dev <= eps_max + 1e-12
     bound = beta_rqt_upper(n, eps_max)

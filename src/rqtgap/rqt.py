@@ -49,7 +49,7 @@ def assert_entrywise_real(net: StarNetwork, tol: float = 1e-12) -> dict:
             [None if m is None else entry(m) for m in triple]
             for triple in net.observables
         ],
-        "eve_povm": [entry(r) for r in net.eve_povm],
+        "eve_povm": [entry(net.eve.element(l)) for l in range(len(net.eve))],
     }
     flat = report["sources"] + report["eve_povm"]
     flat += [e for triple in report["observables"] for e in triple if e is not None]
@@ -143,7 +143,8 @@ def max_j_over_t(n: int) -> TMaximum:
         if best is None or value > best:
             best = value
             best_k = k  # ties keep the smaller k: lexicographically smallest
-    assert best is not None
+    if best is None:
+        raise InternalConsistencyError("no vertex count was evaluated")
     if best > Fraction(1, n - 1):
         raise InternalConsistencyError("cube maximum exceeds 1/(n-1)")
     pattern = (-1,) * (n - best_k) + (1,) * best_k
@@ -185,12 +186,24 @@ def construct_optimal_real_strategy(n: int) -> StarNetwork:
 # --- seesaw ---------------------------------------------------------------
 
 
-def _best_real_observable(k: np.ndarray) -> np.ndarray:
-    """argmax of Tr(K A) over real symmetric A with A^2 = 1."""
+def _best_real_observable(k: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """argmax of Tr(K A) over real symmetric A with A^2 = 1.
+
+    An eigenvalue of K's symmetric part within 1e-12 max(||K||, 1) of zero
+    is a tie that rounding noise would break at random; on that eigenspace
+    the result keeps `current`, compressed to it and rounded to +/-1.
+    """
     sym = (k + k.T) / 2.0
     w, q = np.linalg.eigh(sym)
-    signs = np.where(w >= 0, 1.0, -1.0)
-    return (q * signs) @ q.T
+    tie = np.abs(w) <= 1e-12 * max(np.linalg.norm(k), 1.0)
+    if tie.all():
+        return current
+    a = (q[:, ~tie] * np.sign(w[~tie])) @ q[:, ~tie].T
+    if tie.any():
+        q0 = q[:, tie]
+        w0, u = np.linalg.eigh(q0.T @ current @ q0)
+        a = a + (q0 @ (u * np.where(w0 >= 0, 1.0, -1.0))) @ (q0 @ u).T
+    return a
 
 
 @dataclass(frozen=True)
@@ -241,7 +254,7 @@ def seesaw_real(
             for it in range(max_iter):
                 for i in range(n):
                     k = j_value(rho0, net_base, third, open_party=i)
-                    third[i] = _best_real_observable(k)
+                    third[i] = _best_real_observable(k, third[i])
                 new = j_value(rho0, net_base, third)
                 if trace_fh:
                     trace_fh.write(json.dumps({"restart": r, "iter": it, "J": new}) + "\n")
@@ -256,7 +269,8 @@ def seesaw_real(
     finally:
         if trace_fh:
             trace_fh.close()
-    assert best_third is not None
+    if best_third is None:
+        raise InternalConsistencyError("no restart produced a finite J")
     return SeesawResult(
         best_J=float(best),
         best_third=tuple(best_third),

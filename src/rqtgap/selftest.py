@@ -15,15 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .functionals import eval_I
-from .linalg import StateVector, X, Z, fidelity_with_pure
-from .network import (
-    StarNetwork,
-    conditional_state,
-    eve_outcome_probability,
-    ghz_state,
-    ideal_network,
-)
+from .functionals import I_values
+from .linalg import StateVector, X, Z
+from .network import ConditionalStates, StarNetwork, conditional_states, ghz_basis, ideal_network
 
 
 @dataclass(frozen=True)
@@ -137,23 +131,29 @@ def canonicalize_pair(
     )
 
 
-def verify_selftest_noiseless(n: int, net: StarNetwork | None = None) -> dict:
+def verify_selftest_noiseless(
+    n: int, net: StarNetwork | None = None, states: ConditionalStates | None = None
+) -> dict:
     """Exactness battery on the ideal network (or a supplied candidate).
 
     Checks: every <I_l> sits at the quantum bound, Eve's outcomes are
     uniform, each party's pair anticommutes as operators, the conditional
     states match the target entangled vectors with unit fidelity, and
-    Eve's POVM elements are exactly the projectors onto them.
+    Eve's POVM elements are exactly the projectors onto them. `states`,
+    when given, must be `conditional_states(net)`; it saves computing them
+    again.
     """
     if n < 2:
         raise ValueError("need at least 2 parties")
     if net is None:
         net = ideal_network(n)
+    if states is None:
+        states = conditional_states(net)
     tol = 1e-10
     checks = []
 
     beta_q = 2.0 * (n - 1)
-    per_l = {l: eval_I(net, l) for l in range(1 << n)}
+    per_l = {l: float(v) for l, v in zip(states.labels, I_values(net, states))}
     worst = max(abs(v - beta_q) for v in per_l.values())
     checks.append(
         {
@@ -165,9 +165,7 @@ def verify_selftest_noiseless(n: int, net: StarNetwork | None = None) -> dict:
         }
     )
 
-    p_dev = max(
-        abs(eve_outcome_probability(net, l) - 1.0 / (1 << n)) for l in range(1 << n)
-    )
+    p_dev = float(np.max(np.abs(states.probs - 1.0 / (1 << n))))
     checks.append(
         {"name": "eve_uniform", "measured": p_dev, "bound": tol, "passed": p_dev <= tol}
     )
@@ -185,11 +183,8 @@ def verify_selftest_noiseless(n: int, net: StarNetwork | None = None) -> dict:
         }
     )
 
-    fid_dev = 0.0
-    for l in range(1 << n):
-        rho = conditional_state(net, l)
-        target = ghz_state(n, l)
-        fid_dev = max(fid_dev, abs(1.0 - fidelity_with_pure(rho, target)))
+    targets = ghz_basis(n)
+    fid_dev = float(np.max(np.abs(1.0 - states.fidelity(targets.T[list(states.labels)]))))
     checks.append(
         {
             "name": "conditional_states_ideal",
@@ -201,9 +196,8 @@ def verify_selftest_noiseless(n: int, net: StarNetwork | None = None) -> dict:
 
     povm_dev = 0.0
     for l in range(1 << n):
-        target = ghz_state(n, l).vec
-        proj = np.outer(target, target.conj())
-        povm_dev = max(povm_dev, float(np.max(np.abs(net.eve_povm[l] - proj))))
+        proj = np.outer(targets[:, l], targets[:, l].conj())
+        povm_dev = max(povm_dev, float(np.max(np.abs(net.eve.element(l) - proj))))
     checks.append(
         {
             "name": "eve_povm_projects",

@@ -11,7 +11,7 @@ import pytest
 import rqtgap
 from rqtgap.cli import main
 from rqtgap.linalg import Y
-from rqtgap.network import StarNetwork, ideal_network, save_strategy
+from rqtgap.network import StarNetwork, ideal_network, network_to_json, save_strategy
 
 
 def run(capsys, *argv):
@@ -67,6 +67,29 @@ def test_verify_broken_fails(capsys):
     assert code == 1
     assert not json.loads(out)["passed"]
     assert "FAIL" in err
+
+
+def test_verify_fail_line_names_the_innermost_checks(capsys):
+    code, _, err = run(capsys, "verify", "--n", "3", "--inject-broken")
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("FAIL: selftest_noiseless/quantum_bound_attained measured 2.0")
+    assert "bound 1e-10, selftest_noiseless/pairs_anticommute measured 2.0 bound 1e-12" in err
+
+
+def test_verify_checks_survive_python_optimize(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(rqtgap.__file__).parents[1]))
+    reports = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"verify{len(flags)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "rqtgap.cli", "--out", str(out),
+             "verify", "--n", "3", "--inject-broken"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_verify_rejects_large_n(capsys):
@@ -159,6 +182,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
         ["verify", "--n", "2", "--strategy", "{tmp}/truncated.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/no_sources.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/both_eve_keys.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/no_eve_key.json"],
         ["noise-curve", "--n", "2000"],
         ["noise-curve", "--n", "1023"],
         ["noise-curve", "--n", "5", "--eps", "nan"],
@@ -173,6 +198,10 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
     (tmp_path / "truncated.json").write_text('{"n": 2')
     (tmp_path / "no_sources.json").write_text('{"n": 2}')
+    strategy = network_to_json(ideal_network(2))
+    (tmp_path / "both_eve_keys.json").write_text(json.dumps(dict(strategy, eve_povm=[])))
+    del strategy["eve_factors"]
+    (tmp_path / "no_eve_key.json").write_text(json.dumps(strategy))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(rqtgap.__file__).parents[1]))
     proc = subprocess.run(

@@ -1,6 +1,7 @@
-"""Differential tests of the conditional-state engine and the seesaw's
-coefficient matrix against the dense oracle (`kron_all`, `tensor_embed`,
-`build_I_operator`), and strategy-file round trips, on random inputs."""
+"""Differential tests of the conditional-state engine (the density-matrix
+kernel and the pure-source vector path) and the seesaw's coefficient matrix
+against the dense oracle (`kron_all`, `tensor_embed`, `build_I_operator`),
+and strategy-file round trips, on random inputs."""
 
 import math
 import tempfile
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqtgap.functionals import (
+    I_values,
+    I_values_from_correlators,
     build_I_operator,
     eval_I,
     eval_I_from_correlators,
@@ -20,6 +23,8 @@ from rqtgap.functionals import (
 )
 from rqtgap.linalg import (
     DenseOperator,
+    _haar_unitary,
+    apply_local,
     expect_local,
     kron_all,
     partial_trace,
@@ -27,9 +32,11 @@ from rqtgap.linalg import (
     tensor_embed,
 )
 from rqtgap.network import (
+    EveMeasurement,
     StarNetwork,
     _conditional_unnormalized,
     conditional_state,
+    conditional_states,
     eve_outcome_probability,
     ideal_network,
     load_strategy,
@@ -57,19 +64,34 @@ def _random_povm(dim: int, count: int, rng: np.random.Generator) -> list[np.ndar
     return [inv_sqrt @ e @ inv_sqrt for e in effects]
 
 
-def _random_network(party_dims, eve_dims, seed: int) -> StarNetwork:
+def _random_factors(dim: int, ranks: list[int], rng: np.random.Generator) -> list[np.ndarray]:
+    """Factors V_l with ranks[l] columns each and sum_l V_l V_l^dag = 1."""
+    g = rng.normal(size=(dim, sum(ranks))) + 1j * rng.normal(size=(dim, sum(ranks)))
+    w, v = np.linalg.eigh(g @ g.conj().T)
+    g = (v / np.sqrt(w)) @ v.conj().T @ g
+    return np.split(g, np.cumsum(ranks)[:-1], axis=1)
+
+
+def _random_network(party_dims, eve_dims, seed: int, pure: bool = False, eve=None) -> StarNetwork:
+    """Random sources (mixed, or pure with `pure`), observables and Eve
+    measurement; `eve` defaults to full-rank dense POVM elements."""
     rng = np.random.default_rng(seed)
     n = len(party_dims)
-    sources = tuple(
-        DenseOperator(_random_density(da * de, rng), (da, de))
-        for da, de in zip(party_dims, eve_dims)
-    )
+    sources = []
+    for da, de in zip(party_dims, eve_dims):
+        if pure:
+            psi = rng.normal(size=da * de) + 1j * rng.normal(size=da * de)
+            rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        else:
+            rho = _random_density(da * de, rng)
+        sources.append(DenseOperator(rho, (da, de)))
     obs = tuple(
         tuple(random_pm1_observable(da, int(rng.integers(2**32))).mat for _ in range(3))
         for da in party_dims
     )
-    povm = tuple(_random_povm(math.prod(eve_dims), 1 << n, rng))
-    return StarNetwork(n, sources, obs, povm)
+    if eve is None:
+        eve = tuple(_random_povm(math.prod(eve_dims), 1 << n, rng))
+    return StarNetwork(n, tuple(sources), obs, eve)
 
 
 def _dense_conditional(net: StarNetwork, l: int) -> np.ndarray:
@@ -106,6 +128,63 @@ def test_kernel_matches_dense_joint_state(dims, seed, data):
     dense = _dense_conditional(net, l)
     np.testing.assert_allclose(raw, dense, atol=1e-12)
     assert eve_outcome_probability(net, l) == pytest.approx(np.trace(dense).real, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=_network_dims(3),
+    projective=st.booleans(),
+    rank=st.integers(1, 3),
+    seed=SEEDS,
+)
+def test_vector_path_matches_dense_kernel_and_bell_operator(dims, projective, rank, seed):
+    party_dims, eve_dims = dims
+    n = len(party_dims)
+    rng = np.random.default_rng(seed + 1)
+    if projective:
+        # Haar unitary columns: a rank-1 projective measurement on qubit E factors.
+        eve_dims = [2] * n
+        eve = EveMeasurement(_haar_unitary(1 << n, rng, real=False)[:, :, None])
+    else:
+        ranks = list(rng.integers(1, rank + 1, size=1 << n))
+        ranks[0] = max(ranks[0], math.prod(eve_dims) - sum(ranks[1:]))
+        eve = EveMeasurement.from_factors(_random_factors(math.prod(eve_dims), ranks, rng))
+    net = _random_network(party_dims, eve_dims, seed, pure=True, eve=eve)
+    assert net.source_vectors is not None
+    states = conditional_states(net)
+    pairs = [(t[0], t[1]) for t in net.observables]
+    i_vec = I_values(net, states)
+    i_corr = I_values_from_correlators(net, states)
+    for j, l in enumerate(states.labels):
+        raw = _conditional_unnormalized(net, l)
+        p = np.trace(raw).real
+        assert states.probs[j] == pytest.approx(p, abs=1e-12)
+        assert eve_outcome_probability(net, l) == pytest.approx(p, abs=1e-12)
+        np.testing.assert_allclose(states.density(j), raw / p, atol=1e-12)
+        np.testing.assert_allclose(raw, _dense_conditional(net, l), atol=1e-12)
+        want = np.trace(build_I_operator(n, l, pairs).mat @ raw).real / p
+        assert i_vec[j] == pytest.approx(want, abs=1e-12)
+        assert i_corr[j] == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    batch=st.sampled_from(((), (3,))),
+    seed=SEEDS,
+    data=st.data(),
+)
+def test_apply_local_matches_tensor_embed(dims, batch, seed, data):
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    vecs = rng.normal(size=batch + (d,)) + 1j * rng.normal(size=batch + (d,))
+    where = data.draw(st.sets(st.integers(0, len(dims) - 1)), label="placed")
+    placed = {
+        i: rng.normal(size=(dims[i],) * 2) + 1j * rng.normal(size=(dims[i],) * 2)
+        for i in where
+    }
+    want = vecs @ tensor_embed(dims, placed).T
+    np.testing.assert_allclose(apply_local(vecs, dims, placed), want, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -187,12 +266,12 @@ def test_seesaw_coefficients_match_finite_differences(dims, seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(dims=_network_dims(3), seed=SEEDS, with_third=st.booleans())
-def test_strategy_file_round_trip_is_bit_exact(dims, seed, with_third):
-    net = _random_network(*dims, seed)
+@given(dims=_network_dims(3), seed=SEEDS, with_third=st.booleans(), pure=st.booleans())
+def test_strategy_file_round_trip_is_bit_exact(dims, seed, with_third, pure):
+    net = _random_network(*dims, seed, pure=pure)
     if not with_third:
         net = StarNetwork(
-            net.n, net.sources, tuple(t[:2] + (None,) for t in net.observables), net.eve_povm
+            net.n, net.sources, tuple(t[:2] + (None,) for t in net.observables), net.eve
         )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "strategy.json"
@@ -207,5 +286,7 @@ def test_strategy_file_round_trip_is_bit_exact(dims, seed, with_third):
             assert (ma is None) == (mb is None)
             if ma is not None:
                 np.testing.assert_array_equal(ma, mb)
+    np.testing.assert_array_equal(back.eve.factors, net.eve.factors)
     for ra, rb in zip(back.eve_povm, net.eve_povm):
         np.testing.assert_array_equal(ra, rb)
+    assert (back.source_vectors is None) == (net.source_vectors is None) == (not pure)

@@ -1,19 +1,29 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from rqtgap.errors import ValidationError
-from rqtgap.linalg import X, Y, Z, fidelity_with_pure
+from rqtgap.functionals import _correlator
+from rqtgap.linalg import (
+    DenseOperator,
+    X,
+    Y,
+    Z,
+    _haar_unitary,
+    fidelity_with_pure,
+    operator_to_json,
+)
 from rqtgap.network import (
     TILDE_0,
     TILDE_1,
+    EveMeasurement,
     StarNetwork,
-    conditional_expectation,
     conditional_state,
+    conditional_states,
     correlation_table,
     eve_outcome_probability,
-    expectation,
     ghz_state,
     ideal_network,
     load_strategy,
@@ -62,6 +72,25 @@ def test_povm_completeness_enforced():
         StarNetwork(net.n, net.sources, net.observables, bad_povm)
 
 
+def test_non_positive_povm_element_rejected():
+    net = ideal_network(2)
+    shift = 0.1 * ghz_state(2, 3).projector().mat
+    povm = (net.eve_povm[0] + shift, net.eve_povm[1] - shift) + net.eve_povm[2:]
+    with pytest.raises(ValidationError, match="element 1 is not positive"):
+        StarNetwork(net.n, net.sources, net.observables, povm)
+
+
+def test_dense_projectors_factor_to_rank_one():
+    u = _haar_unitary(8, np.random.default_rng(5), real=False)
+    projectors = [np.outer(u[:, l], u[:, l].conj()) for l in range(8)]
+    # eigh sees rounding-level eigenvalues besides the 1; they are dropped.
+    assert np.max(np.abs(np.linalg.eigvalsh(projectors[0])[:-1])) < 1e-14
+    eve = EveMeasurement.from_elements(projectors)
+    assert eve.factors.shape == (8, 8, 1)
+    for l in range(8):
+        np.testing.assert_allclose(eve.element(l), projectors[l], atol=1e-14)
+
+
 def test_non_pm1_observable_rejected():
     net = ideal_network(2)
     obs = list(net.observables)
@@ -87,19 +116,13 @@ def test_conditional_states_are_ghz(n):
 
 def test_conditional_expectation_stabilizers():
     net = ideal_network(3).with_third([Y.copy()] * 3)
+    states = conditional_states(net, [0])
     # X X X with the tilde-1 rotation on party 1 stabilizes |phi_0>.
-    assert conditional_expectation(net, [TILDE_1, 1, 1], 0) == pytest.approx(1.0)
+    assert _correlator(net, states, [TILDE_1, 1, 1])[0] == pytest.approx(1.0)
     # Z_1 Z_2 likewise, identity elsewhere.
-    assert conditional_expectation(net, [TILDE_0, 0, None], 0) == pytest.approx(1.0)
+    assert _correlator(net, states, [TILDE_0, 0, None])[0] == pytest.approx(1.0)
     # Y Y on parties 2,3 with X~ on party 1: -X Y Y stabilizes, so value -1... sign:
-    assert conditional_expectation(net, [TILDE_1, 2, 2], 0) == pytest.approx(-1.0)
-
-
-def test_expectation_includes_outcome_weight():
-    net = ideal_network(2)
-    w = expectation(net, [TILDE_1, 1], 0)
-    c = conditional_expectation(net, [TILDE_1, 1], 0)
-    assert w == pytest.approx(c / 4.0)
+    assert _correlator(net, states, [TILDE_1, 2, 2])[0] == pytest.approx(-1.0)
 
 
 def test_correlation_table_valid_and_consistent():
@@ -110,7 +133,8 @@ def test_correlation_table_valid_and_consistent():
     val = 0.0
     for a1, a2 in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         val += (-1) ** (a1 + a2) * table.p([1, 1], [a1, a2], 0)
-    direct = expectation(net, [1, 1], 0)
+    correlator = _correlator(net, conditional_states(net, [0]), [1, 1])[0]
+    direct = eve_outcome_probability(net, 0) * correlator
     assert val == pytest.approx(direct, abs=1e-10)
 
 
@@ -132,6 +156,22 @@ def test_strategy_json_roundtrip(tmp_path):
     assert loaded.n == 2
     for l in range(4):
         assert eve_outcome_probability(loaded, l) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_dense_strategy_file_still_loads(tmp_path):
+    net = ideal_network(2).with_third([Y.copy(), Y.copy()])
+    d = network_to_json(net)
+    del d["eve_factors"]
+    d["eve_povm"] = [operator_to_json(DenseOperator(r, net.eve_dims)) for r in net.eve_povm]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(d))
+    loaded = load_strategy(path)
+    assert loaded.eve.factors.shape == (4, 4, 1)
+    for ra, rb in zip(loaded.eve_povm, net.eve_povm):
+        np.testing.assert_allclose(ra, rb, atol=1e-15)
+    d["eve_factors"] = network_to_json(net)["eve_factors"]
+    with pytest.raises(ValueError, match="exactly one of"):
+        network_from_json(d)
 
 
 def test_with_third_rejects_wrong_count():

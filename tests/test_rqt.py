@@ -9,6 +9,7 @@ from rqtgap.functionals import eval_J
 from rqtgap.linalg import DenseOperator, X, Y, Z, random_real_pm1_observable
 from rqtgap.network import conditional_state, ideal_network
 from rqtgap.rqt import (
+    _best_real_observable,
     assert_entrywise_real,
     construct_optimal_real_strategy,
     j_from_t,
@@ -140,3 +141,27 @@ def test_seesaw_result_observables_are_real_pm1():
     for m in res.best_third:
         np.testing.assert_allclose(m.imag if np.iscomplexobj(m) else 0 * m, 0, atol=1e-12)
         np.testing.assert_allclose(m @ m, np.eye(m.shape[0]), atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        np.zeros((2, 2)),
+        np.diag([0.7, 0.0]),
+        np.array([[0.3, -1.2], [0.4, 0.0]]),
+        np.diag([1.0, 0.0, -2.0, 0.0]),
+    ],
+    ids=["zero", "one_tie", "no_tie", "two_ties"],
+)
+def test_best_real_observable_ignores_rounding_noise_in_K(k):
+    d = k.shape[0]
+    current = random_real_pm1_observable(d, 4).mat.real
+    chosen = _best_real_observable(k, current)
+    np.testing.assert_allclose(chosen @ chosen, np.eye(d), atol=1e-12)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        noisy = k + 1e-15 * rng.standard_normal((d, d))
+        np.testing.assert_allclose(_best_real_observable(noisy, current), chosen, atol=1e-12)
+    if not k.any():
+        # A K that vanishes up to rounding keeps the current observable as it is.
+        assert _best_real_observable(1e-17 * rng.standard_normal((d, d)), current) is current
