@@ -118,14 +118,20 @@ def I_values_from_correlators(net: StarNetwork, states: ConditionalStates) -> np
     return sign[:, 0] * value
 
 
+def _single_outcome(net: StarNetwork, l: int) -> ConditionalStates:
+    """rho^l from `conditional_state`, as a one-outcome batch."""
+    rho = conditional_state(net, l)
+    return ConditionalStates(net.party_dims, (l,), np.ones(1), mats=rho.mat[None])
+
+
 def eval_I(net: StarNetwork, l: int) -> float:
     """`I_values` for the single outcome l."""
-    return float(I_values(net, conditional_states(net, [l]))[0])
+    return float(I_values(net, _single_outcome(net, l))[0])
 
 
 def eval_I_from_correlators(net: StarNetwork, l: int) -> float:
     """`I_values_from_correlators` for the single outcome l."""
-    return float(I_values_from_correlators(net, conditional_states(net, [l]))[0])
+    return float(I_values_from_correlators(net, _single_outcome(net, l))[0])
 
 
 def _correlator(net: StarNetwork, states: ConditionalStates, settings: Sequence) -> np.ndarray:
@@ -293,7 +299,8 @@ class FunctionalReport:
 
 def report(net: StarNetwork, with_rqt_analysis: bool = True) -> FunctionalReport:
     n = net.n
-    values_I = {l: eval_I(net, l) for l in range(1 << n)}
+    states = conditional_states(net)
+    values_I = {l: float(v) for l, v in zip(states.labels, I_values(net, states))}
     has_third = all(t[2] is not None for t in net.observables)
     value_J = eval_J(net) if has_third else None
     if value_J is not None and abs(value_J) > 1 + 1e-10:

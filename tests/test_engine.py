@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rqtgap.network
 from rqtgap.functionals import (
     I_values,
     I_values_from_correlators,
@@ -239,6 +240,16 @@ def _dense_j(net: StarNetwork, rho: np.ndarray, third) -> float:
         op = tensor_embed(net.party_dims, placed)
         total += weight * np.trace(op @ rho).real
     return -2.0 / (n * (n - 1)) * total
+
+
+def test_mixed_states_in_slices_match_one_batch(monkeypatch):
+    net = apply_noise(ideal_network(3), "depolarize_sources", 0.1)
+    states = conditional_states(net)
+    placed = {0: _haar_unitary(2, np.random.default_rng(0), False), 2: np.diag([1.0, -1.0])}
+    whole = np.real(expect_local(states.mats, states.party_dims, placed))
+    # Slices of 3, 3 and 2 of the 8 outcomes.
+    monkeypatch.setattr(rqtgap.network, "MIXED_BATCH_ENTRIES", 3 * states.mats[0].size)
+    np.testing.assert_allclose(states.weighted_expect(placed), whole, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=15, deadline=None)

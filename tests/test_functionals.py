@@ -74,6 +74,14 @@ def test_eval_paths_agree(n):
         assert closed == pytest.approx(2 * (n - 1), abs=1e-12)
 
 
+@pytest.mark.parametrize("l", [-1, 4])
+def test_eval_I_rejects_outcome_out_of_range(l):
+    net = ideal_network(2)
+    for evaluate in (eval_I, eval_I_from_correlators):
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate(net, l)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_classical_bound_matches_brute_force(n):
     for l in range(1 << n):

@@ -20,6 +20,7 @@ from rqtgap.network import (
     TILDE_1,
     EveMeasurement,
     StarNetwork,
+    conditional_expectation,
     conditional_state,
     conditional_states,
     correlation_table,
@@ -117,12 +118,27 @@ def test_conditional_states_are_ghz(n):
 def test_conditional_expectation_stabilizers():
     net = ideal_network(3).with_third([Y.copy()] * 3)
     states = conditional_states(net, [0])
-    # X X X with the tilde-1 rotation on party 1 stabilizes |phi_0>.
-    assert _correlator(net, states, [TILDE_1, 1, 1])[0] == pytest.approx(1.0)
-    # Z_1 Z_2 likewise, identity elsewhere.
-    assert _correlator(net, states, [TILDE_0, 0, None])[0] == pytest.approx(1.0)
-    # Y Y on parties 2,3 with X~ on party 1: -X Y Y stabilizes, so value -1... sign:
-    assert _correlator(net, states, [TILDE_1, 2, 2])[0] == pytest.approx(-1.0)
+    for settings, want in [
+        # X X X with the tilde-1 rotation on party 1 stabilizes |phi_0>.
+        ([TILDE_1, 1, 1], 1.0),
+        # Z_1 Z_2 likewise, identity elsewhere.
+        ([TILDE_0, 0, None], 1.0),
+        # Y Y on parties 2,3 with X~ on party 1: -X Y Y stabilizes, so value -1.
+        ([TILDE_1, 2, 2], -1.0),
+    ]:
+        assert _correlator(net, states, settings)[0] == pytest.approx(want)
+        assert conditional_expectation(net, settings, 0) == pytest.approx(want)
+
+
+@pytest.mark.parametrize("l", [-1, 8])
+def test_outcome_label_out_of_range_rejected(l):
+    net = ideal_network(3)
+    with pytest.raises(ValueError, match="out of range"):
+        conditional_states(net, [0, l])
+    with pytest.raises(ValueError, match="out of range"):
+        conditional_state(net, l)
+    with pytest.raises(ValueError, match="out of range"):
+        eve_outcome_probability(net, l)
 
 
 def test_correlation_table_valid_and_consistent():
