@@ -37,9 +37,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Largest n accepted by verify and seesaw. The binding wall is verify's dense
-# SOS checks: 2.1 s at n = 8 and about 8.5x per added party.
-MAX_N = 8
+# Largest n accepted by verify and seesaw. Measured on 2 vCPUs with one BLAS
+# thread: at n = 10, verify 1.6 s and 164 MB peak RSS, seesaw (20 restarts)
+# 29 s and 114 MB; at n = 11, verify 8.1 s and 487 MB, but seesaw 22 s for
+# 2 restarts, about 200 s for the default 20.
+MAX_N = 10
 
 
 def _usage_error(message: str) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigurationError, InternalConsistencyError, ValidationError
-from .linalg import DenseOperator, expect_local, tensor_embed
+from .linalg import DenseOperator, ProductSum, expect_local
 from .network import (
     TILDE_0,
     TILDE_1,
@@ -56,28 +56,39 @@ def validated_pairs(
     ]
 
 
-def build_I_operator(
-    n: int, l: int, observables: Sequence[Sequence[np.ndarray]]
-) -> DenseOperator:
-    """Bell operator for outcome l:
+def pair_dims(observables: Sequence[Sequence[np.ndarray]]) -> tuple[int, ...]:
+    """Each party's local dimension, read from its first observable."""
+    return tuple(np.shape(obs[0])[0] for obs in observables)
+
+
+def I_terms(n: int, l: int, observables: Sequence[Sequence[np.ndarray]]) -> ProductSum:
+    """Bell operator for outcome l as a product-sum:
 
     (-1)^{l_1} [ (n-1) At_{1,1} (x)_{i>=2} A_{i,1}
                  + sum_{i>=2} (-1)^{l_i} At_{1,0} (x) A_{i,0} ]
 
-    with identity padding on uninvolved factors.
+    with the identity on uninvolved factors.
     """
     pairs = validated_pairs(n, observables)
     lab = OutcomeLabel(n, l)
-    dims = tuple(p[0].shape[0] for p in pairs)
     tp = tilde_pair(*pairs[0])
+    sign = (-1) ** lab.bit(1)
     placed = {0: tp.a_tilde_1}
     placed.update({i: pairs[i][1] for i in range(1, n)})
-    total = (n - 1) * tensor_embed(dims, placed)
+    op = ProductSum.product(placed, sign * (n - 1))
     for i in range(1, n):
-        total = total + (-1) ** lab.bit(i + 1) * tensor_embed(
-            dims, {0: tp.a_tilde_0, i: pairs[i][0]}
+        op = op + ProductSum.product(
+            {0: tp.a_tilde_0, i: pairs[i][0]}, sign * (-1) ** lab.bit(i + 1)
         )
-    return DenseOperator((-1) ** lab.bit(1) * total, dims)
+    return op
+
+
+def build_I_operator(
+    n: int, l: int, observables: Sequence[Sequence[np.ndarray]]
+) -> DenseOperator:
+    """`I_terms` as a dense matrix: the oracle for the factor-wise paths."""
+    dims = pair_dims(observables)
+    return DenseOperator(I_terms(n, l, observables).dense(dims), dims)
 
 
 def _label_signs(n: int, labels: Sequence[int]) -> np.ndarray:

@@ -1,11 +1,19 @@
-"""Dense complex linear algebra over explicit tensor-product spaces.
+"""Complex linear algebra over explicit tensor-product spaces.
 
-`kron_all`, `tensor_embed` and `functionals.build_I_operator` build full
-2^n x 2^n operators. They are the ground-truth oracle: the SOS identities
-use them, and the tests check the production paths against them.
-Production code evaluates local observables with `expect_local` on
-density matrices and `apply_local` on vectors, which work one tensor
-factor at a time and never form the product operator.
+The operators the package checks are short sums of tensor products of
+local matrices. `ProductSum` holds the Bell operators I_l and the SOS
+generators in that form; it adds, scales, multiplies and takes
+adjoints term by term, and gets its Frobenius norm by splitting every term
+at the cut between the leading and trailing factors that best balances
+the two sides: the operator's entries, realigned as (left row, left
+column) x (right row, right column), form one matrix product of inner
+size K, the number of terms, so no 2^n x 2^n product is ever taken.
+Local observables on states are evaluated with `expect_local` on density
+matrices and `apply_local` on vectors, one tensor factor at a time.
+
+`kron_all`, `tensor_embed` and `ProductSum.dense` build the full
+operators. They are the ground-truth oracle the tests check the
+structured paths against.
 """
 
 from __future__ import annotations
@@ -104,11 +112,6 @@ Z = _frozen([[1, 0], [0, -1]])
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
-def identity(local_dims: Iterable[int]) -> DenseOperator:
-    dims = tuple(local_dims)
-    return DenseOperator(np.eye(math.prod(dims)), dims)
-
-
 def kron(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """Kronecker product; local factors of `b` are appended after those of `a`."""
     dim = a.dim * b.dim
@@ -120,10 +123,16 @@ def kron(a: DenseOperator, b: DenseOperator) -> DenseOperator:
 
 
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    """Plain ndarray Kronecker chain (internal helper, no bookkeeping)."""
+    """Plain ndarray Kronecker chain (internal helper, no bookkeeping).
+
+    Leading batch axes broadcast: factors of shape (..., r, c) give a
+    batch of chains. Each step is one broadcast product, the same
+    multiplications as `np.kron` without its general-rank bookkeeping.
+    """
     out = np.eye(1, dtype=complex)
     for m in mats:
-        out = np.kron(out, m)
+        t = out[..., :, None, :, None] * np.asarray(m)[..., None, :, None, :]
+        out = t.reshape(t.shape[:-4] + (t.shape[-4] * t.shape[-3], t.shape[-2] * t.shape[-1]))
     return out
 
 
@@ -214,6 +223,91 @@ def apply_local(
         if m is not None:
             t = np.tensordot(m, t.reshape(-1, d, right), axes=(1, 1)).transpose(1, 0, 2)
     return t.reshape(shape)
+
+
+@dataclass(frozen=True, eq=False)
+class ProductSum:
+    """sum_t c_t (x)_i placed_t.get(i, 1): an operator held as its terms
+    (c_t, placed_t), each placing local matrices on some factors, with the
+    identity on the rest. `(c, {})` is c times the identity.
+
+    Sums, scalar multiples, products and adjoints act on the terms and
+    never form the product operator; `dense` does, as the test oracle.
+    """
+
+    terms: tuple[tuple[complex, Mapping[int, np.ndarray]], ...] = ()
+
+    @classmethod
+    def product(cls, placed: Mapping[int, np.ndarray], coeff: complex = 1.0) -> "ProductSum":
+        """The single term coeff (x)_i placed.get(i, 1)."""
+        return cls(((coeff, dict(placed)),))
+
+    def __add__(self, other: "ProductSum") -> "ProductSum":
+        return ProductSum(self.terms + other.terms)
+
+    def __sub__(self, other: "ProductSum") -> "ProductSum":
+        return self + -1.0 * other
+
+    def __rmul__(self, scalar: complex) -> "ProductSum":
+        return ProductSum(tuple((scalar * c, p) for c, p in self.terms))
+
+    def __matmul__(self, other: "ProductSum") -> "ProductSum":
+        """Every pair of terms, with the local factors multiplied."""
+        terms = []
+        for c, p in self.terms:
+            for c2, q in other.terms:
+                placed = dict(p)
+                for i, m in q.items():
+                    placed[i] = placed[i] @ m if i in placed else m
+                terms.append((c * c2, placed))
+        return ProductSum(tuple(terms))
+
+    def adjoint(self) -> "ProductSum":
+        return ProductSum(tuple(
+            (np.conj(c), {i: np.conj(m).T for i, m in p.items()}) for c, p in self.terms
+        ))
+
+    def dense(self, local_dims: Sequence[int]) -> np.ndarray:
+        """The full matrix, through `tensor_embed`."""
+        d = math.prod(local_dims)
+        out = np.zeros((d, d), dtype=complex)
+        for c, p in self.terms:
+            out += c * tensor_embed(local_dims, p)
+        return out
+
+    def frobenius_norm(self, local_dims: Sequence[int]) -> float:
+        """||self||_F without the matrix products of the dense operator.
+
+        Factors split at the cut k that best balances the dimensions
+        d_L = prod_{i<k} d_i and d_R = prod_{i>=k} d_i. Realigned as
+        M[(a, a'), (b, b')] with a, a' indexing the left factors and b, b'
+        the right ones, the operator has the same entries as the dense
+        matrix and is one product A^T diag(c) B, where row t of A (of B)
+        is the flattened Kronecker product of term t's left (right)
+        factors: one gemm of inner size K, the number of terms.
+        """
+        dims = tuple(local_dims)
+        d = math.prod(dims)
+        if d * d > ENTRY_CAPACITY:
+            raise CapacityError(f"{d * d} entries exceed the cap {ENTRY_CAPACITY}")
+        count = len(self.terms)
+        if not count:
+            return 0.0
+        # Factor i of every term, stacked: (count, d_i, d_i).
+        stacks = []
+        for i, di in enumerate(dims):
+            eye = np.eye(di, dtype=complex)
+            stack = np.array([p.get(i, eye) for _, p in self.terms], dtype=complex)
+            if stack.shape != (count, di, di):
+                raise ValueError(f"factor {i}: expected {di} x {di} matrices")
+            stacks.append(stack)
+        k = min(range(len(dims) + 1), key=lambda k: max(math.prod(dims[:k]), math.prod(dims[k:])))
+        sides = []
+        for part in (stacks[:k], stacks[k:]):
+            side = math.prod(m.shape[-1] for m in part)
+            sides.append(np.broadcast_to(kron_all(part), (count, side, side)).reshape(count, -1))
+        coeffs = np.array([c for c, _ in self.terms], dtype=complex)
+        return float(np.linalg.norm((sides[0].T * coeffs) @ sides[1]))
 
 
 class Norms(NamedTuple):

@@ -94,20 +94,6 @@ class PauliWord:
         return self.phase * kron_all(PAULIS[c] for c in self.letters)
 
 
-def mul(a: PauliWord, b: PauliWord) -> PauliWord:
-    """Sitewise Pauli product with accumulated phase."""
-    if a.n != b.n:
-        raise ValueError(f"word lengths differ: {a.n} vs {b.n}")
-    # Z^z X^x = (-1)^{z&x} X^x Z^z sitewise.
-    swaps = bin(a.z_mask & b.x_mask).count("1")
-    return PauliWord(
-        a.n,
-        a.x_mask ^ b.x_mask,
-        a.z_mask ^ b.z_mask,
-        a.phase_exp + b.phase_exp + 2 * swaps,
-    )
-
-
 def ghz_expectation(w: PauliWord, l: OutcomeLabel) -> complex:
     """<phi_l| w |phi_l> in closed form.
 
@@ -151,22 +137,3 @@ def ideal_spectrum(n: int, l: OutcomeLabel) -> list[tuple[int, float]]:
         lam = (-1) ** d.bit(1) * ((n - 1) + sum((-1) ** d.bit(i) for i in range(2, n + 1)))
         out.append((s, float(lam)))
     return out
-
-
-# --- textual word format: optional "+", "-", "i", "-i" prefix + letters ---
-
-
-def parse_word(text: str) -> PauliWord:
-    s = text.strip()
-    phase = 1
-    for prefix, ph in (("-i", -1j), ("+i", 1j), ("i", 1j), ("-", -1), ("+", 1)):
-        if s.startswith(prefix):
-            phase = ph
-            s = s[len(prefix):]
-            break
-    return PauliWord.from_letters(s, phase)
-
-
-def format_word(w: PauliWord) -> str:
-    prefix = {1: "+", -1: "-", 1j: "i", -1j: "-i"}[w.phase]
-    return prefix + w.letters

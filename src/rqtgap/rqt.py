@@ -85,10 +85,6 @@ def pauli_block_decompose(a: DenseOperator) -> PauliBlockDecomp:
     return PauliBlockDecomp(*blocks)
 
 
-def reconstruct(d: PauliBlockDecomp) -> np.ndarray:
-    return sum(np.kron(sigma, r) for sigma, r in zip(_SIGMA, d.blocks))
-
-
 def reality_constraints_check(
     d: PauliBlockDecomp, rho: Optional[np.ndarray] = None, tol: float = 1e-12
 ) -> dict:

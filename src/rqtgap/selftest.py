@@ -139,7 +139,10 @@ def verify_selftest_noiseless(
     Checks: every <I_l> sits at the quantum bound, Eve's outcomes are
     uniform, each party's pair anticommutes as operators, the conditional
     states match the target entangled vectors with unit fidelity, and
-    Eve's POVM elements are exactly the projectors onto them. `states`,
+    Eve's POVM elements are exactly the projectors onto them. The last
+    check measures max_l ||R_l - t_l t_l^dag||_F from Eve's factors; a
+    Frobenius norm is never smaller than the largest entry, so its 1e-10
+    bound is no looser than one on entries. `states`,
     when given, must be `conditional_states(net)`; it saves computing them
     again.
     """
@@ -194,10 +197,15 @@ def verify_selftest_noiseless(
         }
     )
 
-    povm_dev = 0.0
-    for l in range(1 << n):
-        proj = np.outer(targets[:, l], targets[:, l].conj())
-        povm_dev = max(povm_dev, float(np.max(np.abs(net.eve.element(l) - proj))))
+    # R_l - t_l t_l^dag = W_l S W_l^dag with W_l = [V_l, t_l] and
+    # S = diag(1, ..., 1, -1). With W_l = Q_l R_l (one stacked QR over l)
+    # its Frobenius norm is ||R_l S R_l^dag||_F, and no d x d matrix is built.
+    w = np.concatenate([np.moveaxis(net.eve.factors, 1, 0), targets.T[:, :, None]], axis=2)
+    r = np.linalg.qr(w, mode="r")
+    s = np.ones(w.shape[2])
+    s[-1] = -1.0
+    diff = (r * s) @ np.conj(np.swapaxes(r, 1, 2))
+    povm_dev = float(np.max(np.linalg.norm(diff, axis=(1, 2))))
     checks.append(
         {
             "name": "eve_povm_projects",

@@ -93,10 +93,21 @@ def test_verify_checks_survive_python_optimize(tmp_path):
 
 
 def test_verify_rejects_large_n(capsys):
-    code, _, _ = run(capsys, "verify", "--n", "9")
+    code, _, _ = run(capsys, "verify", "--n", "11")
     assert code == 2
-    code, _, _ = run(capsys, "seesaw", "--n", "9")
+    code, _, _ = run(capsys, "seesaw", "--n", "11")
     assert code == 2
+
+
+def test_verify_n9_passes_in_a_subprocess(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(rqtgap.__file__).parents[1]))
+    out = tmp_path / "verify9.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rqtgap.cli", "--out", str(out), "verify", "--n", "9"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["passed"]
 
 
 def test_verify_strategy_file(tmp_path, capsys):

@@ -1,17 +1,21 @@
 """Differential tests of the conditional-state engine (the density-matrix
-kernel and the pure-source vector path) and the seesaw's coefficient matrix
-against the dense oracle (`kron_all`, `tensor_embed`, `build_I_operator`),
-and strategy-file round trips, on random inputs."""
+kernel and the pure-source vector path), the seesaw's coefficient matrix,
+the product-sum operators and the SOS kernels built on them, and Eve's
+projector check against the dense oracle (`kron_all`, `tensor_embed`,
+`build_I_operator`), and strategy-file round trips, on random inputs."""
 
+import itertools
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rqtgap.linalg
 import rqtgap.network
 from rqtgap.functionals import (
     I_values,
@@ -24,6 +28,7 @@ from rqtgap.functionals import (
 )
 from rqtgap.linalg import (
     DenseOperator,
+    ProductSum,
     _haar_unitary,
     apply_local,
     expect_local,
@@ -35,6 +40,7 @@ from rqtgap.linalg import (
 from rqtgap.network import (
     EveMeasurement,
     StarNetwork,
+    ghz_basis,
     _conditional_unnormalized,
     conditional_state,
     conditional_states,
@@ -43,7 +49,14 @@ from rqtgap.network import (
     load_strategy,
     save_strategy,
 )
-from rqtgap.robustness import NOISE_MODELS, apply_noise
+from rqtgap.robustness import (
+    NOISE_MODELS,
+    apply_noise,
+    residual_norms,
+    verify_sos_identity_A,
+    verify_sos_identity_B,
+)
+from rqtgap.selftest import verify_selftest_noiseless
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -301,3 +314,148 @@ def test_strategy_file_round_trip_is_bit_exact(dims, seed, with_third, pure):
     for ra, rb in zip(back.eve_povm, net.eve_povm):
         np.testing.assert_array_equal(ra, rb)
     assert (back.source_vectors is None) == (net.source_vectors is None) == (not pure)
+
+
+def _unchecked(m, who):
+    """Stand-in for `linalg.require_pm1` that lets non-+/-1 factors through."""
+    return np.asarray(m, dtype=complex)
+
+
+def _random_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    count=st.integers(1, 8),
+    seed=SEEDS,
+    data=st.data(),
+)
+def test_product_sum_matches_dense(dims, count, seed, data):
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(count):
+        where = data.draw(st.sets(st.integers(0, len(dims) - 1)), label="placed")
+        coeff = complex(rng.normal(), rng.normal())
+        terms.append((coeff, {i: _random_matrix(dims[i], rng) for i in where}))
+    p = ProductSum(tuple(terms))
+    q = ProductSum(tuple(reversed(terms))).adjoint()
+    dp, dq = p.dense(dims), q.dense(dims)
+    np.testing.assert_allclose(dq, dp.conj().T, rtol=1e-12, atol=1e-12)
+    want = np.linalg.norm(dp)
+    assert p.frobenius_norm(dims) == pytest.approx(want, rel=1e-12)
+    r = (p @ q) - 2.5j * p
+    np.testing.assert_allclose(r.dense(dims), dp @ dq - 2.5j * dp, rtol=1e-12, atol=1e-11)
+    assert r.frobenius_norm(dims) == pytest.approx(np.linalg.norm(r.dense(dims)), rel=1e-12)
+
+
+def _dense_sos_generators(n: int, l: int, pairs) -> tuple[dict, np.ndarray]:
+    """The SOS generators and I_l as dense matrices from `tensor_embed`,
+    term by term as written in `robustness`, with no +/-1 check."""
+    dims = tuple(p[0].shape[0] for p in pairs)
+    bits = [(l >> (n - i)) & 1 for i in range(1, n + 1)]
+    at0 = (pairs[0][0] - pairs[0][1]) / math.sqrt(2.0)
+    at1 = (pairs[0][0] + pairs[0][1]) / math.sqrt(2.0)
+    eye = np.eye(math.prod(dims), dtype=complex)
+    ones = {0: at1, **{i: pairs[i][1] for i in range(1, n)}}
+    zero = {i: tensor_embed(dims, {0: at0, i - 1: pairs[i - 1][0]}) for i in range(2, n + 1)}
+    i_op = (-1) ** bits[0] * (
+        (n - 1) * tensor_embed(dims, ones)
+        + sum((-1) ** bits[i - 1] * zero[i] for i in range(2, n + 1))
+    )
+    gens = {"P_1": eye - (-1) ** bits[0] * tensor_embed(dims, ones)}
+    for i in range(2, n + 1):
+        gens[f"P_{i}"] = eye - (-1) ** (bits[0] + bits[i - 1]) * zero[i]
+    gens["J_l"] = 2.0 * (n - 1) * eye - i_op
+    for i, j in itertools.combinations(range(2, n + 1), 2):
+        gens[f"Q_{i},{j}"] = (-1) ** bits[i - 1] * zero[i] - (-1) ** bits[j - 1] * zero[j]
+    for j in range(2, n + 1):
+        placed = {0: at1, j - 1: pairs[j - 1][0]}
+        placed.update({i - 1: pairs[i - 1][1] for i in range(2, n + 1) if i != j})
+        gens[f"T_{j}"] = tensor_embed(dims, placed) + (-1) ** bits[j - 1] * tensor_embed(
+            dims, {0: at0, j - 1: pairs[j - 1][1]}
+        )
+    return gens, i_op
+
+
+def _dense_sos_residuals(n: int, l: int, pairs) -> tuple[float, float]:
+    """Frobenius norms of both SOS identities' LHS - RHS from dense products."""
+    g, i_op = _dense_sos_generators(n, l, pairs)
+    beta_q = 2.0 * (n - 1)
+    eye = np.eye(i_op.shape[0])
+    rhs_a = (n - 1) * g["P_1"] @ g["P_1"] + sum(g[f"P_{i}"] @ g[f"P_{i}"] for i in range(2, n + 1))
+    res_a = np.linalg.norm(2.0 * (beta_q * eye - i_op) - rhs_a)
+    rhs_b = g["J_l"] @ g["J_l"]
+    for name, t in g.items():
+        if name.startswith("Q_"):
+            rhs_b = rhs_b + t @ t
+        elif name.startswith("T_"):
+            rhs_b = rhs_b + (n - 1) * (t @ t)
+    res_b = np.linalg.norm(2.0 * beta_q * g["J_l"] - rhs_b)
+    return float(res_a), float(res_b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.integers(2, 4).flatmap(lambda n: st.lists(st.integers(2, 3), min_size=n, max_size=n)),
+    seed=SEEDS,
+    data=st.data(),
+)
+def test_sos_identities_match_dense_products(dims, seed, data):
+    rng = np.random.default_rng(seed)
+    n = len(dims)
+    l = data.draw(st.integers(0, (1 << n) - 1), label="l")
+    valid = [[random_pm1_observable(d, int(rng.integers(2**32))).mat for _ in range(2)] for d in dims]
+    dense_a, dense_b = _dense_sos_residuals(n, l, valid)
+    assert max(dense_a, dense_b) <= 1e-12
+    assert verify_sos_identity_A(n, l, valid) <= 1e-12
+    assert verify_sos_identity_B(n, l, valid) <= 1e-12
+    # Non-+/-1 factors break both identities; the kernels must still agree.
+    broken = [[_random_matrix(d, rng) for _ in range(2)] for d in dims]
+    dense_a, dense_b = _dense_sos_residuals(n, l, broken)
+    with mock.patch.object(rqtgap.linalg, "require_pm1", _unchecked):
+        assert verify_sos_identity_A(n, l, broken) == pytest.approx(dense_a, rel=1e-12)
+        assert verify_sos_identity_B(n, l, broken) == pytest.approx(dense_b, rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    model=st.sampled_from(NOISE_MODELS),
+    strength=st.floats(0.0, 0.2),
+    shrink=st.floats(0.3, 1.0),
+    data=st.data(),
+)
+def test_residual_norms_match_dense_generators(n, model, strength, shrink, data):
+    net = apply_noise(ideal_network(n), model, strength)
+    l = data.draw(st.integers(0, (1 << n) - 1), label="l")
+    with mock.patch.object(rqtgap.linalg, "require_pm1", _unchecked):
+        # A_{1,0} shrunk and given an anti-Hermitian part is not +/-1: no SOS
+        # term vanishes, and not every term is Hermitian.
+        skew = 1j * (1.0 - shrink) * np.array([[0.3, 0.5], [0.5, -0.2]])
+        obs = ((shrink * net.observables[0][0] + skew, net.observables[0][1], None),)
+        obs += net.observables[1:]
+        net = StarNetwork(n, net.sources, obs, net.eve)
+        got = residual_norms(net, l)["terms"]
+    rho = conditional_state(net, l).mat
+    gens, _ = _dense_sos_generators(n, l, [(t[0], t[1]) for t in net.observables])
+    assert got.keys() == gens.keys()
+    for name, g in gens.items():
+        want = max(0.0, np.trace(g.conj().T @ g @ rho).real)
+        assert got[name]["norm"] ** 2 == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("model", [None, "mix_povm"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eve_projector_check_matches_dense_elements(model, n):
+    net = ideal_network(n) if model is None else apply_noise(ideal_network(n), model, 0.1)
+    battery = verify_selftest_noiseless(n, net)
+    got = next(c for c in battery["checks"] if c["name"] == "eve_povm_projects")["measured"]
+    targets = ghz_basis(n)
+    want = max(
+        np.linalg.norm(r - np.outer(targets[:, l], targets[:, l].conj()))
+        for l, r in enumerate(net.eve_povm)
+    )
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+    assert (got <= 1e-10) == (model is None)

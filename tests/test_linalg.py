@@ -13,7 +13,6 @@ from rqtgap.linalg import (
     Z,
     checks,
     fidelity_with_pure,
-    identity,
     kron,
     kron_all,
     norms,
@@ -49,7 +48,7 @@ def test_kron_matches_numpy():
 def test_capacity_guard():
     # Two 2^7-dim factors make a 2^28-entry product; the guard fires before
     # anything that large is allocated.
-    big = identity((2**7,))
+    big = DenseOperator(np.eye(2**7), (2**7,))
     assert big.dim**4 > linalg.ENTRY_CAPACITY
     with pytest.raises(CapacityError):
         kron(big, big)
@@ -127,3 +126,21 @@ def test_kron_all_order_convention():
     v = np.zeros(4)
     v[0] = 1.0
     np.testing.assert_allclose(m @ v, np.eye(4)[2])
+
+
+def test_kron_all_is_bit_identical_to_numpy_kron():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        mats = []
+        for _ in range(int(rng.integers(0, 5))):
+            shape = tuple(int(d) for d in rng.integers(1, 4, size=2))
+            m = rng.normal(size=shape)
+            if rng.random() < 0.5:
+                m = m + 1j * rng.normal(size=shape)
+            mats.append(m)
+        want = np.eye(1, dtype=complex)
+        for m in mats:
+            want = np.kron(want, m)
+        got = kron_all(mats)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

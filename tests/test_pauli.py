@@ -8,11 +8,8 @@ from rqtgap.network import ghz_state
 from rqtgap.pauli import (
     OutcomeLabel,
     PauliWord,
-    format_word,
     ghz_expectation,
     ideal_spectrum,
-    mul,
-    parse_word,
 )
 
 
@@ -35,11 +32,9 @@ def test_outcome_label_range_checked():
 
 
 def test_from_letters_roundtrip():
-    for text in ["XZY", "III", "-YYX", "iZZ", "-iXY", "+ZX"]:
-        w = parse_word(text)
-        t = text.lstrip("+")
-        expect = t if t[0] in "-i" else "+" + t
-        assert format_word(w) == expect
+    for letters, phase in [("XZY", 1), ("III", 1), ("YYX", -1), ("ZZ", 1j), ("XY", -1j)]:
+        w = PauliWord.from_letters(letters, phase)
+        assert (w.letters, w.phase) == (letters, phase)
 
 
 def test_word_matrix_matches_letters():
@@ -47,17 +42,6 @@ def test_word_matrix_matches_letters():
         w = PauliWord.from_letters(letters)
         np.testing.assert_allclose(
             w.to_matrix(), kron_all(PAULIS[c] for c in letters), atol=1e-15
-        )
-
-
-def test_mul_agrees_with_matrix_product():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        n = int(rng.integers(1, 4))
-        a = PauliWord(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
-        b = PauliWord(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
-        np.testing.assert_allclose(
-            mul(a, b).to_matrix(), a.to_matrix() @ b.to_matrix(), atol=1e-12
         )
 
 

@@ -14,10 +14,8 @@ from rqtgap.robustness import (
     beta_rqt_upper,
     delta_n,
     epsilon_threshold,
-    f_n,
     perturbation_experiment,
     residual_norms,
-    robust_bounds,
     verify_sos_identity_A,
     verify_sos_identity_B,
 )
@@ -202,13 +200,6 @@ def test_epsilon_threshold_rejects_unreachable_target():
 def test_threshold_shrinks_with_n():
     values = [epsilon_threshold(n, 1.0) for n in range(3, 10)]
     assert all(b < a for a, b in zip(values, values[1:]))
-
-
-def test_robust_bounds_record():
-    rb = robust_bounds(3, 1e-6)
-    assert rb.n == 3
-    assert rb.beta_rqt_upper == pytest.approx(beta_rqt_upper(3, 1e-6))
-    assert rb.f_n == pytest.approx(f_n(3))
 
 
 def test_perturbation_experiment_noiseless_and_noisy():

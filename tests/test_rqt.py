@@ -16,21 +16,21 @@ from rqtgap.rqt import (
     max_j_over_t,
     pauli_block_decompose,
     reality_constraints_check,
-    reconstruct,
     seesaw_real,
     t_values,
 )
 
 
-def brute_force_vertex_max(n: int) -> Fraction:
-    """Oracle: evaluate j on every vertex of the cube."""
-    best = None
+def brute_force_vertex_max(n: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Oracle: j on every vertex of the cube in exact arithmetic, with the
+    lexicographically smallest vertex attaining the maximum."""
+    best, arg = None, None
     for t in itertools.product((-1, 1), repeat=n):
-        s = sum(t)
-        val = Fraction(n - s * s, n * (n - 1))
+        cross = sum(t[a] * t[b] for a in range(n) for b in range(n) if a != b)
+        val = Fraction(-cross, n * (n - 1))
         if best is None or val > best:
-            best = val
-    return best
+            best, arg = val, t
+    return best, arg
 
 
 def test_reality_report_flags_y():
@@ -48,7 +48,9 @@ def test_pauli_block_roundtrip():
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = m + m.conj().T
         d = pauli_block_decompose(DenseOperator(m, (2, 2)))
-        np.testing.assert_allclose(reconstruct(d), m, atol=1e-12)
+        sigmas = (np.eye(2), Z, X, Y)
+        rebuilt = sum(np.kron(sigma, r) for sigma, r in zip(sigmas, d.blocks))
+        np.testing.assert_allclose(rebuilt, m, atol=1e-12)
 
 
 def test_block_decomposition_of_y():
@@ -78,10 +80,10 @@ def test_j_from_t_matches_definition():
         assert j_from_t(t) == pytest.approx(direct, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_max_j_over_t_exact(n):
     got = max_j_over_t(n)
-    assert got.max_value == brute_force_vertex_max(n)
+    assert (got.max_value, got.argmax) == brute_force_vertex_max(n)
     if n % 2 == 0:
         assert got.max_value == Fraction(1, n - 1)
     else:
