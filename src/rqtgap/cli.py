@@ -117,7 +117,7 @@ def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -
         {"name": "selftest_noiseless", "passed": battery["passed"], "detail": battery}
     )
 
-    pairs = [(t[0], t[1]) for t in net.observables]
+    pairs = net.pairs
     res_a = max(verify_sos_identity_A(n, l, pairs) for l in (0, (1 << n) - 1))
     res_b = max(verify_sos_identity_B(n, l, pairs) for l in (0, (1 << n) - 1))
     rng = np.random.default_rng(seed)
@@ -307,13 +307,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.format == "csv" and args.command in ("verify", "seesaw"):
         return _usage_error(f"{args.command} writes JSON only; drop --format csv")
-    if args.out:
-        # Append mode creates a missing file but keeps an existing one intact
-        # until the output is ready.
-        try:
-            open(args.out, "a").close()
-        except OSError as exc:
-            return _usage_error(f"cannot write --out {args.out}: {exc.strerror}")
+    if getattr(args, "seed", 0) < 0:
+        return _usage_error("need --seed >= 0")
+    for flag, path in (("--out", args.out), ("--trace", getattr(args, "trace", None))):
+        if path:
+            # Append mode creates a missing file but keeps an existing one
+            # intact until the output is ready.
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                return _usage_error(f"cannot write {flag} {path}: {exc.strerror}")
     return args.func(args)
 
 

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import ConfigurationError, InternalConsistencyError, ValidationError
-from .linalg import DenseOperator, ProductSum, expect_local
+from .errors import InternalConsistencyError, ValidationError
+from .linalg import DenseOperator, ProductSum
 from .network import (
     TILDE_0,
     TILDE_1,
@@ -23,7 +23,7 @@ from .network import (
     StarNetwork,
     conditional_state,
     conditional_states,
-    placed_observables,
+    settings_operator,
 )
 from .pauli import OutcomeLabel, PauliWord, ghz_expectation
 
@@ -61,26 +61,33 @@ def pair_dims(observables: Sequence[Sequence[np.ndarray]]) -> tuple[int, ...]:
     return tuple(np.shape(obs[0])[0] for obs in observables)
 
 
-def I_terms(n: int, l: int, observables: Sequence[Sequence[np.ndarray]]) -> ProductSum:
-    """Bell operator for outcome l as a product-sum:
+def _label_signs(n: int, labels) -> np.ndarray:
+    """(-1)^{l_i} with axes (label..., i - 1); `labels` an int or a sequence."""
+    labels = np.asarray(labels)
+    if np.any((labels < 0) | (labels >= 1 << n)):
+        raise ValueError(f"label out of range for n={n}")
+    bits = (labels[..., None] >> np.arange(n - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * bits
+
+
+def I_terms(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> ProductSum:
+    """Bell operator for outcome l as a product-sum of n terms:
 
     (-1)^{l_1} [ (n-1) At_{1,1} (x)_{i>=2} A_{i,1}
                  + sum_{i>=2} (-1)^{l_i} At_{1,0} (x) A_{i,0} ]
 
-    with the identity on uninvolved factors.
+    with the identity on uninvolved factors. `labels` is one outcome l
+    (scalar coefficients) or a sequence of them (coefficients are arrays
+    over the labels). `pairs` as returned by `validated_pairs`.
     """
-    pairs = validated_pairs(n, observables)
-    lab = OutcomeLabel(n, l)
+    sign = _label_signs(n, labels)
     tp = tilde_pair(*pairs[0])
-    sign = (-1) ** lab.bit(1)
     placed = {0: tp.a_tilde_1}
     placed.update({i: pairs[i][1] for i in range(1, n)})
-    op = ProductSum.product(placed, sign * (n - 1))
+    terms = [((n - 1) * sign[..., 0], placed)]
     for i in range(1, n):
-        op = op + ProductSum.product(
-            {0: tp.a_tilde_0, i: pairs[i][0]}, sign * (-1) ** lab.bit(i + 1)
-        )
-    return op
+        terms.append((sign[..., 0] * sign[..., i], {0: tp.a_tilde_0, i: pairs[i][0]}))
+    return ProductSum(tuple(terms))
 
 
 def build_I_operator(
@@ -88,37 +95,18 @@ def build_I_operator(
 ) -> DenseOperator:
     """`I_terms` as a dense matrix: the oracle for the factor-wise paths."""
     dims = pair_dims(observables)
-    return DenseOperator(I_terms(n, l, observables).dense(dims), dims)
-
-
-def _label_signs(n: int, labels: Sequence[int]) -> np.ndarray:
-    """(-1)^{l_i} with axes (label, i - 1)."""
-    bits = (np.asarray(labels)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return 1.0 - 2.0 * bits
+    return DenseOperator(I_terms(n, l, validated_pairs(n, observables)).dense(dims), dims)
 
 
 def I_values(net: StarNetwork, states: ConditionalStates) -> np.ndarray:
     """<I_l> on each conditional state of `states`; 2(n-1) for the ideal
-    network.
-
-    Each term of I_l is a product of local observables, so it is evaluated
-    factor by factor on all states at once; `build_I_operator` is the dense
-    oracle.
-    """
-    n = net.n
-    sign = _label_signs(n, states.labels)
-    tp = tilde_pair(net.observable(1, 0), net.observable(1, 1))
-    placed = {0: tp.a_tilde_1}
-    placed.update({i: net.observable(i + 1, 1) for i in range(1, n)})
-    value = (n - 1) * states.expect(placed)
-    for i in range(1, n):
-        term = states.expect({0: tp.a_tilde_0, i: net.observable(i + 1, 0)})
-        value = value + sign[:, i] * term
-    return sign[:, 0] * value
+    network. `build_I_operator` is the dense oracle."""
+    return states.expect(I_terms(net.n, states.labels, net.pairs))
 
 
 def I_values_from_correlators(net: StarNetwork, states: ConditionalStates) -> np.ndarray:
-    """Same functional assembled from conditional correlators (cross-check path)."""
+    """Same functional assembled from the party settings' correlators
+    (cross-check path)."""
     n = net.n
     sign = _label_signs(n, states.labels)
     value = (n - 1) * _correlator(net, states, [TILDE_1] + [1] * (n - 1))
@@ -147,7 +135,7 @@ def eval_I_from_correlators(net: StarNetwork, l: int) -> float:
 
 def _correlator(net: StarNetwork, states: ConditionalStates, settings: Sequence) -> np.ndarray:
     """The correlator of the party settings on each conditional state."""
-    return states.expect(placed_observables(net, settings))
+    return states.expect(settings_operator(net, settings))
 
 
 def ideal_I_value(n: int, l: int) -> float:
@@ -190,68 +178,33 @@ def classical_bound_closed_form(n: int) -> float:
     return SQRT2 * (n - 1)
 
 
-def j_correlator_settings(n: int) -> list[tuple[float, list]]:
-    """The N(N-1)/2 correlators of J_N as (sign weight, per-party settings)."""
-    terms: list[tuple[float, list]] = []
-    for j1, j2 in itertools.combinations(range(2, n + 1), 2):
-        settings: list = [TILDE_1] + [1] * (n - 1)
-        settings[j1 - 1] = 2
-        settings[j2 - 1] = 2
-        terms.append((1.0, settings))
-    for j1 in range(2, n + 1):
-        settings = [2] + [1] * (n - 1)
-        settings[j1 - 1] = 2
-        terms.append((1.0, settings))
-    return terms
+def J_terms(n: int, pairs: Sequence, third: Sequence, open_party: Optional[int] = None) -> ProductSum:
+    """J_N with A_{i,2} = third[i] as a product-sum of N(N-1)/2 terms:
+
+    -2/(N(N-1)) [ sum_{2<=j<k} At_{1,1} A_{j,2} A_{k,2}
+                  + sum_{j>=2} A_{1,2} A_{j,2} ],
+
+    every other party at A_{i,1}. With `open_party` = i, only the terms
+    holding A_{i,2}, with that factor left out: J is affine in A_{i,2},
+    and these terms are its linear coefficient, which
+    `ConditionalStates.expect_open` contracts.
+    """
+    ones = {0: tilde_pair(*pairs[0]).a_tilde_1, **{i: pairs[i][1] for i in range(1, n)}}
+    terms = []
+    for held in [*itertools.combinations(range(1, n), 2), *((0, j) for j in range(1, n))]:
+        if open_party is None or open_party in held:
+            placed = {**ones, **{i: third[i] for i in held}}
+            placed.pop(open_party, None)
+            terms.append((-2.0 / (n * (n - 1)), placed))
+    return ProductSum(tuple(terms))
 
 
 def eval_J(net: StarNetwork, l: int = 0) -> float:
     """The rescaled Mermin part, evaluated only at Eve's all-zero outcome."""
     if l != 0:
         raise ValueError("J_N is defined at the all-zero outcome only")
-    n = net.n
-    for i in range(n):
-        if net.observables[i][2] is None:
-            raise ConfigurationError(f"party {i + 1} has no third observable")
-    third = [t[2] for t in net.observables]
-    return j_value(conditional_state(net, 0).mat, net, third)
-
-
-def j_value(
-    rho: np.ndarray,
-    net: StarNetwork,
-    third: Sequence[np.ndarray],
-    open_party: Optional[int] = None,
-) -> float | np.ndarray:
-    """J_N on the conditional state `rho` with A_{i,2} = third[i], one
-    `expect_local` call per term of `j_correlator_settings`.
-
-    With `open_party` = i, party i's row and column axes become batch axes
-    and only the terms holding party i at setting 2 are summed, giving the
-    real matrix K with J = Tr(K^T A_{i,2}) + (J at A_{i,2} = 0): K[a, b] is
-    the response to the matrix unit E_ab. third[i] is then not read.
-    """
-    n = net.n
-    dims = net.party_dims
-    keep = list(range(n))
-    if open_party is not None:
-        t = np.moveaxis(rho.reshape(dims + dims), (open_party, n + open_party), (0, 1))
-        keep.remove(open_party)
-        dims = tuple(dims[p] for p in keep)
-        rest = math.prod(dims)
-        rho = t.reshape(t.shape[:2] + (rest, rest))
-    total = 0.0
-    for weight, settings in j_correlator_settings(n):
-        if open_party is not None and settings[open_party] != 2:
-            continue
-        placed = {
-            k: third[p] if settings[p] == 2 else net.observable(p + 1, settings[p])
-            for k, p in enumerate(keep)
-        }
-        total = total + weight * np.real(expect_local(rho, dims, placed))
-    scale = -2.0 / (n * (n - 1))
-    # The batch axes hold K^T: entry (a', a) is the coefficient of A[a, a'].
-    return float(scale * total) if open_party is None else scale * total.T
+    third = [net.observable(i, 2) for i in range(1, net.n + 1)]
+    return float(_single_outcome(net, 0).expect(J_terms(net.n, net.pairs, third))[0])
 
 
 def cqt_strategy(n: int) -> StarNetwork:

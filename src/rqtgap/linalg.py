@@ -1,15 +1,16 @@
 """Complex linear algebra over explicit tensor-product spaces.
 
 The operators the package checks are short sums of tensor products of
-local matrices. `ProductSum` holds the Bell operators I_l and the SOS
-generators in that form; it adds, scales, multiplies and takes
+local matrices. `ProductSum` holds the Bell operators I_l, J_N and the
+SOS generators in that form; it adds, scales, multiplies and takes
 adjoints term by term, and gets its Frobenius norm by splitting every term
 at the cut between the leading and trailing factors that best balances
 the two sides: the operator's entries, realigned as (left row, left
 column) x (right row, right column), form one matrix product of inner
 size K, the number of terms, so no 2^n x 2^n product is ever taken.
-Local observables on states are evaluated with `expect_local` on density
-matrices and `apply_local` on vectors, one tensor factor at a time.
+`expect_local` (density matrices) and `apply_local` (vectors) contract
+one term with states, one tensor factor at a time; they are the kernels
+of `network.ConditionalStates`, where every product-sum meets a state.
 
 `kron_all`, `tensor_embed` and `ProductSum.dense` build the full
 operators. They are the ground-truth oracle the tests check the
@@ -229,7 +230,8 @@ def apply_local(
 class ProductSum:
     """sum_t c_t (x)_i placed_t.get(i, 1): an operator held as its terms
     (c_t, placed_t), each placing local matrices on some factors, with the
-    identity on the rest. `(c, {})` is c times the identity.
+    identity on the rest. `(c, {})` is c times the identity. For
+    `ConditionalStates`, c_t may be an array over outcome labels.
 
     Sums, scalar multiples, products and adjoints act on the terms and
     never form the product operator; `dense` does, as the test oracle.

@@ -5,11 +5,13 @@ E factors in the order E_1 ... E_N. Eve's measurement is held as factors
 R_l = V_l V_l^dag (`EveMeasurement`): the ideal network's, like any rank-1
 projective measurement, is one 2^n x 2^n unitary, and a dense element is
 factored once at construction. Conditional states never materialize the
-joint density matrix. When every source is pure they are vectors: V's
-columns pushed through one source at a time, all outcomes at once. Mixed
-sources take the density-matrix kernel, one outcome at a time. Correlators
-contract local observables factor by factor (`expect_local`,
-`apply_local`) instead of building kron operators.
+joint density matrix. When every source is pure, V's columns are pushed
+through one source at a time, all outcomes at once, and kept as vectors
+when an outcome has fewer of them than the party dimension, else summed
+into matrices. Mixed sources take the density-matrix kernel, one outcome
+at a time. An operator, held as a `ProductSum`, meets the states only in
+`ConditionalStates`, which contracts each term factor by factor
+(`apply_local` on vectors, `expect_local` on matrices).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigurationError, DegenerateConditioningError, ValidationError
-from .linalg import DenseOperator, StateVector, X, Z
+from .linalg import DenseOperator, ProductSum, StateVector, X, Z
 
 CONDITIONING_THRESHOLD = 1e-14
 
@@ -85,8 +87,12 @@ class EveMeasurement:
         object.__setattr__(self, "factors", v)
         if v.ndim != 3:
             raise ValueError("factors need axes (e, l, c)")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("Eve's factors are not all finite")
         flat = v.reshape(v.shape[0], -1)
-        if np.max(np.abs(flat @ flat.conj().T - np.eye(v.shape[0]))) > 1e-10:
+        dev = np.max(np.abs(flat @ flat.conj().T - np.eye(v.shape[0])))
+        # Written so that a NaN deviation (say, from overflow) fails too.
+        if not dev <= 1e-10:
             raise ValidationError("Eve POVM does not sum to the identity")
 
     @classmethod
@@ -201,6 +207,11 @@ class StarNetwork:
         every access: 2^n matrices of 4^n entries, the oracle for tests."""
         return tuple(self.eve.element(l) for l in range(len(self.eve)))
 
+    @property
+    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(A_{i,0}, A_{i,1}) for each party; ConfigurationError if one is unset."""
+        return [(self.observable(i, 0), self.observable(i, 1)) for i in range(1, self.n + 1)]
+
     def observable(self, party: int, setting) -> np.ndarray:
         """Party index 1..n; setting 0/1/2, a tilde tag (party 1) or None."""
         da = self.party_dims[party - 1]
@@ -294,10 +305,11 @@ def _pure_vectors(net: StarNetwork, labels: Sequence[int]) -> np.ndarray:
 class ConditionalStates:
     """P(l) rho^l for each outcome in `labels`, with P(l) in `probs`.
 
-    Pure sources give `vectors` (axes l, c, a), P(l) rho^l being the sum
-    over c of |vectors[l, c]><vectors[l, c]| (zero rows pad the ranks);
-    mixed sources give the matrices `mats` (axes l, a, a'). Exactly one of
-    the two is set.
+    Exactly one of `vectors` (axes l, c, a; P(l) rho^l is the sum over c of
+    |vectors[l, c]><vectors[l, c]|, zero rows padding the ranks) and `mats`
+    (axes l, a, a') is set. The `expect` methods are where an operator, a
+    `ProductSum` with coefficients scalar or arrays over `labels`, meets
+    the states, one tensor factor at a time.
     """
 
     party_dims: tuple[int, ...]
@@ -306,24 +318,47 @@ class ConditionalStates:
     vectors: Optional[np.ndarray] = None
     mats: Optional[np.ndarray] = None
 
-    def weighted_expect(self, placed: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Re Tr[((x)_i placed.get(i, 1)) P(l) rho^l] for each label."""
+    def _traces(self, placed: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Tr[((x)_i placed.get(i, 1)) P(l) rho^l] for each label, complex."""
         if self.vectors is None:
             step = max(1, MIXED_BATCH_ENTRIES // self.mats[0].size)
             return np.concatenate([
-                np.real(linalg.expect_local(self.mats[j : j + step], self.party_dims, placed))
+                linalg.expect_local(self.mats[j : j + step], self.party_dims, placed)
                 for j in range(0, len(self.mats), step)
             ])
         v = self.vectors
-        applied = linalg.apply_local(v, self.party_dims, placed)
-        # Re <v|Av> from real and imaginary parts, without a conjugated copy of v.
-        return np.einsum("lca,lca->l", v.real, applied.real) + np.einsum(
-            "lca,lca->l", v.imag, applied.imag
-        )
+        return np.einsum("lca,lca->l", v.conj(), linalg.apply_local(v, self.party_dims, placed))
 
-    def expect(self, placed: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Re Tr[((x)_i placed.get(i, 1)) rho^l] for each label."""
-        return self.weighted_expect(placed) / self.probs
+    def weighted_expect(self, op: ProductSum) -> np.ndarray:
+        """Re Tr[op P(l) rho^l] for each label; the real part is taken once,
+        after the terms are summed."""
+        total = np.zeros(len(self.labels), dtype=complex)
+        for c, placed in op.terms:
+            total += c * self._traces(placed)
+        return total.real
+
+    def expect(self, op: ProductSum) -> np.ndarray:
+        """Re Tr[op rho^l] for each label."""
+        return self.weighted_expect(op) / self.probs
+
+    def expect_open(self, op: ProductSum, party: int) -> np.ndarray:
+        """E[l, a, a'] = Tr[op <a|rho^l|a'>], `party`'s row and column axes
+        left open (complex; matrix form only). `op` places nothing on
+        `party`; Tr[(X (x) op) rho^l] = sum_{a, a'} X[a', a] E[l, a, a']."""
+        if self.mats is None:
+            raise ValueError("expect_open needs the matrix form")
+        dims = self.party_dims
+        rest = dims[:party] + dims[party + 1 :]
+        axes = (1 + party, 1 + len(dims) + party)
+        t = np.moveaxis(self.mats.reshape((-1,) + dims + dims), axes, (0, 1))
+        t = t.reshape((dims[party],) * 2 + (-1,) + (math.prod(rest),) * 2)
+        total = 0
+        for c, placed in op.terms:
+            if party in placed:
+                raise ValueError(f"the operator places a factor on the open party {party}")
+            shifted = {i - (i > party): m for i, m in placed.items()}
+            total = total + c * linalg.expect_local(t, rest, shifted)
+        return np.moveaxis(total / self.probs, 2, 0)
 
     def fidelity(self, targets: np.ndarray) -> np.ndarray:
         """<t_l| rho^l |t_l>, one target vector per label (rows of `targets`)."""
@@ -355,15 +390,19 @@ def _unnormalized_states(net: StarNetwork, labels: Optional[Sequence[int]]) -> C
         labels = tuple(range(1 << net.n))
     else:
         labels = tuple(_checked_label(net, l) for l in labels)
+    d = math.prod(net.party_dims)
     if net.source_vectors is not None:
         vecs = _pure_vectors(net, labels)
         probs = np.sum(np.abs(vecs) ** 2, axis=(1, 2))
-        return ConditionalStates(net.party_dims, labels, probs, vectors=vecs)
-    d = math.prod(net.party_dims)
-    mats = np.empty((len(labels), d, d), dtype=complex)
-    for j, l in enumerate(labels):
-        mats[j] = _conditional_unnormalized(net, l)
-    probs = np.real(np.trace(mats, axis1=1, axis2=2))
+        # Fewer than d vectors per outcome are smaller than its d x d matrix.
+        if vecs.shape[1] < d:
+            return ConditionalStates(net.party_dims, labels, probs, vectors=vecs)
+        mats = np.einsum("lca,lcb->lab", vecs, vecs.conj())
+    else:
+        mats = np.empty((len(labels), d, d), dtype=complex)
+        for j, l in enumerate(labels):
+            mats[j] = _conditional_unnormalized(net, l)
+        probs = np.real(np.trace(mats, axis1=1, axis2=2))
     return ConditionalStates(net.party_dims, labels, probs, mats=mats)
 
 
@@ -391,18 +430,19 @@ def eve_outcome_probability(net: StarNetwork, l: int) -> float:
     return float(np.real(np.vdot(v, linalg.apply_local(v, net.eve_dims, marg))))
 
 
-def placed_observables(net: StarNetwork, settings: Sequence) -> dict[int, np.ndarray]:
-    """Factor index -> observable for each party whose setting is not None."""
+def settings_operator(net: StarNetwork, settings: Sequence) -> ProductSum:
+    """The product of the party settings as one term; identity where a
+    setting is None."""
     if len(settings) != net.n:
         raise ValueError("need one setting per party")
-    return {i: net.observable(i + 1, s) for i, s in enumerate(settings) if s is not None}
+    return ProductSum.product(
+        {i: net.observable(i + 1, s) for i, s in enumerate(settings) if s is not None}
+    )
 
 
 def conditional_expectation(net: StarNetwork, settings: Sequence, l: int) -> float:
     """Correlator of the party settings on the post-measurement state rho^l."""
-    placed = placed_observables(net, settings)
-    rho = conditional_state(net, l)
-    return float(np.real(linalg.expect_local(rho.mat, net.party_dims, placed)))
+    return float(conditional_states(net, [l]).expect(settings_operator(net, settings))[0])
 
 
 @dataclass(frozen=True)
@@ -457,8 +497,8 @@ def correlation_table(net: StarNetwork) -> CorrelationTable:
             eye = np.eye(a_op.shape[0], dtype=complex)
             effects.append(((eye + a_op) / 2, (eye - a_op) / 2))
         for a in itertools.product(range(2), repeat=n):
-            placed = {i: effects[i][ai] for i, ai in enumerate(a)}
-            probs[x + a] = states.weighted_expect(placed)
+            effect = ProductSum.product({i: effects[i][ai] for i, ai in enumerate(a)})
+            probs[x + a] = states.weighted_expect(effect)
     return CorrelationTable(n, probs)
 
 

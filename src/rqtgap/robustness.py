@@ -23,39 +23,38 @@ from .pauli import OutcomeLabel
 from .rqt import SeesawResult, seesaw_real
 
 
-def sos_terms_A(n: int, l: int, observables: Sequence[Sequence[np.ndarray]]) -> dict:
+def sos_terms_A(n: int, l: int, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> dict:
     """Squared-term generators of the first decomposition, as product-sums:
 
-    2 (beta_Q 1 - I_l) = (n-1) P_1^2 + sum_{i>=2} P_i^2.
+    2 (beta_Q 1 - I_l) = (n-1) P_1^2 + sum_{i>=2} P_i^2,
+
+    with P_1 = 1 - (first term of I_l)/(n-1) and P_i = 1 - (term i of I_l).
+    `pairs` as returned by `validated_pairs`.
     """
-    pairs = validated_pairs(n, observables)
-    lab = OutcomeLabel(n, l)
-    tp = tilde_pair(*pairs[0])
     one = ProductSum.product({})
-    placed = {0: tp.a_tilde_1}
-    placed.update({i: pairs[i][1] for i in range(1, n)})
-    terms = {"P_1": one - ProductSum.product(placed, (-1) ** lab.bit(1))}
-    for i in range(2, n + 1):
-        sign = (-1) ** (lab.bit(1) + lab.bit(i))
-        terms[f"P_{i}"] = one - ProductSum.product({0: tp.a_tilde_0, i - 1: pairs[i - 1][0]}, sign)
+    (c, placed), *rest = I_terms(n, l, pairs).terms
+    terms = {"P_1": one - ProductSum.product(placed, c / (n - 1))}
+    for i, term in enumerate(rest, start=2):
+        terms[f"P_{i}"] = one - ProductSum((term,))
     return terms
 
 
-def sos_terms_B(n: int, l: int, observables: Sequence[Sequence[np.ndarray]]) -> dict:
+def sos_terms_B(n: int, l: int, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> dict:
     """Squared-term generators of the second decomposition, as product-sums:
 
     2 beta_Q J_l = J_l^2 + sum_{i<j} Q_{i,j}^2 + (n-1) sum_j T_j^2,
-    with J_l = beta_Q 1 - I_l.
+
+    with J_l = beta_Q 1 - I_l and Q_{i,j} = (-1)^{l_1} (term i - term j of
+    I_l). `pairs` as returned by `validated_pairs`.
     """
-    pairs = validated_pairs(n, observables)
     lab = OutcomeLabel(n, l)
     tp = tilde_pair(*pairs[0])
+    i_op = I_terms(n, l, pairs)
     beta_q = 2.0 * (n - 1)
-    terms = {"J_l": beta_q * ProductSum.product({}) - I_terms(n, l, observables)}
-    for i, j in itertools.combinations(range(2, n + 1), 2):
-        terms[f"Q_{i},{j}"] = ProductSum.product(
-            {0: tp.a_tilde_0, i - 1: pairs[i - 1][0]}, (-1) ** lab.bit(i)
-        ) - ProductSum.product({0: tp.a_tilde_0, j - 1: pairs[j - 1][0]}, (-1) ** lab.bit(j))
+    terms = {"J_l": beta_q * ProductSum.product({}) - i_op}
+    parts = [ProductSum((term,)) for term in i_op.terms[1:]]
+    for (i, p), (j, q) in itertools.combinations(enumerate(parts, start=2), 2):
+        terms[f"Q_{i},{j}"] = (-1) ** lab.bit(1) * (p - q)
     for j in range(2, n + 1):
         placed = {0: tp.a_tilde_1, j - 1: pairs[j - 1][0]}
         placed.update({i - 1: pairs[i - 1][1] for i in range(2, n + 1) if i != j})
@@ -70,14 +69,15 @@ def verify_sos_identity_A(
 ) -> float:
     """Frobenius norm of 2(beta_Q 1 - I_l) - [(n-1) P_1^2 + sum P_i^2],
     taken term-wise by `ProductSum.frobenius_norm`."""
-    terms = sos_terms_A(n, l, observables)
+    pairs = validated_pairs(n, observables)
+    terms = sos_terms_A(n, l, pairs)
     beta_q = 2.0 * (n - 1)
-    lhs = 2.0 * (beta_q * ProductSum.product({}) - I_terms(n, l, observables))
+    lhs = 2.0 * (beta_q * ProductSum.product({}) - I_terms(n, l, pairs))
     rhs = (n - 1) * (terms["P_1"] @ terms["P_1"])
     for i in range(2, n + 1):
         p = terms[f"P_{i}"]
         rhs = rhs + p @ p
-    return (lhs - rhs).frobenius_norm(pair_dims(observables))
+    return (lhs - rhs).frobenius_norm(pair_dims(pairs))
 
 
 def verify_sos_identity_B(
@@ -89,7 +89,8 @@ def verify_sos_identity_B(
     Reported, not asserted; the battery promotes it to a hard check only
     when it vanishes across the tested inputs.
     """
-    terms = sos_terms_B(n, l, observables)
+    pairs = validated_pairs(n, observables)
+    terms = sos_terms_B(n, l, pairs)
     beta_q = 2.0 * (n - 1)
     j_op = terms["J_l"]
     lhs = 2.0 * beta_q * j_op
@@ -99,20 +100,18 @@ def verify_sos_identity_B(
             continue
         factor = (n - 1) if name.startswith("T_") else 1.0
         rhs = rhs + factor * (t @ t)
-    return (lhs - rhs).frobenius_norm(pair_dims(observables))
+    return (lhs - rhs).frobenius_norm(pair_dims(pairs))
 
 
 def residual_norms(net: StarNetwork, l: int) -> dict:
     """SOS term norms on the conditional state, against their proven bounds.
 
     ||P |psi_l>|| is computed as sqrt(Tr(P^dag P rho^l)), which equals the
-    norm on any purification of rho^l, summed over the terms of P^dag P
-    with `expect_local`.
+    norm on any purification of rho^l.
     """
     n = net.n
-    pairs = [(t[0], t[1]) for t in net.observables]
+    pairs = net.pairs
     states = conditional_states(net, [l])
-    rho = states.density(0)
     eps = 2.0 * (n - 1) - float(I_values(net, states)[0])
     if eps < -1e-8:
         raise InternalConsistencyError(f"value above the quantum bound by {-eps:.3e}")
@@ -129,9 +128,7 @@ def residual_norms(net: StarNetwork, l: int) -> dict:
             bound = 2.0 * math.sqrt((n - 1) * eps_pos)
         else:
             continue
-        gram = term.adjoint() @ term
-        value = sum(c * linalg.expect_local(rho, net.party_dims, p) for c, p in gram.terms)
-        norm = math.sqrt(max(0.0, float(np.real(value))))
+        norm = math.sqrt(max(0.0, float(states.expect(term.adjoint() @ term)[0])))
         bounds[name] = {"norm": norm, "bound": bound, "ok": norm <= bound + 1e-7}
     return {"epsilon_attained": eps, "terms": bounds}
 

@@ -20,7 +20,7 @@ from . import linalg
 from .errors import InternalConsistencyError
 from .linalg import I2, DenseOperator, X, Y, Z, kron_all, partial_trace
 from .network import StarNetwork, conditional_state, ideal_network
-from .functionals import j_value
+from .functionals import J_terms, _single_outcome
 
 # Single-qubit basis order for the block decomposition:
 # sigma_0 = 1, sigma_1 = Z, sigma_2 = X, sigma_3 = Y.
@@ -223,8 +223,9 @@ def seesaw_real(
     observables, states and first two observables held fixed.
 
     J_N is affine in each party's A_{i,2}, so the per-party step takes the
-    linear coefficient matrix from `j_value` with that party left open (one
-    partial contraction per term) and solves it exactly by
+    linear coefficient matrix K from the terms of `J_terms` that hold it,
+    contracted on rho^0 with that party's axes left open
+    (`ConditionalStates.expect_open`), and solves it exactly by
     eigendecomposition (an O diag(+/-1) O^T update with O real orthogonal).
     Restarts are independent; ties resolve to the earliest restart.
     """
@@ -232,7 +233,8 @@ def seesaw_real(
         raise ValueError("need at least one restart")
     n = net_base.n
     dims = net_base.party_dims
-    rho0 = conditional_state(net_base, 0).mat
+    rho0 = _single_outcome(net_base, 0)
+    pairs = net_base.pairs
     rng = np.random.default_rng(seed)
     trace_fh = open(trace_path, "w") if trace_path else None
     per_restart = []
@@ -246,12 +248,13 @@ def seesaw_real(
                 ).mat.real
                 for i in range(n)
             ]
-            current = j_value(rho0, net_base, third)
+            current = float(rho0.expect(J_terms(n, pairs, third))[0])
             for it in range(max_iter):
                 for i in range(n):
-                    k = j_value(rho0, net_base, third, open_party=i)
-                    third[i] = _best_real_observable(k, third[i])
-                new = j_value(rho0, net_base, third)
+                    # The coefficient of A[a, a'] is E[a', a].
+                    e = rho0.expect_open(J_terms(n, pairs, third, open_party=i), i)[0]
+                    third[i] = _best_real_observable(e.real.T, third[i])
+                new = float(rho0.expect(J_terms(n, pairs, third))[0])
                 if trace_fh:
                     trace_fh.write(json.dumps({"restart": r, "iter": it, "J": new}) + "\n")
                 if new - current < tol:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -203,6 +204,11 @@ def test_unknown_subcommand_is_usage_error(capsys):
         ["--out", "{tmp}/no/such/dir/x.json", "gap", "--n-min", "2", "--n-max", "3"],
         ["--format", "csv", "verify", "--n", "2"],
         ["--format", "csv", "seesaw", "--n", "2"],
+        ["verify", "--n", "2", "--seed", "-1"],
+        ["seesaw", "--n", "2", "--seed", "-1"],
+        ["seesaw", "--n", "2", "--trace", "{tmp}/no/such/dir/x.jsonl"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/nan_factor.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/inf_factor.json"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}/", "").replace("{tmp}", "DIR"),
 )
@@ -210,6 +216,10 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
     (tmp_path / "truncated.json").write_text('{"n": 2')
     (tmp_path / "no_sources.json").write_text('{"n": 2}')
     strategy = network_to_json(ideal_network(2))
+    for name, bad in (("nan_factor", math.nan), ("inf_factor", math.inf)):
+        factors = [dict(f, re=list(f["re"])) for f in strategy["eve_factors"]]
+        factors[1]["re"][0] = bad
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(strategy, eve_factors=factors)))
     (tmp_path / "both_eve_keys.json").write_text(json.dumps(dict(strategy, eve_povm=[])))
     del strategy["eve_factors"]
     (tmp_path / "no_eve_key.json").write_text(json.dumps(strategy))

@@ -1,6 +1,7 @@
 """Differential tests of the conditional-state engine (the density-matrix
-kernel and the pure-source vector path), the seesaw's coefficient matrix,
-the product-sum operators and the SOS kernels built on them, and Eve's
+kernel and the pure-source vector path), the product-sum evaluator
+`ConditionalStates.expect`, the seesaw's coefficient matrix, the
+product-sum operators and the SOS kernels built on them, and Eve's
 projector check against the dense oracle (`kron_all`, `tensor_embed`,
 `build_I_operator`), and strategy-file round trips, on random inputs."""
 
@@ -20,11 +21,12 @@ import rqtgap.network
 from rqtgap.functionals import (
     I_values,
     I_values_from_correlators,
+    J_terms,
+    _single_outcome,
     build_I_operator,
     eval_I,
     eval_I_from_correlators,
-    j_correlator_settings,
-    j_value,
+    eval_J,
 )
 from rqtgap.linalg import (
     DenseOperator,
@@ -38,6 +40,8 @@ from rqtgap.linalg import (
     tensor_embed,
 )
 from rqtgap.network import (
+    TILDE_1,
+    ConditionalStates,
     EveMeasurement,
     StarNetwork,
     ghz_basis,
@@ -242,17 +246,77 @@ def test_eval_I_matches_dense_bell_operator(model, n, strength):
 
 
 def _dense_j(net: StarNetwork, rho: np.ndarray, third) -> float:
-    """J_N from Tr(tensor_embed(...) rho) per term, real part per term."""
+    """J_N from Tr(tensor_embed(...) rho), one correlator per pair of
+    parties holding their third observable, the others at A_{i,1}
+    (At_{1,1} for party 1)."""
     n = net.n
     total = 0.0
-    for weight, settings in j_correlator_settings(n):
+    for pair in itertools.combinations(range(n), 2):
         placed = {
-            p: third[p] if s == 2 else net.observable(p + 1, s)
-            for p, s in enumerate(settings)
+            p: third[p] if p in pair else net.observable(p + 1, TILDE_1 if p == 0 else 1)
+            for p in range(n)
         }
-        op = tensor_embed(net.party_dims, placed)
-        total += weight * np.trace(op @ rho).real
+        total += np.trace(tensor_embed(net.party_dims, placed) @ rho).real
     return -2.0 / (n * (n - 1)) * total
+
+
+def _random_product_sum(dims, labels: int, rng: np.random.Generator, data) -> ProductSum:
+    """1-4 terms of random non-Hermitian factors; each coefficient is a
+    complex scalar or a complex array over `labels` outcomes."""
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4), label="terms")):
+        where = data.draw(st.sets(st.integers(0, len(dims) - 1)), label="placed")
+        shape = () if data.draw(st.booleans(), label="scalar") else (labels,)
+        coeff = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        terms.append((coeff, {i: _random_matrix(dims[i], rng) for i in where}))
+    return ProductSum(tuple(terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    labels=st.integers(1, 5),
+    rank=st.integers(1, 3),
+    seed=SEEDS,
+    data=st.data(),
+)
+def test_expect_matches_dense_trace(dims, labels, rank, seed, data):
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    vecs = rng.normal(size=(labels, rank, d)) + 1j * rng.normal(size=(labels, rank, d))
+    mats = np.einsum("lca,lcb->lab", vecs, vecs.conj())
+    probs = np.real(np.trace(mats, axis1=1, axis2=2))
+    op = _random_product_sum(dims, labels, rng, data)
+    want = np.array([
+        np.trace(
+            ProductSum(tuple((np.broadcast_to(c, (labels,))[j], p) for c, p in op.terms)).dense(dims)
+            @ mats[j]
+        ).real / probs[j]
+        for j in range(labels)
+    ])
+    tags = tuple(range(labels))
+    by_vectors = ConditionalStates(tuple(dims), tags, probs, vectors=vecs)
+    by_matrices = ConditionalStates(tuple(dims), tags, probs, mats=mats)
+    np.testing.assert_allclose(by_vectors.expect(op), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(by_matrices.expect(op), want, rtol=1e-12, atol=1e-12)
+    # Slices of two outcomes.
+    with mock.patch.object(rqtgap.network, "MIXED_BATCH_ENTRIES", 2 * d * d):
+        np.testing.assert_allclose(by_matrices.expect(op), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_representation_follows_rank(n):
+    """Rank-1 Eve factors give vectors; mix_povm's d_E + 1 columns per
+    outcome give matrices. Both match the density-matrix kernel."""
+    ideal = ideal_network(n)
+    mixed = apply_noise(ideal, "mix_povm", 0.1)
+    for net, vectors in ((ideal, True), (mixed, False)):
+        states = conditional_states(net)
+        assert (states.vectors is not None) == vectors
+        assert (states.mats is None) == vectors
+        for j, l in enumerate(states.labels):
+            raw = _conditional_unnormalized(net, l)
+            np.testing.assert_allclose(states.density(j) * states.probs[j], raw, atol=1e-14)
 
 
 def test_mixed_states_in_slices_match_one_batch(monkeypatch):
@@ -262,20 +326,25 @@ def test_mixed_states_in_slices_match_one_batch(monkeypatch):
     whole = np.real(expect_local(states.mats, states.party_dims, placed))
     # Slices of 3, 3 and 2 of the 8 outcomes.
     monkeypatch.setattr(rqtgap.network, "MIXED_BATCH_ENTRIES", 3 * states.mats[0].size)
-    np.testing.assert_allclose(states.weighted_expect(placed), whole, rtol=0, atol=1e-15)
+    got = states.weighted_expect(ProductSum.product(placed))
+    np.testing.assert_allclose(got, whole, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=15, deadline=None)
-@given(dims=_network_dims(4), seed=SEEDS)
-def test_seesaw_coefficients_match_finite_differences(dims, seed):
+@given(dims=_network_dims(4), seed=SEEDS, pure=st.booleans())
+def test_seesaw_coefficients_match_finite_differences(dims, seed, pure):
     party_dims = dims[0]
-    net = _random_network(*dims, seed)
-    rho = conditional_state(net, 0).mat
+    net = _random_network(*dims, seed, pure=pure)
+    assert (net.source_vectors is not None) == pure
+    rho0 = _single_outcome(net, 0)
+    rho = rho0.density(0)
+    pairs = [(t[0], t[1]) for t in net.observables]
     # Non-symmetric thirds make K and K^T differ, so the test pins which is which.
     rng = np.random.default_rng(seed)
     third = [rng.normal(size=(d, d)) for d in party_dims]
     for i, d in enumerate(party_dims):
-        k = j_value(rho, net, third, open_party=i)
+        # The seesaw's K: E from the open-party contraction, transposed.
+        k = rho0.expect_open(J_terms(net.n, pairs, third, open_party=i), i)[0].real.T
         probe = list(third)
         probe[i] = np.zeros((d, d))
         j0 = _dense_j(net, rho, probe)
@@ -286,7 +355,10 @@ def test_seesaw_coefficients_match_finite_differences(dims, seed):
                 probe[i][a, b] = 1.0
                 want[a, b] = _dense_j(net, rho, probe) - j0
         np.testing.assert_allclose(k, want, rtol=0, atol=1e-12)
-    assert j_value(rho, net, third) == pytest.approx(_dense_j(net, rho, third), abs=1e-12)
+    got = rho0.expect(J_terms(net.n, pairs, third))[0]
+    assert got == pytest.approx(_dense_j(net, rho, third), abs=1e-12)
+    own = [t[2] for t in net.observables]
+    assert eval_J(net) == pytest.approx(_dense_j(net, rho, own), abs=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
