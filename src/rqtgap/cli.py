@@ -38,10 +38,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # Largest n accepted by verify and seesaw. Measured on 2 vCPUs with one BLAS
-# thread: at n = 10, verify 1.6 s and 164 MB peak RSS, seesaw (20 restarts)
-# 29 s and 114 MB; at n = 11, verify 8.1 s and 487 MB, but seesaw 22 s for
-# 2 restarts, about 200 s for the default 20.
-MAX_N = 10
+# thread, wall time and peak RSS: at n = 11, verify 17 s and 530 MB, seesaw
+# (20 restarts) 2.3 s and 292 MB; at n = 10, verify 3.5 s and 164 MB,
+# seesaw 0.6 s and 98 MB. Verify grows about 5x per party, so it, not the
+# seesaw, holds the cap.
+MAX_N = 11
 
 
 def _usage_error(message: str) -> int:
@@ -156,7 +157,9 @@ def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -
 
 
 def _failures(checks: list, prefix: str = "") -> list[str]:
-    """The innermost failing checks, each as 'path measured M bound B'."""
+    """The innermost failing checks, each as 'path measured M bound B',
+    followed by the worst offender, '(l L)' or '(party P)', when the check
+    names one."""
     out = []
     for c in checks:
         if c["passed"]:
@@ -165,8 +168,12 @@ def _failures(checks: list, prefix: str = "") -> list[str]:
         inner = c.get("detail", {}).get("checks")
         if inner:
             out += _failures(inner, name + "/")
-        else:
-            out.append(f"{name} measured {c['measured']!r} bound {c['bound']!r}")
+            continue
+        line = f"{name} measured {c['measured']!r} bound {c['bound']!r}"
+        for key, label in (("worst_l", "l"), ("worst_party", "party")):
+            if key in c:
+                line += f" ({label} {c[key]})"
+        out.append(line)
     return out
 
 
@@ -176,6 +183,7 @@ def cmd_verify(args) -> int:
     if args.strategy:
         try:
             net = load_strategy(args.strategy)
+            net.pairs  # ConfigurationError if A_{i,0} or A_{i,1} is unset
         except (OSError, ValueError, KeyError, TypeError) as exc:
             why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             return _usage_error(f"cannot load strategy file {args.strategy}: {why}")

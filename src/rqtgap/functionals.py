@@ -178,24 +178,30 @@ def classical_bound_closed_form(n: int) -> float:
     return SQRT2 * (n - 1)
 
 
-def J_terms(n: int, pairs: Sequence, third: Sequence, open_party: Optional[int] = None) -> ProductSum:
+def J_fixed_factors(pairs: Sequence) -> list[np.ndarray]:
+    """O_1 = At_{1,1} and O_m = A_{m,1}: each party's factor in the terms
+    of J_N where it does not hold its third observable."""
+    return [tilde_pair(*pairs[0]).a_tilde_1] + [p[1] for p in pairs[1:]]
+
+
+def J_weight(n: int) -> float:
+    """The coefficient -2/(N(N-1)) of every term of J_N."""
+    return -2.0 / (n * (n - 1))
+
+
+def J_terms(n: int, pairs: Sequence, third: Sequence) -> ProductSum:
     """J_N with A_{i,2} = third[i] as a product-sum of N(N-1)/2 terms:
 
     -2/(N(N-1)) [ sum_{2<=j<k} At_{1,1} A_{j,2} A_{k,2}
                   + sum_{j>=2} A_{1,2} A_{j,2} ],
 
-    every other party at A_{i,1}. With `open_party` = i, only the terms
-    holding A_{i,2}, with that factor left out: J is affine in A_{i,2},
-    and these terms are its linear coefficient, which
-    `ConditionalStates.expect_open` contracts.
+    every other party at A_{i,1}: the degree-2 elementary symmetric sum
+    over parties of "third here, `J_fixed_factors` elsewhere".
     """
-    ones = {0: tilde_pair(*pairs[0]).a_tilde_1, **{i: pairs[i][1] for i in range(1, n)}}
+    ones = dict(enumerate(J_fixed_factors(pairs)))
     terms = []
     for held in [*itertools.combinations(range(1, n), 2), *((0, j) for j in range(1, n))]:
-        if open_party is None or open_party in held:
-            placed = {**ones, **{i: third[i] for i in held}}
-            placed.pop(open_party, None)
-            terms.append((-2.0 / (n * (n - 1)), placed))
+        terms.append((J_weight(n), {**ones, **{i: third[i] for i in held}}))
     return ProductSum(tuple(terms))
 
 

@@ -11,7 +11,9 @@ when an outcome has fewer of them than the party dimension, else summed
 into matrices. Mixed sources take the density-matrix kernel, one outcome
 at a time. An operator, held as a `ProductSum`, meets the states only in
 `ConditionalStates`, which contracts each term factor by factor
-(`apply_local` on vectors, `expect_local` on matrices).
+(`apply_local` on vectors, `expect_local` on matrices). The seesaw takes
+rho^0 as columns instead (`ConditionalStates.columns`) and contracts J_N
+on them itself.
 """
 
 from __future__ import annotations
@@ -341,25 +343,6 @@ class ConditionalStates:
         """Re Tr[op rho^l] for each label."""
         return self.weighted_expect(op) / self.probs
 
-    def expect_open(self, op: ProductSum, party: int) -> np.ndarray:
-        """E[l, a, a'] = Tr[op <a|rho^l|a'>], `party`'s row and column axes
-        left open (complex; matrix form only). `op` places nothing on
-        `party`; Tr[(X (x) op) rho^l] = sum_{a, a'} X[a', a] E[l, a, a']."""
-        if self.mats is None:
-            raise ValueError("expect_open needs the matrix form")
-        dims = self.party_dims
-        rest = dims[:party] + dims[party + 1 :]
-        axes = (1 + party, 1 + len(dims) + party)
-        t = np.moveaxis(self.mats.reshape((-1,) + dims + dims), axes, (0, 1))
-        t = t.reshape((dims[party],) * 2 + (-1,) + (math.prod(rest),) * 2)
-        total = 0
-        for c, placed in op.terms:
-            if party in placed:
-                raise ValueError(f"the operator places a factor on the open party {party}")
-            shifted = {i - (i > party): m for i, m in placed.items()}
-            total = total + c * linalg.expect_local(t, rest, shifted)
-        return np.moveaxis(total / self.probs, 2, 0)
-
     def fidelity(self, targets: np.ndarray) -> np.ndarray:
         """<t_l| rho^l |t_l>, one target vector per label (rows of `targets`)."""
         if self.vectors is None:
@@ -376,6 +359,18 @@ class ConditionalStates:
         else:
             raw = self.vectors[j].T @ self.vectors[j].conj()
         return raw / self.probs[j]
+
+    def columns(self, j: int) -> np.ndarray:
+        """Columns X with axes (a, c) and rho^l = X X^dag, for l = labels[j].
+
+        The vector form is transposed; the matrix form is factored by one
+        `eigh`, keeping the eigenvalues above RANK_CUTOFF of the largest.
+        """
+        if self.vectors is not None:
+            return self.vectors[j].T / math.sqrt(self.probs[j])
+        w, q = np.linalg.eigh(self.density(j))
+        keep = w > RANK_CUTOFF * w[-1]
+        return q[:, keep] * np.sqrt(w[keep])
 
 
 def _checked_label(net: StarNetwork, l: int) -> int:

@@ -19,8 +19,8 @@ import numpy as np
 from . import linalg
 from .errors import InternalConsistencyError
 from .linalg import I2, DenseOperator, X, Y, Z, kron_all, partial_trace
-from .network import StarNetwork, conditional_state, ideal_network
-from .functionals import J_terms, _single_outcome
+from .network import StarNetwork, conditional_states, ideal_network
+from .functionals import J_fixed_factors, J_weight
 
 # Single-qubit basis order for the block decomposition:
 # sigma_0 = 1, sigma_1 = Z, sigma_2 = X, sigma_3 = Y.
@@ -151,10 +151,11 @@ def t_values(net: StarNetwork) -> list[float]:
     """t_i = Tr(r_{i,2} rho_i) for each party's third observable.
 
     For qubit parties the auxiliary factor is trivial and r_{i,2} is the
-    scalar X coefficient. Larger parties are split as qubit (x) aux and the
-    junk state is the auxiliary marginal of the conditional state at l = 0.
+    scalar X coefficient, and no state is built. Larger parties are split
+    as qubit (x) aux and the junk state is the auxiliary marginal of the
+    conditional state at l = 0, traced from its columns.
     """
-    rho0 = conditional_state(net, 0)
+    x = None
     out = []
     for i in range(net.n):
         a2 = net.observables[i][2]
@@ -167,8 +168,11 @@ def t_values(net: StarNetwork) -> list[float]:
         if d % 2:
             raise ValueError("party dimension must be even for the qubit split")
         dec = pauli_block_decompose(DenseOperator(a2, (2, d // 2)))
-        reduced = partial_trace(rho0, keep=[i])
-        aux_state = partial_trace(DenseOperator(reduced.mat, (2, d // 2)), keep=[1])
+        if x is None:
+            x = conditional_states(net, [0]).columns(0)
+        # <a|rho_i|b> = <x| (|b><a| (x) 1) |x>.
+        reduced = _open_trace(x, x, _axis_shapes(net.party_dims)[i]).T
+        aux_state = partial_trace(DenseOperator(reduced, (2, d // 2)), keep=[1])
         out.append(float(np.real(np.trace(dec.r2 @ aux_state.mat))))
     return out
 
@@ -202,6 +206,78 @@ def _best_real_observable(k: np.ndarray, current: np.ndarray) -> np.ndarray:
     return a
 
 
+# J_N = w e_2, with e_2 the sum over pairs of parties of the product with
+# the third observable T_m on the pair and the fixed factor O_m elsewhere.
+# On rho^0 = X X^dag, every operator below is applied to the columns X,
+# one party's axis at a time, the column axis last.
+
+
+def _axis_shapes(dims: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(left, d, -1) for each party: its axis of a column array, isolated."""
+    return [(math.prod(dims[:i]), d, -1) for i, d in enumerate(dims)]
+
+
+def _place(blocks: list, one: np.ndarray, third: np.ndarray, shape, top: int) -> list:
+    """Blocks indexed by the count k of thirds placed, after one more party:
+    k takes `one` on blocks[k] plus `third` on blocks[k - 1], k <= top."""
+
+    def apply(m, b):
+        return (m @ b.reshape(shape)).reshape(b.shape)
+
+    out = [apply(one, blocks[0])]
+    for k in range(1, min(len(blocks), top) + 1):
+        moved = apply(third, blocks[k - 1])
+        out.append(moved if k == len(blocks) else apply(one, blocks[k]) + moved)
+    return out
+
+
+def _open_trace(bra: np.ndarray, ket: np.ndarray, shape) -> np.ndarray:
+    """M[a, b] = <bra| (|a><b| (x) 1) |ket>, the party of `shape` left open."""
+    b = bra.reshape(shape)
+    return (b.conj() @ ket.reshape(shape).swapaxes(1, 2)).sum(axis=0)
+
+
+def _suffix_blocks(x: np.ndarray, shapes, ones, third, top: int) -> list:
+    """suffix[i][k] = S_k X for k <= top, with S_k the sum over the ways to
+    place k thirds among the parties from i on, the others at their fixed
+    factor; suffix[n] = [X]."""
+    suffix = [[x]]
+    for i in reversed(range(len(shapes))):
+        suffix.append(_place(suffix[-1], ones[i], third[i], shapes[i], top))
+    return suffix[::-1]
+
+
+def _j_on_columns(x: np.ndarray, dims, ones, third) -> float:
+    """J_N on rho^0 = X X^dag: one suffix pass carrying counts up to 2."""
+    s2 = _suffix_blocks(x, _axis_shapes(dims), ones, third, 2)[0][2]
+    return J_weight(len(dims)) * float(np.vdot(x, s2).real)
+
+
+def _sweep(x: np.ndarray, dims, ones, third: list) -> float:
+    """One Gauss-Seidel pass over the parties on rho^0 = X X^dag; updates
+    `third` in place and returns J_N with the new thirds.
+
+    A backward pass stores, for each party i, the suffix blocks S_0 X and
+    S_1 X of the parties after i (old thirds). A forward pass carries the
+    bra blocks P_k^dag X, k = 0, 1, 2, of the parties before i (new
+    thirds). The linear coefficient of A_{i,2} is
+    w (<P_0^dag X| S_1 X> + <P_1^dag X| S_0 X>), party i's axis left open.
+    """
+    n = len(dims)
+    shapes = _axis_shapes(dims)
+    suffix = _suffix_blocks(x, shapes, ones, third, 1)
+    bra = [x]
+    for i in range(n):
+        ket = suffix[i + 1]
+        # The last party has no S_1 block, the first no P_1 block.
+        k = _open_trace(bra[0], ket[1], shapes[i]) if len(ket) > 1 else 0
+        if len(bra) > 1:
+            k = k + _open_trace(bra[1], ket[0], shapes[i])
+        third[i] = _best_real_observable(J_weight(n) * k.real, third[i])
+        bra = _place(bra, ones[i].conj().T, third[i].conj().T, shapes[i], 2)
+    return J_weight(n) * float(np.vdot(bra[2], x).real)
+
+
 @dataclass(frozen=True)
 class SeesawResult:
     best_J: float
@@ -222,19 +298,23 @@ def seesaw_real(
     """Alternating maximization of J_N over entrywise-real +/-1 third
     observables, states and first two observables held fixed.
 
-    J_N is affine in each party's A_{i,2}, so the per-party step takes the
-    linear coefficient matrix K from the terms of `J_terms` that hold it,
-    contracted on rho^0 with that party's axes left open
-    (`ConditionalStates.expect_open`), and solves it exactly by
-    eigendecomposition (an O diag(+/-1) O^T update with O real orthogonal).
-    Restarts are independent; ties resolve to the earliest restart.
+    J_N is affine in each party's A_{i,2}. rho^0 is read once, as columns
+    X with rho^0 = X X^dag (`ConditionalStates.columns`), and each sweep
+    (`_sweep`) takes every party's linear coefficient matrix K from prefix
+    blocks (parties before it, new thirds) and suffix blocks (parties
+    after it, old thirds), indexed by how many thirds they hold. Each
+    block step is one matmul of a d x d factor on one axis of an array the
+    size of X, so a sweep makes O(n) such calls and never forms a
+    2^n x 2^n matrix. Each K is solved exactly by eigendecomposition (an
+    O diag(+/-1) O^T update with O real orthogonal). Restarts are
+    independent; ties resolve to the earliest restart.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     n = net_base.n
     dims = net_base.party_dims
-    rho0 = _single_outcome(net_base, 0)
-    pairs = net_base.pairs
+    x = conditional_states(net_base, [0]).columns(0)
+    ones = J_fixed_factors(net_base.pairs)
     rng = np.random.default_rng(seed)
     trace_fh = open(trace_path, "w") if trace_path else None
     per_restart = []
@@ -248,13 +328,9 @@ def seesaw_real(
                 ).mat.real
                 for i in range(n)
             ]
-            current = float(rho0.expect(J_terms(n, pairs, third))[0])
+            current = _j_on_columns(x, dims, ones, third)
             for it in range(max_iter):
-                for i in range(n):
-                    # The coefficient of A[a, a'] is E[a', a].
-                    e = rho0.expect_open(J_terms(n, pairs, third, open_party=i), i)[0]
-                    third[i] = _best_real_observable(e.real.T, third[i])
-                new = float(rho0.expect(J_terms(n, pairs, third))[0])
+                new = _sweep(x, dims, ones, third)
                 if trace_fh:
                     trace_fh.write(json.dumps({"restart": r, "iter": it, "J": new}) + "\n")
                 if new - current < tol:

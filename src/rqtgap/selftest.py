@@ -131,6 +131,11 @@ def canonicalize_pair(
     )
 
 
+def _worst_label(states: ConditionalStates, dev) -> int:
+    """The outcome label with the largest deviation, the first on a tie."""
+    return states.labels[int(np.argmax(dev))]
+
+
 def verify_selftest_noiseless(
     n: int, net: StarNetwork | None = None, states: ConditionalStates | None = None
 ) -> dict:
@@ -142,7 +147,9 @@ def verify_selftest_noiseless(
     Eve's POVM elements are exactly the projectors onto them. The last
     check measures max_l ||R_l - t_l t_l^dag||_F from Eve's factors; a
     Frobenius norm is never smaller than the largest entry, so its 1e-10
-    bound is no looser than one on entries. `states`,
+    bound is no looser than one on entries. The per-outcome checks name
+    their worst outcome (`worst_l`), the pair check its worst party
+    (`worst_party`, 1-based). `states`,
     when given, must be `conditional_states(net)`; it saves computing them
     again.
     """
@@ -157,13 +164,15 @@ def verify_selftest_noiseless(
 
     beta_q = 2.0 * (n - 1)
     per_l = {l: float(v) for l, v in zip(states.labels, I_values(net, states))}
-    worst = max(abs(v - beta_q) for v in per_l.values())
+    dev = [abs(v - beta_q) for v in per_l.values()]
+    worst = max(dev)
     checks.append(
         {
             "name": "quantum_bound_attained",
             "measured": worst,
             "bound": tol,
             "passed": worst <= tol,
+            "worst_l": _worst_label(states, dev),
             "per_l": {str(l): v for l, v in per_l.items()},
         }
     )
@@ -173,27 +182,31 @@ def verify_selftest_noiseless(
         {"name": "eve_uniform", "measured": p_dev, "bound": tol, "passed": p_dev <= tol}
     )
 
-    anti_worst = 0.0
+    anti = []
     for i in range(n):
         a0, a1 = net.observables[i][0], net.observables[i][1]
-        anti_worst = max(anti_worst, float(np.linalg.norm(a0 @ a1 + a1 @ a0, 2)))
+        anti.append(float(np.linalg.norm(a0 @ a1 + a1 @ a0, 2)))
+    anti_worst = max(anti)
     checks.append(
         {
             "name": "pairs_anticommute",
             "measured": anti_worst,
             "bound": 1e-12,
             "passed": anti_worst <= 1e-12,
+            "worst_party": int(np.argmax(anti)) + 1,
         }
     )
 
     targets = ghz_basis(n)
-    fid_dev = float(np.max(np.abs(1.0 - states.fidelity(targets.T[list(states.labels)]))))
+    fid = np.abs(1.0 - states.fidelity(targets.T[list(states.labels)]))
+    fid_dev = float(np.max(fid))
     checks.append(
         {
             "name": "conditional_states_ideal",
             "measured": fid_dev,
             "bound": tol,
             "passed": fid_dev <= tol,
+            "worst_l": _worst_label(states, fid),
         }
     )
 
@@ -205,13 +218,15 @@ def verify_selftest_noiseless(
     s = np.ones(w.shape[2])
     s[-1] = -1.0
     diff = (r * s) @ np.conj(np.swapaxes(r, 1, 2))
-    povm_dev = float(np.max(np.linalg.norm(diff, axis=(1, 2))))
+    povm = np.linalg.norm(diff, axis=(1, 2))
+    povm_dev = float(np.max(povm))
     checks.append(
         {
             "name": "eve_povm_projects",
             "measured": povm_dev,
             "bound": tol,
             "passed": povm_dev <= tol,
+            "worst_l": int(np.argmax(povm)),
         }
     )
 

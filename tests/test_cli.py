@@ -75,7 +75,10 @@ def test_verify_fail_line_names_the_innermost_checks(capsys):
     assert code == 1
     assert err.count("\n") == 1
     assert err.startswith("FAIL: selftest_noiseless/quantum_bound_attained measured 2.0")
-    assert "bound 1e-10, selftest_noiseless/pairs_anticommute measured 2.0 bound 1e-12" in err
+    # Every outcome misses the bound by the same amount, so the worst is the first.
+    assert "bound 1e-10 (l 0), selftest_noiseless/pairs_anticommute measured 2.0 bound 1e-12" in err
+    # --inject-broken breaks party 2's pair.
+    assert err.endswith(" bound 1e-12 (party 2)\n")
 
 
 def test_verify_checks_survive_python_optimize(tmp_path):
@@ -94,9 +97,9 @@ def test_verify_checks_survive_python_optimize(tmp_path):
 
 
 def test_verify_rejects_large_n(capsys):
-    code, _, _ = run(capsys, "verify", "--n", "11")
+    code, _, _ = run(capsys, "verify", "--n", "12")
     assert code == 2
-    code, _, _ = run(capsys, "seesaw", "--n", "11")
+    code, _, _ = run(capsys, "seesaw", "--n", "12")
     assert code == 2
 
 
@@ -209,6 +212,7 @@ def test_unknown_subcommand_is_usage_error(capsys):
         ["seesaw", "--n", "2", "--trace", "{tmp}/no/such/dir/x.jsonl"],
         ["verify", "--n", "2", "--strategy", "{tmp}/nan_factor.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/inf_factor.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/null_setting.json"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}/", "").replace("{tmp}", "DIR"),
 )
@@ -221,6 +225,9 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
         factors[1]["re"][0] = bad
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(strategy, eve_factors=factors)))
     (tmp_path / "both_eve_keys.json").write_text(json.dumps(dict(strategy, eve_povm=[])))
+    observables = [list(t) for t in strategy["observables"]]
+    observables[0][0] = None
+    (tmp_path / "null_setting.json").write_text(json.dumps(dict(strategy, observables=observables)))
     del strategy["eve_factors"]
     (tmp_path / "no_eve_key.json").write_text(json.dumps(strategy))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -1,6 +1,6 @@
 """Differential tests of the conditional-state engine (the density-matrix
 kernel and the pure-source vector path), the product-sum evaluator
-`ConditionalStates.expect`, the seesaw's coefficient matrix, the
+`ConditionalStates.expect`, the seesaw's sweep on rho^0's columns, the
 product-sum operators and the SOS kernels built on them, and Eve's
 projector check against the dense oracle (`kron_all`, `tensor_embed`,
 `build_I_operator`), and strategy-file round trips, on random inputs."""
@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 import rqtgap.linalg
 import rqtgap.network
+import rqtgap.rqt
 from rqtgap.functionals import (
     I_values,
     I_values_from_correlators,
-    J_terms,
-    _single_outcome,
+    J_fixed_factors,
     build_I_operator,
     eval_I,
     eval_I_from_correlators,
@@ -37,6 +37,7 @@ from rqtgap.linalg import (
     kron_all,
     partial_trace,
     random_pm1_observable,
+    random_real_pm1_observable,
     tensor_embed,
 )
 from rqtgap.network import (
@@ -330,35 +331,72 @@ def test_mixed_states_in_slices_match_one_batch(monkeypatch):
     np.testing.assert_allclose(got, whole, rtol=0, atol=1e-15)
 
 
+def _finite_difference_k(net: StarNetwork, rho: np.ndarray, third, i: int) -> np.ndarray:
+    """K[a, b] = J(E_ab) - J(0), E_ab the matrix unit at party i's third."""
+    d = net.party_dims[i]
+    probe = list(third)
+    probe[i] = np.zeros((d, d))
+    j0 = _dense_j(net, rho, probe)
+    k = np.zeros((d, d))
+    for a in range(d):
+        for b in range(d):
+            probe[i] = np.zeros((d, d))
+            probe[i][a, b] = 1.0
+            k[a, b] = _dense_j(net, rho, probe) - j0
+    return k
+
+
 @settings(max_examples=15, deadline=None)
 @given(dims=_network_dims(4), seed=SEEDS, pure=st.booleans())
 def test_seesaw_coefficients_match_finite_differences(dims, seed, pure):
     party_dims = dims[0]
     net = _random_network(*dims, seed, pure=pure)
     assert (net.source_vectors is not None) == pure
-    rho0 = _single_outcome(net, 0)
-    rho = rho0.density(0)
-    pairs = [(t[0], t[1]) for t in net.observables]
-    # Non-symmetric thirds make K and K^T differ, so the test pins which is which.
+    x = conditional_states(net, [0]).columns(0)
+    rho = conditional_state(net, 0).mat
+    np.testing.assert_allclose(x @ x.conj().T, rho, rtol=0, atol=1e-13)
+    ones = J_fixed_factors(net.pairs)
+    # Non-symmetric, non-observable thirds make K and K^T differ, so the
+    # test pins which is which. Each update replaces the party's third by
+    # a fresh one, so every K must see the new thirds before its party and
+    # the old ones after it.
     rng = np.random.default_rng(seed)
     third = [rng.normal(size=(d, d)) for d in party_dims]
-    for i, d in enumerate(party_dims):
-        # The seesaw's K: E from the open-party contraction, transposed.
-        k = rho0.expect_open(J_terms(net.n, pairs, third, open_party=i), i)[0].real.T
-        probe = list(third)
-        probe[i] = np.zeros((d, d))
-        j0 = _dense_j(net, rho, probe)
-        want = np.zeros((d, d))
-        for a in range(d):
-            for b in range(d):
-                probe[i] = np.zeros((d, d))
-                probe[i][a, b] = 1.0
-                want[a, b] = _dense_j(net, rho, probe) - j0
-        np.testing.assert_allclose(k, want, rtol=0, atol=1e-12)
-    got = rho0.expect(J_terms(net.n, pairs, third))[0]
-    assert got == pytest.approx(_dense_j(net, rho, third), abs=1e-12)
+    replacements = [rng.normal(size=(d, d)) for d in party_dims]
+    seen = list(third)
+    calls = []
+
+    def record(k, current):
+        i = len(calls)
+        calls.append(i)
+        np.testing.assert_array_equal(current, seen[i])
+        np.testing.assert_allclose(k, _finite_difference_k(net, rho, seen, i), rtol=0, atol=1e-12)
+        seen[i] = replacements[i]
+        return replacements[i]
+
+    with mock.patch.object(rqtgap.rqt, "_best_real_observable", record):
+        got = rqtgap.rqt._sweep(x, party_dims, ones, third)
+    assert calls == list(range(net.n))
+    assert got == pytest.approx(_dense_j(net, rho, replacements), abs=1e-12)
+    start = rqtgap.rqt._j_on_columns(x, party_dims, ones, replacements)
+    assert start == pytest.approx(_dense_j(net, rho, replacements), abs=1e-12)
     own = [t[2] for t in net.observables]
     assert eval_J(net) == pytest.approx(_dense_j(net, rho, own), abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dims=_network_dims(4), seed=SEEDS, pure=st.booleans())
+def test_each_seesaw_sweep_returns_J_of_its_thirds(dims, seed, pure):
+    party_dims = dims[0]
+    net = _random_network(*dims, seed, pure=pure)
+    x = conditional_states(net, [0]).columns(0)
+    ones = J_fixed_factors(net.pairs)
+    third = [random_real_pm1_observable(d, seed + i).mat.real for i, d in enumerate(party_dims)]
+    got = rqtgap.rqt._j_on_columns(x, party_dims, ones, third)
+    assert got == pytest.approx(eval_J(net.with_third(third)), abs=1e-12)
+    for _ in range(3):
+        got = rqtgap.rqt._sweep(x, party_dims, ones, third)
+        assert got == pytest.approx(eval_J(net.with_third(third)), abs=1e-12)
 
 
 @settings(max_examples=15, deadline=None)

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from rqtgap.functionals import eval_J
-from rqtgap.linalg import DenseOperator, X, Y, Z, random_real_pm1_observable
-from rqtgap.network import conditional_state, ideal_network
+from rqtgap.linalg import (
+    DenseOperator,
+    X,
+    Y,
+    Z,
+    partial_trace,
+    random_pm1_observable,
+    random_real_pm1_observable,
+)
+from rqtgap.network import StarNetwork, conditional_state, ideal_network
 from rqtgap.rqt import (
     _best_real_observable,
     assert_entrywise_real,
@@ -117,6 +125,31 @@ def test_t_values_of_known_strategies():
     assert t_values(net) == pytest.approx([-1, -1, 1, 1], abs=1e-12)
     y_net = ideal_network(2).with_third([Y.copy(), Y.copy()])
     assert t_values(y_net) == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+def test_t_values_of_a_larger_party_use_its_auxiliary_marginal():
+    # Party 2 holds a 4-dimensional system: a random pure source on 4 x 2,
+    # split as qubit (x) aux for its third observable.
+    rng = np.random.default_rng(5)
+    base = ideal_network(2)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi /= np.linalg.norm(psi)
+    sources = (base.sources[0], DenseOperator(np.outer(psi, psi.conj()), (4, 2)))
+    big = [random_pm1_observable(4, s).mat for s in (1, 2)]
+    # A complex third makes Tr(r_2 aux) differ from Tr(r_2 aux^T).
+    third = [X.copy(), random_pm1_observable(4, 3).mat]
+    obs = (base.observables[0][:2] + (third[0],), (big[0], big[1], third[1]))
+    net = StarNetwork(2, sources, obs, base.eve)
+    dec = pauli_block_decompose(DenseOperator(third[1], (2, 2)))
+    marginal = partial_trace(conditional_state(net, 0), keep=[1])
+    aux = partial_trace(DenseOperator(marginal.mat, (2, 2)), keep=[1]).mat
+    want = [0.5 * np.trace(X @ third[0]).real, np.trace(dec.r2 @ aux).real]
+    assert t_values(net) == pytest.approx(want, abs=1e-12)
+
+
+def test_seesaw_reaches_optimum_at_n11():
+    res = seesaw_real(ideal_network(11), restarts=5, seed=0)
+    assert res.best_J == pytest.approx(float(max_j_over_t(11).max_value), abs=1e-6)
 
 
 def test_seesaw_reaches_optimum_and_is_sound():

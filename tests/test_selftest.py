@@ -10,7 +10,7 @@ from rqtgap.linalg import (
     Z,
     random_pm1_observable,
 )
-from rqtgap.network import StarNetwork, ideal_network
+from rqtgap.network import EveMeasurement, StarNetwork, ideal_network
 from rqtgap.selftest import canonicalize_pair, verify_selftest_noiseless
 
 SQRT2 = math.sqrt(2.0)
@@ -108,3 +108,27 @@ def test_broken_network_fails_first_check():
     by_name = {c["name"]: c for c in rep["checks"]}
     assert not by_name["quantum_bound_attained"]["passed"]
     assert "per_l" in by_name["quantum_bound_attained"]
+
+
+def test_failing_checks_name_the_worst_offender():
+    n = 3
+    net = ideal_network(n)
+    # Eve's outcomes 2 and 5 swap their projectors: those two outcomes, and
+    # no others, leave the ideal form; ties go to the first.
+    v = np.array(net.eve.factors)
+    v[:, [2, 5]] = v[:, [5, 2]]
+    rep = verify_selftest_noiseless(n, StarNetwork(n, net.sources, net.observables, EveMeasurement(v)))
+    by_name = {c["name"]: c for c in rep["checks"]}
+    for name in ("quantum_bound_attained", "conditional_states_ideal", "eve_povm_projects"):
+        assert not by_name[name]["passed"]
+        assert by_name[name]["worst_l"] == 2
+    per_l = by_name["quantum_bound_attained"]["per_l"]
+    assert [k for k in per_l if abs(per_l[k] - 2.0 * (n - 1)) > 1e-10] == ["2", "5"]
+    assert by_name["pairs_anticommute"]["passed"]
+
+    obs = list(net.observables)
+    obs[2] = (obs[2][0], Z.astype(complex), obs[2][2])
+    rep = verify_selftest_noiseless(n, StarNetwork(n, net.sources, tuple(obs), net.eve))
+    anti = {c["name"]: c for c in rep["checks"]}["pairs_anticommute"]
+    assert not anti["passed"]
+    assert anti["worst_party"] == 3
