@@ -37,11 +37,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Largest n accepted by verify and seesaw. Measured on 2 vCPUs with one BLAS
-# thread, wall time and peak RSS: at n = 11, verify 17 s and 530 MB, seesaw
-# (20 restarts) 2.3 s and 292 MB; at n = 10, verify 3.5 s and 164 MB,
-# seesaw 0.6 s and 98 MB. Verify grows about 5x per party, so it, not the
-# seesaw, holds the cap.
+# Largest n accepted by verify and seesaw. Wall time and peak RSS over three
+# runs on 2 shared vCPUs, one BLAS thread: verify --n 10 3.5-4.0 s, 164 MB;
+# verify --n 11 17-19 s, 530 MB; seesaw --n 11 (20 restarts) 2.2-3.5 s,
+# 292 MB. Load moves these about 2x (verify --n 11 has read 7.8 s). Verify
+# grows about 5x per party, so it, not the seesaw, holds the cap.
 MAX_N = 11
 
 
@@ -189,6 +189,10 @@ def cmd_verify(args) -> int:
             return _usage_error(f"cannot load strategy file {args.strategy}: {why}")
         if net.n != args.n:
             return _usage_error("strategy file is for a different n")
+        # The battery compares with qubit GHZ targets.
+        if set(net.party_dims + net.eve_dims) != {2}:
+            why = f"party dims {net.party_dims}, Eve dims {net.eve_dims}"
+            return _usage_error(f"strategy file is not all qubits: {why}")
     ideal = ideal_network(args.n)
     if not args.strategy:
         net = ideal

@@ -24,24 +24,11 @@ from .network import (
     conditional_state,
     conditional_states,
     settings_operator,
+    tilde_pair,
 )
 from .pauli import OutcomeLabel, PauliWord, ghz_expectation
 
 SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class TildePair:
-    """The rotated party-1 pair (A_{1,0} - A_{1,1})/sqrt2, (A_{1,0} + A_{1,1})/sqrt2."""
-
-    a_tilde_0: np.ndarray
-    a_tilde_1: np.ndarray
-
-
-def tilde_pair(a0: np.ndarray, a1: np.ndarray) -> TildePair:
-    a0 = np.asarray(a0, dtype=complex)
-    a1 = np.asarray(a1, dtype=complex)
-    return TildePair((a0 - a1) / SQRT2, (a0 + a1) / SQRT2)
 
 
 def validated_pairs(
@@ -81,12 +68,12 @@ def I_terms(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> P
     over the labels). `pairs` as returned by `validated_pairs`.
     """
     sign = _label_signs(n, labels)
-    tp = tilde_pair(*pairs[0])
-    placed = {0: tp.a_tilde_1}
+    at0, at1 = tilde_pair(*pairs[0])
+    placed = {0: at1}
     placed.update({i: pairs[i][1] for i in range(1, n)})
     terms = [((n - 1) * sign[..., 0], placed)]
     for i in range(1, n):
-        terms.append((sign[..., 0] * sign[..., i], {0: tp.a_tilde_0, i: pairs[i][0]}))
+        terms.append((sign[..., 0] * sign[..., i], {0: at0, i: pairs[i][0]}))
     return ProductSum(tuple(terms))
 
 
@@ -109,11 +96,11 @@ def I_values_from_correlators(net: StarNetwork, states: ConditionalStates) -> np
     (cross-check path)."""
     n = net.n
     sign = _label_signs(n, states.labels)
-    value = (n - 1) * _correlator(net, states, [TILDE_1] + [1] * (n - 1))
+    value = (n - 1) * states.expect(settings_operator(net, [TILDE_1] + [1] * (n - 1)))
     for i in range(2, n + 1):
         settings: list = [TILDE_0] + [None] * (n - 1)
         settings[i - 1] = 0
-        value = value + sign[:, i - 1] * _correlator(net, states, settings)
+        value = value + sign[:, i - 1] * states.expect(settings_operator(net, settings))
     return sign[:, 0] * value
 
 
@@ -131,11 +118,6 @@ def eval_I(net: StarNetwork, l: int) -> float:
 def eval_I_from_correlators(net: StarNetwork, l: int) -> float:
     """`I_values_from_correlators` for the single outcome l."""
     return float(I_values_from_correlators(net, _single_outcome(net, l))[0])
-
-
-def _correlator(net: StarNetwork, states: ConditionalStates, settings: Sequence) -> np.ndarray:
-    """The correlator of the party settings on each conditional state."""
-    return states.expect(settings_operator(net, settings))
 
 
 def ideal_I_value(n: int, l: int) -> float:
@@ -181,7 +163,7 @@ def classical_bound_closed_form(n: int) -> float:
 def J_fixed_factors(pairs: Sequence) -> list[np.ndarray]:
     """O_1 = At_{1,1} and O_m = A_{m,1}: each party's factor in the terms
     of J_N where it does not hold its third observable."""
-    return [tilde_pair(*pairs[0]).a_tilde_1] + [p[1] for p in pairs[1:]]
+    return [tilde_pair(*pairs[0])[1]] + [p[1] for p in pairs[1:]]
 
 
 def J_weight(n: int) -> float:

@@ -14,14 +14,15 @@ of `network.ConditionalStates`, where every product-sum meets a state.
 
 `kron_all`, `tensor_embed` and `ProductSum.dense` build the full
 operators. They are the ground-truth oracle the tests check the
-structured paths against.
+structured paths against. `require_pm1` is the one check that a matrix
+is a +/-1 observable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -312,42 +313,18 @@ class ProductSum:
         return float(np.linalg.norm((sides[0].T * coeffs) @ sides[1]))
 
 
-class Norms(NamedTuple):
-    trace_norm: float
-    operator_norm: float
-    frobenius_norm: float
-
-
-def norms(m: DenseOperator) -> Norms:
-    """Trace, operator and Frobenius norms via eigenvalues of M^dag M."""
-    gram = m.mat.conj().T @ m.mat
-    ev = np.linalg.eigvalsh(gram)
-    sv = np.sqrt(np.clip(ev, 0.0, None))
-    return Norms(float(np.sum(sv)), float(np.max(sv, initial=0.0)), float(np.linalg.norm(m.mat)))
-
-
-class Checks(NamedTuple):
-    is_hermitian: bool
-    is_unitary: bool
-    is_entrywise_real: bool
-    is_pm1_observable: bool
-
-
-def checks(m: DenseOperator, tol: float = 1e-10) -> Checks:
-    a = m.mat
-    eye = np.eye(a.shape[0])
-    herm = bool(np.max(np.abs(a - a.conj().T)) <= tol)
-    unit = bool(np.max(np.abs(a.conj().T @ a - eye)) <= tol)
-    real = bool(np.max(np.abs(a.imag)) <= tol)
-    pm1 = herm and bool(np.max(np.abs(a @ a - eye)) <= tol)
-    return Checks(herm, unit, real, pm1)
-
-
 def require_pm1(m: np.ndarray, who: str) -> np.ndarray:
     """`m` as a complex matrix; ValidationError naming `who` unless it is a
-    +/-1 observable (Hermitian with square 1)."""
+    +/-1 observable: Hermitian with square 1, both to 1e-10 in every entry.
+    A NaN or inf entry fails; a non-square `m` raises ValueError. This is
+    the package's only +/-1 check."""
     m = np.asarray(m, dtype=complex)
-    if not checks(DenseOperator(m, (m.shape[0],))).is_pm1_observable:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{who} must be a square matrix, got shape {m.shape}")
+    with np.errstate(all="ignore"):  # a NaN deviation fails the test below
+        herm = np.max(np.abs(m - m.conj().T))
+        square = np.max(np.abs(m @ m - np.eye(m.shape[0])))
+    if not (herm <= 1e-10 and square <= 1e-10):
         raise ValidationError(f"{who} is not a +/-1 observable")
     return m
 
@@ -383,13 +360,6 @@ def random_pm1_observable(dim: int, seed: int) -> DenseOperator:
 def random_real_pm1_observable(dim: int, seed: int) -> DenseOperator:
     """Entrywise-real variant of random_pm1_observable."""
     return _random_observable(dim, seed, real=True)
-
-
-def fidelity_with_pure(rho: DenseOperator, psi) -> float:
-    if isinstance(psi, StateVector):
-        psi = psi.vec
-    psi = np.asarray(psi, dtype=complex)
-    return float(np.real(psi.conj() @ rho.mat @ psi))
 
 
 # --- JSON interchange -----------------------------------------------------

@@ -2,9 +2,10 @@
 
 Global state order is A_1 E_1 A_2 E_2 ... ; Eve's POVM acts on the joined
 E factors in the order E_1 ... E_N. Eve's measurement is held as factors
-R_l = V_l V_l^dag (`EveMeasurement`): the ideal network's, like any rank-1
-projective measurement, is one 2^n x 2^n unitary, and a dense element is
-factored once at construction. Conditional states never materialize the
+R_l = V_l V_l^dag (`EveMeasurement`, the only form `StarNetwork` takes):
+the ideal network's, like any rank-1 projective measurement, is one
+2^n x 2^n unitary, and dense elements are factored once, by
+`EveMeasurement.from_elements`. Conditional states never materialize the
 joint density matrix. When every source is pure, V's columns are pushed
 through one source at a time, all outcomes at once, and kept as vectors
 when an outcome has fewer of them than the party dimension, else summed
@@ -45,9 +46,14 @@ RANK_CUTOFF = 1e-14
 MIXED_BATCH_ENTRIES = 2**20
 
 # Party-1 settings: 0, 1, 2 select A_{1,x}; the tilde settings select the
-# rotated pair (A_{1,0} -+ A_{1,1})/sqrt(2). None means identity.
+# rotated pair `tilde_pair`. None means identity.
 TILDE_0 = "~0"
 TILDE_1 = "~1"
+
+
+def tilde_pair(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Party 1's rotated pair (A_{1,0} - A_{1,1})/sqrt2, (A_{1,0} + A_{1,1})/sqrt2."""
+    return (a0 - a1) / math.sqrt(2.0), (a0 + a1) / math.sqrt(2.0)
 
 
 def ghz_state(n: int, l: int) -> StateVector:
@@ -140,10 +146,10 @@ class StarNetwork:
     """N sources, per-party observable triples, Eve's 2^n-outcome POVM.
 
     observables[i] is (A_{i,0}, A_{i,1}, A_{i,2}); the third entry may be
-    None until a caller completes the strategy. `eve` takes an
-    `EveMeasurement` or a sequence of dense POVM elements, which are
-    factored. `source_vectors` holds each source as a d_A x d_E matrix S_i
-    with rho_i = |S_i>><<S_i| when every source is pure, else None.
+    None until a caller completes the strategy. Dense POVM elements enter
+    through `EveMeasurement.from_elements`. `source_vectors` holds each
+    source as a d_A x d_E matrix S_i with rho_i = |S_i>><<S_i| when every
+    source is pure, else None.
     """
 
     n: int
@@ -157,6 +163,8 @@ class StarNetwork:
             raise ValueError("need at least 2 external parties")
         if len(self.sources) != self.n or len(self.observables) != self.n:
             raise ValueError("need one source and one observable triple per party")
+        if not isinstance(self.eve, EveMeasurement):
+            raise TypeError("eve must be an EveMeasurement")
         if len(self.eve) != 1 << self.n:
             raise ValueError("Eve's POVM must have 2^n elements")
         obs = []
@@ -184,12 +192,8 @@ class StarNetwork:
                 vectors.append((q[:, -1] * np.sqrt(w[-1])).reshape(rho.local_dims))
         pure = len(vectors) == self.n
         object.__setattr__(self, "source_vectors", tuple(vectors) if pure else None)
-        eve = self.eve
-        if not isinstance(eve, EveMeasurement):
-            eve = EveMeasurement.from_elements(eve)
-        if eve.dim != self.eve_dim:
+        if self.eve.dim != self.eve_dim:
             raise ValidationError("Eve's POVM does not act on the joined E factors")
-        object.__setattr__(self, "eve", eve)
 
     @property
     def party_dims(self) -> tuple[int, ...]:
@@ -202,12 +206,6 @@ class StarNetwork:
     @property
     def eve_dim(self) -> int:
         return math.prod(self.eve_dims)
-
-    @property
-    def eve_povm(self) -> tuple[np.ndarray, ...]:
-        """Eve's POVM elements as dense matrices, rebuilt from the factors on
-        every access: 2^n matrices of 4^n entries, the oracle for tests."""
-        return tuple(self.eve.element(l) for l in range(len(self.eve)))
 
     @property
     def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -223,11 +221,9 @@ class StarNetwork:
         if setting in (TILDE_0, TILDE_1):
             if party != 1:
                 raise ConfigurationError("tilde settings exist only for party 1")
-            a0, a1 = triple[0], triple[1]
-            if a0 is None or a1 is None:
+            if triple[0] is None or triple[1] is None:
                 raise ConfigurationError("party 1 settings 0 and 1 are required")
-            sign = -1.0 if setting == TILDE_0 else 1.0
-            return (a0 + sign * a1) / np.sqrt(2.0)
+            return tilde_pair(triple[0], triple[1])[setting == TILDE_1]
         m = triple[int(setting)]
         if m is None:
             raise ConfigurationError(f"party {party} setting {setting} is unset")
@@ -530,7 +526,9 @@ def network_from_json(d: dict) -> StarNetwork:
     if "eve_factors" in d:
         eve = EveMeasurement.from_factors([linalg.matrix_from_json(f) for f in d["eve_factors"]])
     else:
-        eve = tuple(linalg.operator_from_json(r).mat for r in d["eve_povm"])
+        eve = EveMeasurement.from_elements(
+            [linalg.operator_from_json(r).mat for r in d["eve_povm"]]
+        )
     return StarNetwork(int(d["n"]), sources, obs, eve)
 
 

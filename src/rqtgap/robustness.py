@@ -16,9 +16,9 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalConsistencyError
-from .functionals import I_terms, I_values, pair_dims, tilde_pair, validated_pairs
+from .functionals import I_terms, I_values, pair_dims, validated_pairs
 from .linalg import DenseOperator, ProductSum
-from .network import EveMeasurement, StarNetwork, conditional_states, ideal_network
+from .network import EveMeasurement, StarNetwork, conditional_states, ideal_network, tilde_pair
 from .pauli import OutcomeLabel
 from .rqt import SeesawResult, seesaw_real
 
@@ -48,7 +48,7 @@ def sos_terms_B(n: int, l: int, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) 
     I_l). `pairs` as returned by `validated_pairs`.
     """
     lab = OutcomeLabel(n, l)
-    tp = tilde_pair(*pairs[0])
+    at0, at1 = tilde_pair(*pairs[0])
     i_op = I_terms(n, l, pairs)
     beta_q = 2.0 * (n - 1)
     terms = {"J_l": beta_q * ProductSum.product({}) - i_op}
@@ -56,10 +56,10 @@ def sos_terms_B(n: int, l: int, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) 
     for (i, p), (j, q) in itertools.combinations(enumerate(parts, start=2), 2):
         terms[f"Q_{i},{j}"] = (-1) ** lab.bit(1) * (p - q)
     for j in range(2, n + 1):
-        placed = {0: tp.a_tilde_1, j - 1: pairs[j - 1][0]}
+        placed = {0: at1, j - 1: pairs[j - 1][0]}
         placed.update({i - 1: pairs[i - 1][1] for i in range(2, n + 1) if i != j})
         terms[f"T_{j}"] = ProductSum.product(placed) + ProductSum.product(
-            {0: tp.a_tilde_0, j - 1: pairs[j - 1][1]}, (-1) ** lab.bit(j)
+            {0: at0, j - 1: pairs[j - 1][1]}, (-1) ** lab.bit(j)
         )
     return terms
 

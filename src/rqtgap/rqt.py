@@ -1,9 +1,9 @@
 """The real-quantum-theory side of the gap.
 
-Reality checks, the Pauli-block decomposition of third observables, the
-reduction of J_N to a vector t of real expectation values, its exact
-optimum over the cube, an explicit optimal real strategy, and a seesaw
-optimizer used as an independent numerical confirmation.
+The Pauli-block decomposition of third observables, the reduction of J_N
+to a vector t of real expectation values, its exact optimum over the
+cube, an explicit optimal real strategy, and a seesaw optimizer used as
+an independent numerical confirmation.
 """
 
 from __future__ import annotations
@@ -25,36 +25,6 @@ from .functionals import J_fixed_factors, J_weight
 # Single-qubit basis order for the block decomposition:
 # sigma_0 = 1, sigma_1 = Z, sigma_2 = X, sigma_3 = Y.
 _SIGMA = (I2, Z, X, Y)
-
-
-def assert_entrywise_real(net: StarNetwork, tol: float = 1e-12) -> dict:
-    """Per-object reality report for the whole strategy.
-
-    Failures list the worst offending entry so broken strategies are easy
-    to localize.
-    """
-
-    def entry(m: np.ndarray) -> dict:
-        m = np.asarray(m)
-        worst = float(np.max(np.abs(m.imag))) if m.size else 0.0
-        rec = {"real": worst <= tol, "max_imag": worst}
-        if not rec["real"]:
-            idx = np.unravel_index(np.argmax(np.abs(m.imag)), m.shape)
-            rec["offending_entry"] = [int(i) for i in idx]
-        return rec
-
-    report = {
-        "sources": [entry(s.mat) for s in net.sources],
-        "observables": [
-            [None if m is None else entry(m) for m in triple]
-            for triple in net.observables
-        ],
-        "eve_povm": [entry(net.eve.element(l)) for l in range(len(net.eve))],
-    }
-    flat = report["sources"] + report["eve_povm"]
-    flat += [e for triple in report["observables"] for e in triple if e is not None]
-    report["all_real"] = all(e["real"] for e in flat)
-    return report
 
 
 @dataclass(frozen=True)
@@ -83,28 +53,6 @@ def pauli_block_decompose(a: DenseOperator) -> PauliBlockDecomp:
         r = partial_trace(DenseOperator(m, (2, aux)), keep=[1]).mat / 2.0
         blocks.append(r)
     return PauliBlockDecomp(*blocks)
-
-
-def reality_constraints_check(
-    d: PauliBlockDecomp, rho: Optional[np.ndarray] = None, tol: float = 1e-12
-) -> dict:
-    """r_0..r_2 must be entrywise real and r_3 entrywise imaginary for a real
-    observable; for any real state rho, Tr(r_3 rho) must vanish."""
-    rec = {
-        "r0_real": float(np.max(np.abs(d.r0.imag))),
-        "r1_real": float(np.max(np.abs(d.r1.imag))),
-        "r2_real": float(np.max(np.abs(d.r2.imag))),
-        "r3_imaginary": float(np.max(np.abs(d.r3 + d.r3.conj()))),
-    }
-    rec["passed"] = all(v <= tol for v in rec.values())
-    if rho is not None:
-        rho = np.asarray(rho, dtype=complex)
-        if np.max(np.abs(rho.imag)) > tol:
-            raise ValueError("supplied state is not real")
-        tr = complex(np.trace(d.r3 @ rho))
-        rec["trace_r3_rho"] = abs(tr)
-        rec["passed"] = rec["passed"] and abs(tr) <= tol
-    return rec
 
 
 def j_from_t(t: Sequence[float]) -> float:
@@ -280,6 +228,10 @@ def _sweep(x: np.ndarray, dims, ones, third: list) -> float:
 
 @dataclass(frozen=True)
 class SeesawResult:
+    """`best_J` is max(per_restart). `best_third` holds the thirds of the
+    first restart within the seesaw's `tol` of it, so restarts that tie
+    up to rounding do not change which one is returned."""
+
     best_J: float
     best_third: tuple[np.ndarray, ...]
     per_restart: tuple[float, ...]
@@ -307,7 +259,7 @@ def seesaw_real(
     size of X, so a sweep makes O(n) such calls and never forms a
     2^n x 2^n matrix. Each K is solved exactly by eigendecomposition (an
     O diag(+/-1) O^T update with O real orthogonal). Restarts are
-    independent; ties resolve to the earliest restart.
+    independent; see `SeesawResult` for which one's thirds are returned.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -318,8 +270,7 @@ def seesaw_real(
     rng = np.random.default_rng(seed)
     trace_fh = open(trace_path, "w") if trace_path else None
     per_restart = []
-    best = -np.inf
-    best_third: Optional[list[np.ndarray]] = None
+    thirds = []
     try:
         for r in range(restarts):
             third = [
@@ -338,17 +289,17 @@ def seesaw_real(
                     break
                 current = new
             per_restart.append(current)
-            if current > best:
-                best = current
-                best_third = [m.copy() for m in third]
+            thirds.append(third)
     finally:
         if trace_fh:
             trace_fh.close()
-    if best_third is None:
+    best = max((v for v in per_restart if v > -np.inf), default=None)
+    if best is None:
         raise InternalConsistencyError("no restart produced a finite J")
+    first = next(r for r, v in enumerate(per_restart) if v >= best - tol)
     return SeesawResult(
         best_J=float(best),
-        best_third=tuple(best_third),
+        best_third=tuple(thirds[first]),
         per_restart=tuple(per_restart),
         seed=seed,
     )

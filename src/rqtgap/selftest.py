@@ -141,7 +141,7 @@ def verify_selftest_noiseless(
 ) -> dict:
     """Exactness battery on the ideal network (or a supplied candidate).
 
-    Checks: every <I_l> sits at the quantum bound, Eve's outcomes are
+    It checks that every <I_l> sits at the quantum bound, Eve's outcomes are
     uniform, each party's pair anticommutes as operators, the conditional
     states match the target entangled vectors with unit fidelity, and
     Eve's POVM elements are exactly the projectors onto them. The last

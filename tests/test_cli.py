@@ -7,12 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rqtgap
 from rqtgap.cli import main
-from rqtgap.linalg import Y
-from rqtgap.network import StarNetwork, ideal_network, network_to_json, save_strategy
+from rqtgap.linalg import DenseOperator, Y
+from rqtgap.network import (
+    EveMeasurement,
+    StarNetwork,
+    ideal_network,
+    network_to_json,
+    save_strategy,
+)
 
 
 def run(capsys, *argv):
@@ -125,9 +132,11 @@ def test_verify_strategy_file(tmp_path, capsys):
 
 def test_verify_strategy_with_impossible_outcome_fails(tmp_path, capsys):
     net = ideal_network(2)
-    povm = (0 * net.eve_povm[0], net.eve_povm[0] + net.eve_povm[1]) + net.eve_povm[2:]
+    povm = [net.eve.element(l) for l in range(4)]
+    povm[:2] = 0 * povm[0], povm[0] + povm[1]
     path = tmp_path / "strategy.json"
-    save_strategy(StarNetwork(2, net.sources, net.observables, povm), path)
+    eve = EveMeasurement.from_elements(povm)
+    save_strategy(StarNetwork(2, net.sources, net.observables, eve), path)
     code, out, err = run(capsys, "verify", "--n", "2", "--strategy", str(path))
     assert code == 1
     assert "outcome 0 has probability" in json.loads(out)["error"]
@@ -213,6 +222,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
         ["verify", "--n", "2", "--strategy", "{tmp}/nan_factor.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/inf_factor.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/null_setting.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/four_dim_party.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/qutrit_eve.json"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}/", "").replace("{tmp}", "DIR"),
 )
@@ -228,6 +239,18 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
     observables = [list(t) for t in strategy["observables"]]
     observables[0][0] = None
     (tmp_path / "null_setting.json").write_text(json.dumps(dict(strategy, observables=observables)))
+    # Strategies that are not all qubits: A_1 as phi+ (x) |0><0| with
+    # observables A (x) 1, and qutrit E factors.
+    net = ideal_network(2)
+    phi0 = np.kron(net.sources[0].mat, np.diag([1.0, 0.0])).reshape([2, 2, 2] * 2)
+    source = DenseOperator(phi0.transpose(0, 2, 1, 3, 5, 4).reshape(8, 8), (4, 2))
+    obs = [tuple(None if m is None else np.kron(m, np.eye(2)) for m in net.observables[0])]
+    big = StarNetwork(2, (source, net.sources[1]), (obs[0], net.observables[1]), net.eve)
+    save_strategy(big, tmp_path / "four_dim_party.json")
+    mixed = DenseOperator(np.eye(6) / 6, (2, 3))
+    eve = EveMeasurement.from_factors([np.eye(9)] + [np.zeros((9, 0))] * 3)
+    qutrit = StarNetwork(2, (mixed, mixed), net.observables, eve)
+    save_strategy(qutrit, tmp_path / "qutrit_eve.json")
     del strategy["eve_factors"]
     (tmp_path / "no_eve_key.json").write_text(json.dumps(strategy))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -109,7 +109,7 @@ def _random_network(party_dims, eve_dims, seed: int, pure: bool = False, eve=Non
         for da in party_dims
     )
     if eve is None:
-        eve = tuple(_random_povm(math.prod(eve_dims), 1 << n, rng))
+        eve = EveMeasurement.from_elements(_random_povm(math.prod(eve_dims), 1 << n, rng))
     return StarNetwork(n, tuple(sources), obs, eve)
 
 
@@ -123,7 +123,7 @@ def _dense_conditional(net: StarNetwork, l: int) -> np.ndarray:
     t = joint.reshape(local + local).transpose(order + [2 * n + k for k in order])
     dims = tuple(local[k] for k in order)
     joint = t.reshape(joint.shape)
-    lifted = kron_all([np.eye(math.prod(net.party_dims)), net.eve_povm[l]]) @ joint
+    lifted = kron_all([np.eye(math.prod(net.party_dims)), net.eve.element(l)]) @ joint
     return partial_trace(DenseOperator(lifted, dims), keep=range(n)).mat
 
 
@@ -421,8 +421,6 @@ def test_strategy_file_round_trip_is_bit_exact(dims, seed, with_third, pure):
             if ma is not None:
                 np.testing.assert_array_equal(ma, mb)
     np.testing.assert_array_equal(back.eve.factors, net.eve.factors)
-    for ra, rb in zip(back.eve_povm, net.eve_povm):
-        np.testing.assert_array_equal(ra, rb)
     assert (back.source_vectors is None) == (net.source_vectors is None) == (not pure)
 
 
@@ -564,8 +562,8 @@ def test_eve_projector_check_matches_dense_elements(model, n):
     got = next(c for c in battery["checks"] if c["name"] == "eve_povm_projects")["measured"]
     targets = ghz_basis(n)
     want = max(
-        np.linalg.norm(r - np.outer(targets[:, l], targets[:, l].conj()))
-        for l, r in enumerate(net.eve_povm)
+        np.linalg.norm(net.eve.element(l) - np.outer(targets[:, l], targets[:, l].conj()))
+        for l in range(1 << n)
     )
     assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
     assert (got <= 1e-10) == (model is None)

@@ -18,10 +18,9 @@ from rqtgap.functionals import (
     eval_J,
     ideal_I_value,
     report,
-    tilde_pair,
 )
 from rqtgap.linalg import X, Y, Z
-from rqtgap.network import ideal_network
+from rqtgap.network import ideal_network, tilde_pair
 from rqtgap.pauli import OutcomeLabel
 
 SQRT2 = math.sqrt(2.0)
@@ -46,9 +45,9 @@ def brute_force_classical_bound(n: int, l: int) -> float:
 
 
 def test_tilde_pair_of_ideal_strategy_is_z_x():
-    tp = tilde_pair((X + Z) / SQRT2, (X - Z) / SQRT2)
-    np.testing.assert_allclose(tp.a_tilde_0, Z, atol=1e-12)
-    np.testing.assert_allclose(tp.a_tilde_1, X, atol=1e-12)
+    at0, at1 = tilde_pair((X + Z) / SQRT2, (X - Z) / SQRT2)
+    np.testing.assert_allclose(at0, Z, atol=1e-12)
+    np.testing.assert_allclose(at1, X, atol=1e-12)
 
 
 def test_bell_operator_spectrum_matches_closed_form():

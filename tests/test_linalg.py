@@ -2,25 +2,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqtgap import linalg
-from rqtgap.errors import CapacityError
+from rqtgap.errors import CapacityError, ValidationError
 from rqtgap.linalg import (
     DenseOperator,
     StateVector,
     X,
-    Y,
     Z,
-    checks,
-    fidelity_with_pure,
     kron,
     kron_all,
-    norms,
     operator_from_json,
     operator_to_json,
     partial_trace,
     random_pm1_observable,
     random_real_pm1_observable,
+    require_pm1,
     tensor_embed,
 )
 
@@ -73,43 +72,47 @@ def test_partial_trace_bell_marginal_is_mixed():
     np.testing.assert_allclose(red.mat, np.eye(2) / 2, atol=1e-12)
 
 
-def test_norms_of_pauli():
-    n = norms(DenseOperator(X.astype(complex), (2,)))
-    assert n.trace_norm == pytest.approx(2.0)
-    assert n.operator_norm == pytest.approx(1.0)
-    assert n.frobenius_norm == pytest.approx(np.sqrt(2.0))
-
-
-def test_checks_classify_paulis():
-    for p in (X, Z):
-        c = checks(DenseOperator(p.astype(complex), (2,)))
-        assert c.is_hermitian and c.is_unitary and c.is_pm1_observable
-        assert c.is_entrywise_real
-    cy = checks(DenseOperator(Y, (2,)))
-    assert cy.is_pm1_observable and not cy.is_entrywise_real
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+    # |delta| = 2 would map the 1 x 1 observable -1 to the observable 1.
+    delta=st.floats(1e-8, 1.0).flatmap(lambda x: st.sampled_from((x, -x))),
+    bad=st.sampled_from((np.nan, np.inf, -np.inf)),
+    data=st.data(),
+)
+def test_require_pm1_accepts_observables_and_rejects_the_rest(dim, seed, real, delta, bad, data):
+    make = random_real_pm1_observable if real else random_pm1_observable
+    a = make(dim, seed).mat
+    got = require_pm1(a, "A")
+    assert got.dtype == complex
+    np.testing.assert_array_equal(got, a)
+    # A shift by a multiple of the identity moves A^2 by 2 delta A + delta^2:
+    # at least |delta| in some entry for a +/-1 observable.
+    with pytest.raises(ValidationError, match="A is not a"):
+        require_pm1(a + delta * np.eye(dim), "A")
+    broken = np.array(a)
+    broken[data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))] = bad
+    with pytest.raises(ValidationError):
+        require_pm1(broken, "A")
+    with pytest.raises(ValueError, match="square"):
+        require_pm1(a[:, :-1] if dim > 1 else np.ones((1, 2)), "A")
 
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_random_observables_are_pm1(dim):
     for seed in range(5):
-        m = random_pm1_observable(dim, seed)
-        assert checks(m).is_pm1_observable
-        r = random_real_pm1_observable(dim, seed)
-        c = checks(r)
-        assert c.is_pm1_observable and c.is_entrywise_real
+        require_pm1(random_pm1_observable(dim, seed).mat, "complex")
+        r = random_real_pm1_observable(dim, seed).mat
+        require_pm1(r, "real")
+        assert not r.imag.any()
 
 
 def test_random_observable_deterministic():
     a = random_pm1_observable(4, 123).mat
     b = random_pm1_observable(4, 123).mat
     np.testing.assert_array_equal(a, b)
-
-
-def test_fidelity_with_pure():
-    psi = StateVector.normalized(np.array([1, 0, 0, 1.0]), (2, 2))
-    assert fidelity_with_pure(psi.projector(),psi) == pytest.approx(1.0)
-    orth = StateVector.normalized(np.array([1, 0, 0, -1.0]), (2, 2))
-    assert fidelity_with_pure(psi.projector(),orth) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_operator_json_roundtrip_is_exact():

@@ -5,16 +5,7 @@ import numpy as np
 import pytest
 
 from rqtgap.errors import ValidationError
-from rqtgap.functionals import _correlator
-from rqtgap.linalg import (
-    DenseOperator,
-    X,
-    Y,
-    Z,
-    _haar_unitary,
-    fidelity_with_pure,
-    operator_to_json,
-)
+from rqtgap.linalg import DenseOperator, X, Y, Z, _haar_unitary, operator_to_json
 from rqtgap.network import (
     TILDE_0,
     TILDE_1,
@@ -31,6 +22,7 @@ from rqtgap.network import (
     network_from_json,
     network_to_json,
     save_strategy,
+    settings_operator,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -66,19 +58,28 @@ def test_tilde_observables_of_party_one():
         net.observable(2, TILDE_0)
 
 
+def _dense_povm(net: StarNetwork) -> list[np.ndarray]:
+    return [net.eve.element(l) for l in range(len(net.eve))]
+
+
 def test_povm_completeness_enforced():
-    net = ideal_network(2)
-    bad_povm = tuple(0.5 * r for r in net.eve_povm)
+    bad_povm = [0.5 * r for r in _dense_povm(ideal_network(2))]
     with pytest.raises(ValidationError):
-        StarNetwork(net.n, net.sources, net.observables, bad_povm)
+        EveMeasurement.from_elements(bad_povm)
 
 
 def test_non_positive_povm_element_rejected():
-    net = ideal_network(2)
+    povm = _dense_povm(ideal_network(2))
     shift = 0.1 * ghz_state(2, 3).projector().mat
-    povm = (net.eve_povm[0] + shift, net.eve_povm[1] - shift) + net.eve_povm[2:]
+    povm[:2] = povm[0] + shift, povm[1] - shift
     with pytest.raises(ValidationError, match="element 1 is not positive"):
-        StarNetwork(net.n, net.sources, net.observables, povm)
+        EveMeasurement.from_elements(povm)
+
+
+def test_eve_must_be_an_eve_measurement():
+    net = ideal_network(2)
+    with pytest.raises(TypeError, match="EveMeasurement"):
+        StarNetwork(net.n, net.sources, net.observables, tuple(_dense_povm(net)))
 
 
 def test_dense_projectors_factor_to_rank_one():
@@ -97,7 +98,7 @@ def test_non_pm1_observable_rejected():
     obs = list(net.observables)
     obs[1] = (2.0 * Z, obs[1][1], obs[1][2])
     with pytest.raises(ValidationError):
-        StarNetwork(net.n, net.sources, tuple(obs), net.eve_povm)
+        StarNetwork(net.n, net.sources, tuple(obs), net.eve)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -111,8 +112,9 @@ def test_eve_outcomes_uniform(n):
 def test_conditional_states_are_ghz(n):
     net = ideal_network(n)
     for l in range(1 << n):
-        rho = conditional_state(net, l)
-        assert fidelity_with_pure(rho, ghz_state(n, l)) == pytest.approx(1.0, abs=1e-10)
+        psi = ghz_state(n, l).vec
+        fidelity = np.vdot(psi, conditional_state(net, l).mat @ psi).real
+        assert fidelity == pytest.approx(1.0, abs=1e-10)
 
 
 def test_conditional_expectation_stabilizers():
@@ -126,7 +128,7 @@ def test_conditional_expectation_stabilizers():
         # Y Y on parties 2,3 with X~ on party 1: -X Y Y stabilizes, so value -1.
         ([TILDE_1, 2, 2], -1.0),
     ]:
-        assert _correlator(net, states, settings)[0] == pytest.approx(want)
+        assert states.expect(settings_operator(net, settings))[0] == pytest.approx(want)
         assert conditional_expectation(net, settings, 0) == pytest.approx(want)
 
 
@@ -149,7 +151,7 @@ def test_correlation_table_valid_and_consistent():
     val = 0.0
     for a1, a2 in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         val += (-1) ** (a1 + a2) * table.p([1, 1], [a1, a2], 0)
-    correlator = _correlator(net, conditional_states(net, [0]), [1, 1])[0]
+    correlator = conditional_states(net, [0]).expect(settings_operator(net, [1, 1]))[0]
     direct = eve_outcome_probability(net, 0) * correlator
     assert val == pytest.approx(direct, abs=1e-10)
 
@@ -178,12 +180,12 @@ def test_dense_strategy_file_still_loads(tmp_path):
     net = ideal_network(2).with_third([Y.copy(), Y.copy()])
     d = network_to_json(net)
     del d["eve_factors"]
-    d["eve_povm"] = [operator_to_json(DenseOperator(r, net.eve_dims)) for r in net.eve_povm]
+    d["eve_povm"] = [operator_to_json(DenseOperator(r, net.eve_dims)) for r in _dense_povm(net)]
     path = tmp_path / "dense.json"
     path.write_text(json.dumps(d))
     loaded = load_strategy(path)
     assert loaded.eve.factors.shape == (4, 4, 1)
-    for ra, rb in zip(loaded.eve_povm, net.eve_povm):
+    for ra, rb in zip(_dense_povm(loaded), _dense_povm(net)):
         np.testing.assert_allclose(ra, rb, atol=1e-15)
     d["eve_factors"] = network_to_json(net)["eve_factors"]
     with pytest.raises(ValueError, match="exactly one of"):

@@ -144,7 +144,7 @@ def test_rotate_observables_on_a_qutrit_party():
         2,
         (ideal.sources[0], DenseOperator(np.eye(6) / 6, (3, 2))),
         (ideal.observables[0], (np.diag([1.0, -1.0, 1.0]), flip, None)),
-        ideal.eve_povm,
+        ideal.eve,
     )
     a1 = apply_noise(net, "rotate_observables", th).observables[1][1]
     c, s = math.cos(th), math.sin(th)

@@ -102,7 +102,7 @@ def test_broken_network_fails_first_check():
     net = ideal_network(2)
     obs = list(net.observables)
     obs[1] = (obs[1][0], Z.astype(complex), obs[1][2])
-    broken = StarNetwork(net.n, net.sources, tuple(obs), net.eve_povm)
+    broken = StarNetwork(net.n, net.sources, tuple(obs), net.eve)
     rep = verify_selftest_noiseless(2, broken)
     assert not rep["passed"]
     by_name = {c["name"]: c for c in rep["checks"]}
