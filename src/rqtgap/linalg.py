@@ -3,11 +3,14 @@
 The operators the package checks are short sums of tensor products of
 local matrices. `ProductSum` holds the Bell operators I_l, J_N and the
 SOS generators in that form; it adds, scales, multiplies and takes
-adjoints term by term, and gets its Frobenius norm by splitting every term
-at the cut between the leading and trailing factors that best balances
-the two sides: the operator's entries, realigned as (left row, left
-column) x (right row, right column), form one matrix product of inner
-size K, the number of terms, so no 2^n x 2^n product is ever taken.
+adjoints term by term. `TermStack` holds the same K terms as arrays, one
+coefficient array and one (K, d_i, d_i) stack per factor: it squares
+runs of terms with one batched matmul per factor, and gets its Frobenius
+norm by splitting every term at the cut between the leading and trailing
+factors that best balances the two sides: the operator's entries,
+realigned as (left row, left column) x (right row, right column), form
+one matrix product of inner size K, so no 2^n x 2^n product is ever
+taken.
 `expect_local` (density matrices) and `apply_local` (vectors) contract
 one term with states, one tensor factor at a time; they are the kernels
 of `network.ConditionalStates`, where every product-sum meets a state.
@@ -236,6 +239,7 @@ class ProductSum:
 
     Sums, scalar multiples, products and adjoints act on the terms and
     never form the product operator; `dense` does, as the test oracle.
+    `stacked` gives the terms as arrays, for the Frobenius norm.
     """
 
     terms: tuple[tuple[complex, Mapping[int, np.ndarray]], ...] = ()
@@ -278,39 +282,87 @@ class ProductSum:
             out += c * tensor_embed(local_dims, p)
         return out
 
+    def stacked(self, local_dims: Sequence[int]) -> "TermStack":
+        """The terms as a `TermStack` on factors of dimensions `local_dims`;
+        coefficients must be scalars."""
+        count = len(self.terms)
+        factors = []
+        for i, di in enumerate(local_dims):
+            eye = np.eye(di, dtype=complex)
+            stack = np.array([p.get(i, eye) for _, p in self.terms], dtype=complex)
+            if count and stack.shape != (count, di, di):
+                raise ValueError(f"factor {i}: expected {di} x {di} matrices")
+            factors.append(stack.reshape(count, di, di))
+        return TermStack(np.array([c for c, _ in self.terms], dtype=complex), tuple(factors))
+
     def frobenius_norm(self, local_dims: Sequence[int]) -> float:
-        """||self||_F without the matrix products of the dense operator.
+        """||self||_F through `TermStack.frobenius_norm`."""
+        return self.stacked(local_dims).frobenius_norm()
+
+
+@dataclass(frozen=True, eq=False)
+class TermStack:
+    """sum_k coeffs[k] (x)_i factors[i][k]: K terms held as a coefficient
+    array (K,) and, for each tensor factor i, one (K, d_i, d_i) array, with
+    the identity where a term leaves the factor alone.
+    """
+
+    coeffs: np.ndarray
+    factors: tuple[np.ndarray, ...]
+
+    @classmethod
+    def concat(cls, parts: Sequence["TermStack"]) -> "TermStack":
+        """The sum of `parts`: their terms, in order, in one stack."""
+        return cls(
+            np.concatenate([p.coeffs for p in parts]),
+            tuple(np.concatenate(f) for f in zip(*(p.factors for p in parts))),
+        )
+
+    def squares(self, weights: np.ndarray) -> "TermStack":
+        """sum_g weights[g] G_g^2, where G_g is the g-th of len(weights)
+        equal runs of consecutive terms. G_g^2 has one term per ordered
+        pair (s, t) of G_g's terms, the first index outer, and each factor
+        of all of them is one batched matmul."""
+        weights = np.asarray(weights)
+        g = len(weights)
+        c = self.coeffs.reshape(g, -1)
+        m = c.shape[1]
+        coeffs = (weights[:, None, None] * c[:, :, None] * c[:, None, :]).ravel()
+        factors = []
+        for f in self.factors:
+            d = f.shape[-1]
+            f = f.reshape(g, m, d, d)
+            factors.append((f[:, :, None] @ f[:, None, :]).reshape(-1, d, d))
+        return TermStack(coeffs, tuple(factors))
+
+    def frobenius_norm(self) -> float:
+        """||sum_k c_k (x)_i F_{i,k}||_F without the dense operator.
 
         Factors split at the cut k that best balances the dimensions
-        d_L = prod_{i<k} d_i and d_R = prod_{i>=k} d_i. Realigned as
-        M[(a, a'), (b, b')] with a, a' indexing the left factors and b, b'
-        the right ones, the operator has the same entries as the dense
-        matrix and is one product A^T diag(c) B, where row t of A (of B)
-        is the flattened Kronecker product of term t's left (right)
-        factors: one gemm of inner size K, the number of terms.
+        d_L = prod_{i<k} d_i and d_R = prod_{i>=k} d_i. Row t of the side
+        A (of B) is the row-wise Khatri-Rao product of term t's flattened
+        left (right) factors, so A^T diag(c) B holds every entry of the
+        dense operator once, in another order, and has the same Frobenius
+        norm: one gemm of inner size K, the number of terms.
         """
-        dims = tuple(local_dims)
+        dims = tuple(f.shape[-1] for f in self.factors)
         d = math.prod(dims)
         if d * d > ENTRY_CAPACITY:
             raise CapacityError(f"{d * d} entries exceed the cap {ENTRY_CAPACITY}")
-        count = len(self.terms)
-        if not count:
-            return 0.0
-        # Factor i of every term, stacked: (count, d_i, d_i).
-        stacks = []
-        for i, di in enumerate(dims):
-            eye = np.eye(di, dtype=complex)
-            stack = np.array([p.get(i, eye) for _, p in self.terms], dtype=complex)
-            if stack.shape != (count, di, di):
-                raise ValueError(f"factor {i}: expected {di} x {di} matrices")
-            stacks.append(stack)
+        count = len(self.coeffs)
         k = min(range(len(dims) + 1), key=lambda k: max(math.prod(dims[:k]), math.prod(dims[k:])))
         sides = []
-        for part in (stacks[:k], stacks[k:]):
-            side = math.prod(m.shape[-1] for m in part)
-            sides.append(np.broadcast_to(kron_all(part), (count, side, side)).reshape(count, -1))
-        coeffs = np.array([c for c, _ in self.terms], dtype=complex)
-        return float(np.linalg.norm((sides[0].T * coeffs) @ sides[1]))
+        for part in (self.factors[:k], self.factors[k:]):
+            side = np.ones((count, 1), dtype=complex)
+            for f in part:
+                # The new factor's entries go outermost, so the inner loop
+                # of the broadcast product runs over the longer side.
+                width = f.shape[-1] ** 2
+                side = (f.reshape(count, width, 1) * side[:, None, :]).reshape(
+                    count, width * side.shape[1]
+                )
+            sides.append(side)
+        return float(np.linalg.norm((sides[0].T * self.coeffs) @ sides[1]))
 
 
 def require_pm1(m: np.ndarray, who: str) -> np.ndarray:

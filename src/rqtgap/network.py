@@ -72,8 +72,17 @@ def ghz_state(n: int, l: int) -> StateVector:
 
 
 def ghz_basis(n: int) -> np.ndarray:
-    """The unitary whose column l is ghz_state(n, l)."""
-    return np.stack([ghz_state(n, l).vec for l in range(1 << n)], axis=1)
+    """The unitary whose column l is ghz_state(n, l), built by index
+    arithmetic rather than 2^n `StateVector`s."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    dim = 1 << n
+    l = np.arange(dim)
+    v = np.zeros((dim, dim), dtype=complex)
+    v[l, l] += 1.0
+    v[l ^ (dim - 1), l] += (-1.0) ** ((l >> (n - 1)) & 1)
+    v /= np.sqrt(2.0)
+    return v
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Sum-of-squares certificates and the closed-form noisy bounds.
 
-The first SOS identity is an operator identity for arbitrary +/-1
-observables (the algebra was verified by hand); the second is measured
-and reported rather than asserted, with the double sum over distinct
-source pairs read as unordered pairs.
+Both SOS identities are operator identities for arbitrary +/-1
+observables (the algebra was verified by hand), the second with the
+double sum over distinct source pairs read as unordered pairs. Each is
+checked as the Frobenius norm of LHS - RHS on stacked terms, and
+`rqtgap verify` fails when either norm exceeds 1e-9.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import InternalConsistencyError
 from .functionals import I_terms, I_values, pair_dims, validated_pairs
-from .linalg import DenseOperator, ProductSum
+from .linalg import DenseOperator, ProductSum, TermStack
 from .network import EveMeasurement, StarNetwork, conditional_states, ideal_network, tilde_pair
 from .pauli import OutcomeLabel
 from .rqt import SeesawResult, seesaw_real
@@ -64,43 +65,43 @@ def sos_terms_B(n: int, l: int, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) 
     return terms
 
 
+def _sos_residual(lhs: ProductSum, terms: dict, weights: dict, dims) -> float:
+    """||lhs - sum_g weights.get(g, 1) terms[g]^2||_F on stacked terms.
+
+    Generators with the same number of terms are stacked together and
+    squared by `TermStack.squares`; the LHS and every weighted square are
+    joined into one `TermStack`, whose norm is one gemm.
+    """
+    families: dict[int, list[str]] = {}
+    for name, term in terms.items():
+        families.setdefault(len(term.terms), []).append(name)
+    parts = [lhs.stacked(dims)]
+    for names in families.values():
+        stack = ProductSum(tuple(t for name in names for t in terms[name].terms)).stacked(dims)
+        parts.append(stack.squares([-weights.get(name, 1.0) for name in names]))
+    return TermStack.concat(parts).frobenius_norm()
+
+
 def verify_sos_identity_A(
     n: int, l: int, observables: Sequence[Sequence[np.ndarray]]
 ) -> float:
-    """Frobenius norm of 2(beta_Q 1 - I_l) - [(n-1) P_1^2 + sum P_i^2],
-    taken term-wise by `ProductSum.frobenius_norm`."""
+    """Frobenius norm of 2(beta_Q 1 - I_l) - [(n-1) P_1^2 + sum P_i^2]."""
     pairs = validated_pairs(n, observables)
-    terms = sos_terms_A(n, l, pairs)
     beta_q = 2.0 * (n - 1)
     lhs = 2.0 * (beta_q * ProductSum.product({}) - I_terms(n, l, pairs))
-    rhs = (n - 1) * (terms["P_1"] @ terms["P_1"])
-    for i in range(2, n + 1):
-        p = terms[f"P_{i}"]
-        rhs = rhs + p @ p
-    return (lhs - rhs).frobenius_norm(pair_dims(pairs))
+    return _sos_residual(lhs, sos_terms_A(n, l, pairs), {"P_1": n - 1}, pair_dims(pairs))
 
 
 def verify_sos_identity_B(
     n: int, l: int, observables: Sequence[Sequence[np.ndarray]]
 ) -> float:
-    """Frobenius norm of 2 beta_Q J_l - [J_l^2 + sum Q^2 + (n-1) sum T^2],
-    taken term-wise by `ProductSum.frobenius_norm`.
-
-    Reported, not asserted; the battery promotes it to a hard check only
-    when it vanishes across the tested inputs.
-    """
+    """Frobenius norm of 2 beta_Q J_l - [J_l^2 + sum Q^2 + (n-1) sum T^2]."""
     pairs = validated_pairs(n, observables)
     terms = sos_terms_B(n, l, pairs)
     beta_q = 2.0 * (n - 1)
-    j_op = terms["J_l"]
-    lhs = 2.0 * beta_q * j_op
-    rhs = j_op @ j_op
-    for name, t in terms.items():
-        if name == "J_l":
-            continue
-        factor = (n - 1) if name.startswith("T_") else 1.0
-        rhs = rhs + factor * (t @ t)
-    return (lhs - rhs).frobenius_norm(pair_dims(pairs))
+    lhs = 2.0 * beta_q * terms["J_l"]
+    weights = {f"T_{j}": n - 1 for j in range(2, n + 1)}
+    return _sos_residual(lhs, terms, weights, pair_dims(pairs))
 
 
 def residual_norms(net: StarNetwork, l: int) -> dict:

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 import rqtgap
+import rqtgap.cli
+import rqtgap.functionals
+import rqtgap.selftest
 from rqtgap.cli import main
 from rqtgap.linalg import DenseOperator, Y
 from rqtgap.network import (
@@ -86,6 +89,45 @@ def test_verify_fail_line_names_the_innermost_checks(capsys):
     assert "bound 1e-10 (l 0), selftest_noiseless/pairs_anticommute measured 2.0 bound 1e-12" in err
     # --inject-broken breaks party 2's pair.
     assert err.endswith(" bound 1e-12 (party 2)\n")
+
+
+@pytest.mark.parametrize("bad_call, offender", [(1, "(l 3)"), (5, "(l 0) (draw 3)")])
+def test_verify_fail_line_names_the_worst_sos_input(capsys, monkeypatch, bad_call, offender):
+    # verify calls each identity on l = 0 and l = 2^n - 1 with the network's
+    # observables, then on draws 0..4: call 5 is draw 3.
+    real = rqtgap.cli.verify_sos_identity_B
+    calls = []
+
+    def fake(n, l, observables):
+        calls.append(l)
+        return 1e-6 if len(calls) - 1 == bad_call else real(n, l, observables)
+
+    monkeypatch.setattr(rqtgap.cli, "verify_sos_identity_B", fake)
+    code, out, err = run(capsys, "verify", "--n", "2")
+    assert code == 1 and len(calls) == 7
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == "sos_identity_B_residual")
+    assert check["measured"] == 1e-6
+    assert err == f"FAIL: sos_identity_B_residual measured 1e-06 bound 1e-09 {offender}\n"
+    assert ("worst_draw" in check) == (bad_call >= 2)
+
+
+def test_verify_evaluates_I_once_on_the_ideal_network(capsys, monkeypatch):
+    # The battery's per_l values serve backend_equivalence too, unless the
+    # verified network is not the ideal one.
+    calls = []
+    real = rqtgap.functionals.I_values
+
+    def counted(net, states):
+        calls.append(net)
+        return real(net, states)
+
+    monkeypatch.setattr(rqtgap.cli, "I_values", counted)
+    monkeypatch.setattr(rqtgap.selftest, "I_values", counted)
+    assert run(capsys, "verify", "--n", "3")[0] == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run(capsys, "verify", "--n", "3", "--inject-broken")[0] == 1
+    assert len(calls) == 2
 
 
 def test_verify_checks_survive_python_optimize(tmp_path):

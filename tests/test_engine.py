@@ -506,7 +506,7 @@ def _dense_sos_residuals(n: int, l: int, pairs) -> tuple[float, float]:
 
 @settings(max_examples=25, deadline=None)
 @given(
-    dims=st.integers(2, 4).flatmap(lambda n: st.lists(st.integers(2, 3), min_size=n, max_size=n)),
+    dims=st.integers(2, 4).flatmap(lambda n: st.lists(st.integers(2, 4), min_size=n, max_size=n)),
     seed=SEEDS,
     data=st.data(),
 )

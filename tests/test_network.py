@@ -16,6 +16,7 @@ from rqtgap.network import (
     conditional_states,
     correlation_table,
     eve_outcome_probability,
+    ghz_basis,
     ghz_state,
     ideal_network,
     load_strategy,
@@ -36,6 +37,14 @@ def test_ghz_state_components():
     np.testing.assert_allclose(v[0b011], 1 / SQRT2)
     np.testing.assert_allclose(v[0b100], 1 / SQRT2)
     assert np.count_nonzero(v) == 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ghz_basis_columns_are_ghz_states(n):
+    basis = ghz_basis(n)
+    assert basis.shape == (1 << n, 1 << n) and basis.dtype == complex
+    for l in range(1 << n):
+        np.testing.assert_array_equal(basis[:, l], ghz_state(n, l).vec)
 
 
 def test_ideal_network_structure():
