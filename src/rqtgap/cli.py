@@ -37,11 +37,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Largest n accepted by verify and seesaw. Wall time and peak RSS over three
-# runs on 2 shared vCPUs, one BLAS thread: verify --n 10 3.5-4.0 s, 164 MB;
-# verify --n 11 17-19 s, 530 MB; seesaw --n 11 (20 restarts) 2.2-3.5 s,
-# 292 MB. Load moves these about 2x (verify --n 11 has read 7.8 s). Verify
-# grows about 5x per party, so it, not the seesaw, holds the cap.
+# Largest n accepted by verify and seesaw. 2 shared vCPUs, one BLAS thread,
+# two runs each: verify --n 10 3.1-3.2 s, 154 MB (4.0 s, 154 MB with one SOS
+# call per input); verify --n 11 12.7-13.1 s, 499 MB (15.2 s, 529 MB); seesaw
+# --n 11 (20 restarts) 2.2-3.5 s, 292 MB. Load moves these about 2x. Verify
+# grows about 4x per party, so it, not the seesaw, holds the cap.
 MAX_N = 11
 
 
@@ -109,6 +109,34 @@ def cmd_gap(args) -> int:
     return EXIT_OK
 
 
+def _sos_checks(n: int, seed: int, net: StarNetwork) -> list[dict]:
+    """Both identities on the network's observables at l = 0 and
+    l = 2^n - 1, then on five random +/-1 draws at l = 0: one call per
+    identity on all seven inputs. Each check names the input with the
+    largest residual, the first on a tie."""
+    labels = [0, (1 << n) - 1] + [0] * 5
+    seeds = np.random.default_rng(seed).integers(0, 2**63, size=(5, n, 2))
+    draws = linalg.random_pm1_matrices(2, seeds)
+    obs = [
+        [np.concatenate([[a, a], draws[:, i, x]]) for x, a in enumerate(pair)]
+        for i, pair in enumerate(net.pairs)
+    ]
+    checks = []
+    for name, identity in (
+        ("sos_identity_A", verify_sos_identity_A),
+        ("sos_identity_B_residual", verify_sos_identity_B),
+    ):
+        residuals = identity(n, labels, obs)
+        worst = int(np.argmax(residuals))
+        res = float(residuals[worst])
+        check = {"name": name, "measured": res, "bound": 1e-9, "passed": res <= 1e-9}
+        check["worst_l"] = labels[worst]
+        if worst >= 2:
+            check["worst_draw"] = worst - 2
+        checks.append(check)
+    return checks
+
+
 def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -> dict:
     report: dict = {"n": n, "seed": seed, "rng": linalg.RNG_NAME, "checks": []}
 
@@ -118,32 +146,7 @@ def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -
         {"name": "selftest_noiseless", "passed": battery["passed"], "detail": battery}
     )
 
-    # Both identities on the network's observables at l = 0 and
-    # l = 2^n - 1, then on five random +/-1 draws at l = 0. Each check
-    # names the input with the largest residual, the first on a tie.
-    sos_inputs = [(l, None, net.pairs) for l in (0, (1 << n) - 1)]
-    rng = np.random.default_rng(seed)
-    for draw in range(5):
-        rnd = [
-            [
-                linalg.random_pm1_observable(2, int(rng.integers(0, 2**63))).mat
-                for _ in range(2)
-            ]
-            for _ in range(n)
-        ]
-        sos_inputs.append((0, draw, rnd))
-    for name, identity in (
-        ("sos_identity_A", verify_sos_identity_A),
-        ("sos_identity_B_residual", verify_sos_identity_B),
-    ):
-        residuals = [identity(n, l, obs) for l, _, obs in sos_inputs]
-        worst = int(np.argmax(residuals))
-        res = residuals[worst]
-        l, draw, _ = sos_inputs[worst]
-        check = {"name": name, "measured": res, "bound": 1e-9, "passed": res <= 1e-9, "worst_l": l}
-        if draw is not None:
-            check["worst_draw"] = draw
-        report["checks"].append(check)
+    report["checks"] += _sos_checks(n, seed, net)
 
     # Backend agreement: the factor-by-factor evaluation (I_values), the
     # correlator assembly and the closed-form GHZ kernel must tell the same

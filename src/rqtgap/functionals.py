@@ -45,10 +45,10 @@ def validated_pairs(
 
 def pair_dims(observables: Sequence[Sequence[np.ndarray]]) -> tuple[int, ...]:
     """Each party's local dimension, read from its first observable."""
-    return tuple(np.shape(obs[0])[0] for obs in observables)
+    return tuple(np.shape(obs[0])[-1] for obs in observables)
 
 
-def _label_signs(n: int, labels) -> np.ndarray:
+def label_signs(n: int, labels) -> np.ndarray:
     """(-1)^{l_i} with axes (label..., i - 1); `labels` an int or a sequence."""
     labels = np.asarray(labels)
     if np.any((labels < 0) | (labels >= 1 << n)):
@@ -67,7 +67,7 @@ def I_terms(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> P
     (scalar coefficients) or a sequence of them (coefficients are arrays
     over the labels). `pairs` as returned by `validated_pairs`.
     """
-    sign = _label_signs(n, labels)
+    sign = label_signs(n, labels)
     at0, at1 = tilde_pair(*pairs[0])
     placed = {0: at1}
     placed.update({i: pairs[i][1] for i in range(1, n)})
@@ -95,7 +95,7 @@ def I_values_from_correlators(net: StarNetwork, states: ConditionalStates) -> np
     """Same functional assembled from the party settings' correlators
     (cross-check path)."""
     n = net.n
-    sign = _label_signs(n, states.labels)
+    sign = label_signs(n, states.labels)
     value = (n - 1) * states.expect(settings_operator(net, [TILDE_1] + [1] * (n - 1)))
     for i in range(2, n + 1):
         settings: list = [TILDE_0] + [None] * (n - 1)

@@ -3,22 +3,21 @@
 The operators the package checks are short sums of tensor products of
 local matrices. `ProductSum` holds the Bell operators I_l, J_N and the
 SOS generators in that form; it adds, scales, multiplies and takes
-adjoints term by term. `TermStack` holds the same K terms as arrays, one
-coefficient array and one (K, d_i, d_i) stack per factor: it squares
-runs of terms with one batched matmul per factor, and gets its Frobenius
-norm by splitting every term at the cut between the leading and trailing
-factors that best balances the two sides: the operator's entries,
-realigned as (left row, left column) x (right row, right column), form
-one matrix product of inner size K, so no 2^n x 2^n product is ever
-taken.
+adjoints term by term. `TermStack` holds K terms as arrays, one
+coefficient array and one (K, d_i, d_i) stack per factor, and gets its
+Frobenius norm by splitting every term at the cut between the leading
+and trailing factors that best balances the two sides: the operator's
+entries, realigned as (left row, left column) x (right row, right
+column), form one matrix product of inner size K, so no 2^n x 2^n
+product is ever taken.
 `expect_local` (density matrices) and `apply_local` (vectors) contract
 one term with states, one tensor factor at a time; they are the kernels
 of `network.ConditionalStates`, where every product-sum meets a state.
 
 `kron_all`, `tensor_embed` and `ProductSum.dense` build the full
 operators. They are the ground-truth oracle the tests check the
-structured paths against. `require_pm1` is the one check that a matrix
-is a +/-1 observable.
+structured paths against. `require_pm1` is the one check that a matrix,
+or each matrix of a stack, is a +/-1 observable.
 """
 
 from __future__ import annotations
@@ -239,7 +238,6 @@ class ProductSum:
 
     Sums, scalar multiples, products and adjoints act on the terms and
     never form the product operator; `dense` does, as the test oracle.
-    `stacked` gives the terms as arrays, for the Frobenius norm.
     """
 
     terms: tuple[tuple[complex, Mapping[int, np.ndarray]], ...] = ()
@@ -282,23 +280,6 @@ class ProductSum:
             out += c * tensor_embed(local_dims, p)
         return out
 
-    def stacked(self, local_dims: Sequence[int]) -> "TermStack":
-        """The terms as a `TermStack` on factors of dimensions `local_dims`;
-        coefficients must be scalars."""
-        count = len(self.terms)
-        factors = []
-        for i, di in enumerate(local_dims):
-            eye = np.eye(di, dtype=complex)
-            stack = np.array([p.get(i, eye) for _, p in self.terms], dtype=complex)
-            if count and stack.shape != (count, di, di):
-                raise ValueError(f"factor {i}: expected {di} x {di} matrices")
-            factors.append(stack.reshape(count, di, di))
-        return TermStack(np.array([c for c, _ in self.terms], dtype=complex), tuple(factors))
-
-    def frobenius_norm(self, local_dims: Sequence[int]) -> float:
-        """||self||_F through `TermStack.frobenius_norm`."""
-        return self.stacked(local_dims).frobenius_norm()
-
 
 @dataclass(frozen=True, eq=False)
 class TermStack:
@@ -309,31 +290,6 @@ class TermStack:
 
     coeffs: np.ndarray
     factors: tuple[np.ndarray, ...]
-
-    @classmethod
-    def concat(cls, parts: Sequence["TermStack"]) -> "TermStack":
-        """The sum of `parts`: their terms, in order, in one stack."""
-        return cls(
-            np.concatenate([p.coeffs for p in parts]),
-            tuple(np.concatenate(f) for f in zip(*(p.factors for p in parts))),
-        )
-
-    def squares(self, weights: np.ndarray) -> "TermStack":
-        """sum_g weights[g] G_g^2, where G_g is the g-th of len(weights)
-        equal runs of consecutive terms. G_g^2 has one term per ordered
-        pair (s, t) of G_g's terms, the first index outer, and each factor
-        of all of them is one batched matmul."""
-        weights = np.asarray(weights)
-        g = len(weights)
-        c = self.coeffs.reshape(g, -1)
-        m = c.shape[1]
-        coeffs = (weights[:, None, None] * c[:, :, None] * c[:, None, :]).ravel()
-        factors = []
-        for f in self.factors:
-            d = f.shape[-1]
-            f = f.reshape(g, m, d, d)
-            factors.append((f[:, :, None] @ f[:, None, :]).reshape(-1, d, d))
-        return TermStack(coeffs, tuple(factors))
 
     def frobenius_norm(self) -> float:
         """||sum_k c_k (x)_i F_{i,k}||_F without the dense operator.
@@ -366,52 +322,61 @@ class TermStack:
 
 
 def require_pm1(m: np.ndarray, who: str) -> np.ndarray:
-    """`m` as a complex matrix; ValidationError naming `who` unless it is a
-    +/-1 observable: Hermitian with square 1, both to 1e-10 in every entry.
-    A NaN or inf entry fails; a non-square `m` raises ValueError. This is
-    the package's only +/-1 check."""
+    """`m` as a complex array; ValidationError naming `who` unless it is a
+    +/-1 observable, or a stack of them along leading axes: Hermitian with
+    square 1, both to 1e-10 in every entry. A NaN or inf entry fails; a
+    non-square `m` raises ValueError. This is the package's only +/-1
+    check."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{who} must be a square matrix, got shape {m.shape}")
     with np.errstate(all="ignore"):  # a NaN deviation fails the test below
-        herm = np.max(np.abs(m - m.conj().T))
-        square = np.max(np.abs(m @ m - np.eye(m.shape[0])))
+        herm = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
+        square = np.max(np.abs(m @ m - np.eye(m.shape[-1])))
     if not (herm <= 1e-10 and square <= 1e-10):
         raise ValidationError(f"{who} is not a +/-1 observable")
     return m
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator, real: bool) -> np.ndarray:
-    g = rng.normal(size=(dim, dim))
-    if not real:
-        g = g + 1j * rng.normal(size=(dim, dim))
+def _haar_unitary(g: np.ndarray) -> np.ndarray:
+    """Q of g = QR with each column's phase (sign) fixed by R's diagonal:
+    Haar unitaries (orthogonal matrices) from a stack of complex (real)
+    standard Gaussian matrices."""
     q, r = np.linalg.qr(g)
-    # Fix the phase/sign gauge so the distribution is Haar.
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
+    d = r.diagonal(0, -2, -1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def _random_observable(dim: int, seed: int, real: bool) -> DenseOperator:
+def random_pm1_matrices(dim: int, seeds, real: bool = False) -> np.ndarray:
+    """Seeded Hermitian unitaries with (near-)balanced +/-1 spectrum, Haar
+    distributed: one (dim, dim) matrix for one seed, a stack along a
+    leading axis for a sequence of seeds. Each seed's own `default_rng`
+    draws its normals; the QR, the phase fix and the product with the
+    signs act on the whole stack. Entrywise real when `real`.
+    """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    rng = np.random.default_rng(seed)
-    q = _haar_unitary(dim, rng, real)
+    seeds = np.asarray(seeds)
+    g = np.empty(seeds.shape + (dim, dim), dtype=float if real else complex)
+    for idx, seed in np.ndenumerate(seeds):
+        rng = np.random.default_rng(seed)
+        g[idx] = rng.normal(size=(dim, dim))
+        if not real:
+            g[idx] += 1j * rng.normal(size=(dim, dim))
+    q = _haar_unitary(g)
     signs = np.array([1.0] * (dim // 2) + [-1.0] * (dim - dim // 2))
-    mat = (q * signs) @ q.conj().T
-    if real:
-        mat = mat.real
-    return DenseOperator(mat, (dim,))
+    mat = (q * signs) @ q.conj().swapaxes(-1, -2)
+    return mat.real if real else mat
 
 
 def random_pm1_observable(dim: int, seed: int) -> DenseOperator:
-    """Seeded Hermitian unitary with (near-)balanced +/-1 spectrum."""
-    return _random_observable(dim, seed, real=False)
+    """`random_pm1_matrices` for one seed, as a `DenseOperator`."""
+    return DenseOperator(random_pm1_matrices(dim, seed), (dim,))
 
 
 def random_real_pm1_observable(dim: int, seed: int) -> DenseOperator:
     """Entrywise-real variant of random_pm1_observable."""
-    return _random_observable(dim, seed, real=True)
+    return DenseOperator(random_pm1_matrices(dim, seed, real=True), (dim,))
 
 
 # --- JSON interchange -----------------------------------------------------

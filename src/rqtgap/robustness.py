@@ -2,9 +2,13 @@
 
 Both SOS identities are operator identities for arbitrary +/-1
 observables (the algebra was verified by hand), the second with the
-double sum over distinct source pairs read as unordered pairs. Each is
-checked as the Frobenius norm of LHS - RHS on stacked terms, and
-`rqtgap verify` fails when either norm exceeds 1e-9.
+double sum over distinct source pairs read as unordered pairs. Every
+generator is a coefficient row over one collected basis of products:
+b_0 = 1, b_1..b_n the terms of I_l without their signs, and the two
+products of each T_j. LHS - RHS is then one coefficient array over the
+pair products b_s b_t, expanded bilinearly, so A^2 = 1 is never used.
+Its Frobenius norm is taken on stacked terms, and `rqtgap verify` fails
+when either norm exceeds 1e-9.
 """
 
 from __future__ import annotations
@@ -17,91 +21,115 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalConsistencyError
-from .functionals import I_terms, I_values, pair_dims, validated_pairs
+from .functionals import I_terms, I_values, label_signs, pair_dims, validated_pairs
 from .linalg import DenseOperator, ProductSum, TermStack
 from .network import EveMeasurement, StarNetwork, conditional_states, ideal_network, tilde_pair
-from .pauli import OutcomeLabel
 from .rqt import SeesawResult, seesaw_real
 
 
-def sos_terms_A(n: int, l: int, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> dict:
-    """Squared-term generators of the first decomposition, as product-sums:
+def _sos_basis(n: int, labels, pairs) -> tuple[list, np.ndarray]:
+    """The products every SOS generator combines, as placed products
+    (factor -> matrix, identity elsewhere): b_0 = 1, b_1..b_n the terms of
+    I_l without their signs, then X_j for j = 2..n and Y_j for j = 2..n,
+    the two products of T_j. Returned with J_l = beta_Q 1 - I_l as a
+    coefficient row over them (labels' shape plus one axis)."""
+    i_op = I_terms(n, labels, pairs)
+    at0 = tilde_pair(*pairs[0])[0]
+    basis = [{}] + [p for _, p in i_op.terms]
+    basis += [{**basis[1], j: pairs[j][0]} for j in range(1, n)]
+    basis += [{0: at0, j: pairs[j][1]} for j in range(1, n)]
+    j_row = np.zeros(np.shape(labels) + (len(basis),))
+    j_row[..., 0] = 2.0 * (n - 1)
+    for k, (c, _) in enumerate(i_op.terms, start=1):
+        j_row[..., k] = -c
+    return basis, j_row
+
+
+def sos_terms_A(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple:
+    """The first decomposition,
 
     2 (beta_Q 1 - I_l) = (n-1) P_1^2 + sum_{i>=2} P_i^2,
 
     with P_1 = 1 - (first term of I_l)/(n-1) and P_i = 1 - (term i of I_l).
-    `pairs` as returned by `validated_pairs`.
+    `labels` is one outcome l or a sequence; `pairs` as returned by
+    `validated_pairs`, each matrix one (d, d) or stacked along the labels'
+    axis. Returns (basis, rows, weights, lhs): each generator G_g and the
+    LHS as coefficient rows over `_sos_basis`, and G_g's weight if not 1.
     """
-    one = ProductSum.product({})
-    (c, placed), *rest = I_terms(n, l, pairs).terms
-    terms = {"P_1": one - ProductSum.product(placed, c / (n - 1))}
-    for i, term in enumerate(rest, start=2):
-        terms[f"P_{i}"] = one - ProductSum((term,))
-    return terms
+    basis, j_row = _sos_basis(n, labels, pairs)
+    rows = {}
+    for k in range(1, n + 1):
+        rows[f"P_{k}"] = row = np.zeros_like(j_row)
+        row[..., 0] = 1.0
+        row[..., k] = j_row[..., k] / (n - 1) if k == 1 else j_row[..., k]
+    return basis, rows, {"P_1": n - 1}, 2.0 * j_row
 
 
-def sos_terms_B(n: int, l: int, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> dict:
-    """Squared-term generators of the second decomposition, as product-sums:
+def sos_terms_B(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple:
+    """The second decomposition,
 
     2 beta_Q J_l = J_l^2 + sum_{i<j} Q_{i,j}^2 + (n-1) sum_j T_j^2,
 
-    with J_l = beta_Q 1 - I_l and Q_{i,j} = (-1)^{l_1} (term i - term j of
-    I_l). `pairs` as returned by `validated_pairs`.
+    with J_l = beta_Q 1 - I_l, Q_{i,j} = (-1)^{l_1} (term i - term j of
+    I_l) and T_j = X_j + (-1)^{l_j} Y_j. As `sos_terms_A`.
     """
-    lab = OutcomeLabel(n, l)
-    at0, at1 = tilde_pair(*pairs[0])
-    i_op = I_terms(n, l, pairs)
-    beta_q = 2.0 * (n - 1)
-    terms = {"J_l": beta_q * ProductSum.product({}) - i_op}
-    parts = [ProductSum((term,)) for term in i_op.terms[1:]]
-    for (i, p), (j, q) in itertools.combinations(enumerate(parts, start=2), 2):
-        terms[f"Q_{i},{j}"] = (-1) ** lab.bit(1) * (p - q)
+    basis, j_row = _sos_basis(n, labels, pairs)
+    sign = label_signs(n, labels)
+    rows = {"J_l": j_row}
+    for i, j in itertools.combinations(range(2, n + 1), 2):
+        rows[f"Q_{i},{j}"] = row = np.zeros_like(j_row)
+        row[..., i] = -sign[..., 0] * j_row[..., i]
+        row[..., j] = sign[..., 0] * j_row[..., j]
     for j in range(2, n + 1):
-        placed = {0: at1, j - 1: pairs[j - 1][0]}
-        placed.update({i - 1: pairs[i - 1][1] for i in range(2, n + 1) if i != j})
-        terms[f"T_{j}"] = ProductSum.product(placed) + ProductSum.product(
-            {0: at0, j - 1: pairs[j - 1][1]}, (-1) ** lab.bit(j)
-        )
-    return terms
+        rows[f"T_{j}"] = row = np.zeros_like(j_row)
+        row[..., n + j - 1] = 1.0
+        row[..., 2 * n + j - 2] = sign[..., j - 1]
+    return basis, rows, {f"T_{j}": n - 1 for j in range(2, n + 1)}, 4.0 * (n - 1) * j_row
 
 
-def _sos_residual(lhs: ProductSum, terms: dict, weights: dict, dims) -> float:
-    """||lhs - sum_g weights.get(g, 1) terms[g]^2||_F on stacked terms.
+def _sos_residual(labels, basis, rows, weights, lhs, dims):
+    """||lhs - sum_g w_g G_g^2||_F for each input, as the norm of the
+    bilinear expansion sum_{s,t} C[s, t] b_s b_t with
 
-    Generators with the same number of terms are stacked together and
-    squared by `TermStack.squares`; the LHS and every weighted square are
-    joined into one `TermStack`, whose norm is one gemm.
+    C = e_0 lhs^T - sum_g w_g v_g v_g^T,   v_g = rows[g];
+
+    b_t b_0 = b_t is folded into row 0, and pairs whose coefficient is 0 on
+    every input are dropped. Each factor of the products is one batched
+    matmul over all inputs; the norm is taken one input at a time."""
+    v = np.stack(list(rows.values()), axis=-2)
+    w = np.array([weights.get(g, 1.0) for g in rows])
+    coeff = -(v.swapaxes(-1, -2) @ (w[:, None] * v))
+    coeff[..., 0, :] += lhs
+    coeff[..., 0, 1:] += coeff[..., 1:, 0]
+    coeff[..., 1:, 0] = 0.0
+    coeff = coeff.reshape((-1,) + coeff.shape[-2:])
+    s, t = np.nonzero(np.any(coeff != 0, axis=0))
+    c = coeff[:, s, t]
+    factors = []
+    for i, d in enumerate(dims):
+        eye = np.broadcast_to(np.eye(d), np.shape(labels) + (d, d))
+        f = np.stack([p.get(i, eye) for p in basis], axis=-3).reshape(len(c), -1, d, d)
+        factors.append(f[:, s] @ f[:, t])
+    norms = [TermStack(cb, tuple(f[b] for f in factors)).frobenius_norm() for b, cb in enumerate(c)]
+    return norms[0] if np.ndim(labels) == 0 else np.array(norms)
+
+
+def verify_sos_identity_A(n: int, labels, observables: Sequence[Sequence[np.ndarray]]):
+    """Frobenius norm of 2(beta_Q 1 - I_l) - [(n-1) P_1^2 + sum P_i^2].
+
+    For one outcome l, with one matrix per observables[i][x], a float; for
+    a sequence of B labels, with each observables[i][x] a (B, d_i, d_i)
+    stack, one norm per input in an array.
     """
-    families: dict[int, list[str]] = {}
-    for name, term in terms.items():
-        families.setdefault(len(term.terms), []).append(name)
-    parts = [lhs.stacked(dims)]
-    for names in families.values():
-        stack = ProductSum(tuple(t for name in names for t in terms[name].terms)).stacked(dims)
-        parts.append(stack.squares([-weights.get(name, 1.0) for name in names]))
-    return TermStack.concat(parts).frobenius_norm()
-
-
-def verify_sos_identity_A(
-    n: int, l: int, observables: Sequence[Sequence[np.ndarray]]
-) -> float:
-    """Frobenius norm of 2(beta_Q 1 - I_l) - [(n-1) P_1^2 + sum P_i^2]."""
     pairs = validated_pairs(n, observables)
-    beta_q = 2.0 * (n - 1)
-    lhs = 2.0 * (beta_q * ProductSum.product({}) - I_terms(n, l, pairs))
-    return _sos_residual(lhs, sos_terms_A(n, l, pairs), {"P_1": n - 1}, pair_dims(pairs))
+    return _sos_residual(labels, *sos_terms_A(n, labels, pairs), pair_dims(pairs))
 
 
-def verify_sos_identity_B(
-    n: int, l: int, observables: Sequence[Sequence[np.ndarray]]
-) -> float:
-    """Frobenius norm of 2 beta_Q J_l - [J_l^2 + sum Q^2 + (n-1) sum T^2]."""
+def verify_sos_identity_B(n: int, labels, observables: Sequence[Sequence[np.ndarray]]):
+    """Frobenius norm of 2 beta_Q J_l - [J_l^2 + sum Q^2 + (n-1) sum T^2];
+    arguments and result as for `verify_sos_identity_A`."""
     pairs = validated_pairs(n, observables)
-    terms = sos_terms_B(n, l, pairs)
-    beta_q = 2.0 * (n - 1)
-    lhs = 2.0 * beta_q * terms["J_l"]
-    weights = {f"T_{j}": n - 1 for j in range(2, n + 1)}
-    return _sos_residual(lhs, terms, weights, pair_dims(pairs))
+    return _sos_residual(labels, *sos_terms_B(n, labels, pairs), pair_dims(pairs))
 
 
 def residual_norms(net: StarNetwork, l: int) -> dict:
@@ -117,8 +145,12 @@ def residual_norms(net: StarNetwork, l: int) -> dict:
     if eps < -1e-8:
         raise InternalConsistencyError(f"value above the quantum bound by {-eps:.3e}")
     eps_pos = max(eps, 0.0)
+    generators = {}
+    for basis, rows, _, _ in (sos_terms_A(n, l, pairs), sos_terms_B(n, l, pairs)):
+        for name, row in rows.items():
+            generators[name] = ProductSum(tuple((c, p) for c, p in zip(row, basis) if c != 0))
     bounds = {}
-    for name, term in {**sos_terms_A(n, l, pairs), **sos_terms_B(n, l, pairs)}.items():
+    for name, term in generators.items():
         if name == "P_1":
             bound = math.sqrt(2.0 * eps_pos / (n - 1))
         elif name.startswith("P_"):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,24 +92,41 @@ def test_verify_fail_line_names_the_innermost_checks(capsys):
     assert err.endswith(" bound 1e-12 (party 2)\n")
 
 
-@pytest.mark.parametrize("bad_call, offender", [(1, "(l 3)"), (5, "(l 0) (draw 3)")])
-def test_verify_fail_line_names_the_worst_sos_input(capsys, monkeypatch, bad_call, offender):
-    # verify calls each identity on l = 0 and l = 2^n - 1 with the network's
-    # observables, then on draws 0..4: call 5 is draw 3.
+@pytest.mark.parametrize("bad_input, offender", [(1, "(l 3)"), (5, "(l 0) (draw 3)")])
+def test_verify_fail_line_names_the_worst_sos_input(capsys, monkeypatch, bad_input, offender):
+    # verify calls each identity once, on l = 0 and l = 2^n - 1 with the
+    # network's observables, then on draws 0..4 at l = 0: input 5 is draw 3.
     real = rqtgap.cli.verify_sos_identity_B
     calls = []
 
-    def fake(n, l, observables):
-        calls.append(l)
-        return 1e-6 if len(calls) - 1 == bad_call else real(n, l, observables)
+    def fake(n, labels, observables):
+        calls.append(list(labels))
+        residuals = real(n, labels, observables)
+        residuals[bad_input] = 1e-6
+        return residuals
 
     monkeypatch.setattr(rqtgap.cli, "verify_sos_identity_B", fake)
     code, out, err = run(capsys, "verify", "--n", "2")
-    assert code == 1 and len(calls) == 7
+    assert code == 1 and calls == [[0, 3, 0, 0, 0, 0, 0]]
     check = next(c for c in json.loads(out)["checks"] if c["name"] == "sos_identity_B_residual")
     assert check["measured"] == 1e-6
     assert err == f"FAIL: sos_identity_B_residual measured 1e-06 bound 1e-09 {offender}\n"
-    assert ("worst_draw" in check) == (bad_call >= 2)
+    assert ("worst_draw" in check) == (bad_input >= 2)
+
+
+def test_verify_sos_battery_peak_memory_at_n9():
+    # tracemalloc sees numpy's buffers. The bound is four realigned
+    # 2^9-dim operators (4^9 complex entries each, 16 MiB): each input's
+    # norm is taken on its own, never on a stack of all seven.
+    net = ideal_network(9)
+    tracemalloc.start()
+    try:
+        checks = rqtgap.cli._sos_checks(9, 0, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c["passed"] for c in checks] == [True, True]
+    assert peak <= 4 * 4**9 * 16
 
 
 def test_verify_evaluates_I_once_on_the_ideal_network(capsys, monkeypatch):

@@ -31,11 +31,13 @@ from rqtgap.functionals import (
 from rqtgap.linalg import (
     DenseOperator,
     ProductSum,
+    TermStack,
     _haar_unitary,
     apply_local,
     expect_local,
     kron_all,
     partial_trace,
+    random_pm1_matrices,
     random_pm1_observable,
     random_real_pm1_observable,
     tensor_embed,
@@ -163,7 +165,7 @@ def test_vector_path_matches_dense_kernel_and_bell_operator(dims, projective, ra
     if projective:
         # Haar unitary columns: a rank-1 projective measurement on qubit E factors.
         eve_dims = [2] * n
-        eve = EveMeasurement(_haar_unitary(1 << n, rng, real=False)[:, :, None])
+        eve = EveMeasurement(_haar_unitary(_random_matrix(1 << n, rng))[:, :, None])
     else:
         ranks = list(rng.integers(1, rank + 1, size=1 << n))
         ranks[0] = max(ranks[0], math.prod(eve_dims) - sum(ranks[1:]))
@@ -323,7 +325,8 @@ def test_representation_follows_rank(n):
 def test_mixed_states_in_slices_match_one_batch(monkeypatch):
     net = apply_noise(ideal_network(3), "depolarize_sources", 0.1)
     states = conditional_states(net)
-    placed = {0: _haar_unitary(2, np.random.default_rng(0), False), 2: np.diag([1.0, -1.0])}
+    u = _haar_unitary(_random_matrix(2, np.random.default_rng(0)))
+    placed = {0: u, 2: np.diag([1.0, -1.0])}
     whole = np.real(expect_local(states.mats, states.party_dims, placed))
     # Slices of 3, 3 and 2 of the 8 outcomes.
     monkeypatch.setattr(rqtgap.network, "MIXED_BATCH_ENTRIES", 3 * states.mats[0].size)
@@ -429,6 +432,15 @@ def _unchecked(m, who):
     return np.asarray(m, dtype=complex)
 
 
+def _stacked(op: ProductSum, dims) -> TermStack:
+    """`op`'s terms as a `TermStack`, identity where a term leaves a factor alone."""
+    factors = tuple(
+        np.array([p.get(i, np.eye(d)) for _, p in op.terms], dtype=complex).reshape(-1, d, d)
+        for i, d in enumerate(dims)
+    )
+    return TermStack(np.array([c for c, _ in op.terms], dtype=complex), factors)
+
+
 def _random_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
@@ -452,10 +464,11 @@ def test_product_sum_matches_dense(dims, count, seed, data):
     dp, dq = p.dense(dims), q.dense(dims)
     np.testing.assert_allclose(dq, dp.conj().T, rtol=1e-12, atol=1e-12)
     want = np.linalg.norm(dp)
-    assert p.frobenius_norm(dims) == pytest.approx(want, rel=1e-12)
+    assert _stacked(p, dims).frobenius_norm() == pytest.approx(want, rel=1e-12)
     r = (p @ q) - 2.5j * p
     np.testing.assert_allclose(r.dense(dims), dp @ dq - 2.5j * dp, rtol=1e-12, atol=1e-11)
-    assert r.frobenius_norm(dims) == pytest.approx(np.linalg.norm(r.dense(dims)), rel=1e-12)
+    want = np.linalg.norm(r.dense(dims))
+    assert _stacked(r, dims).frobenius_norm() == pytest.approx(want, rel=1e-12)
 
 
 def _dense_sos_generators(n: int, l: int, pairs) -> tuple[dict, np.ndarray]:
@@ -507,24 +520,33 @@ def _dense_sos_residuals(n: int, l: int, pairs) -> tuple[float, float]:
 @settings(max_examples=25, deadline=None)
 @given(
     dims=st.integers(2, 4).flatmap(lambda n: st.lists(st.integers(2, 4), min_size=n, max_size=n)),
+    count=st.integers(1, 7),
     seed=SEEDS,
     data=st.data(),
 )
-def test_sos_identities_match_dense_products(dims, seed, data):
+def test_sos_identities_match_dense_products(dims, count, seed, data):
+    # One call on a batch of inputs gives, for each input, the scalar call's
+    # residual and the dense products' residual.
     rng = np.random.default_rng(seed)
     n = len(dims)
-    l = data.draw(st.integers(0, (1 << n) - 1), label="l")
-    valid = [[random_pm1_observable(d, int(rng.integers(2**32))).mat for _ in range(2)] for d in dims]
-    dense_a, dense_b = _dense_sos_residuals(n, l, valid)
-    assert max(dense_a, dense_b) <= 1e-12
-    assert verify_sos_identity_A(n, l, valid) <= 1e-12
-    assert verify_sos_identity_B(n, l, valid) <= 1e-12
+    labels = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
+    valid = [[random_pm1_matrices(d, rng.integers(2**32, size=count)) for _ in range(2)] for d in dims]
     # Non-+/-1 factors break both identities; the kernels must still agree.
-    broken = [[_random_matrix(d, rng) for _ in range(2)] for d in dims]
-    dense_a, dense_b = _dense_sos_residuals(n, l, broken)
-    with mock.patch.object(rqtgap.linalg, "require_pm1", _unchecked):
-        assert verify_sos_identity_A(n, l, broken) == pytest.approx(dense_a, rel=1e-12)
-        assert verify_sos_identity_B(n, l, broken) == pytest.approx(dense_b, rel=1e-12)
+    broken = [
+        [np.array([_random_matrix(d, rng) for _ in range(count)]) for _ in range(2)] for d in dims
+    ]
+    for obs, check in ((valid, rqtgap.linalg.require_pm1), (broken, _unchecked)):
+        with mock.patch.object(rqtgap.linalg, "require_pm1", check):
+            batched = [verify_sos_identity_A(n, labels, obs), verify_sos_identity_B(n, labels, obs)]
+            for b, l in enumerate(labels):
+                one = [[m[b] for m in pair] for pair in obs]
+                scalar = [verify_sos_identity_A(n, l, one), verify_sos_identity_B(n, l, one)]
+                for got, want, dense in zip(batched, scalar, _dense_sos_residuals(n, l, one)):
+                    if obs is valid:
+                        assert max(got[b], want, dense) <= 1e-12
+                    else:
+                        assert got[b] == pytest.approx(want, rel=1e-12)
+                        assert got[b] == pytest.approx(dense, rel=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

@@ -17,6 +17,7 @@ from rqtgap.linalg import (
     operator_from_json,
     operator_to_json,
     partial_trace,
+    random_pm1_matrices,
     random_pm1_observable,
     random_real_pm1_observable,
     require_pm1,
@@ -107,6 +108,41 @@ def test_random_observables_are_pm1(dim):
         r = random_real_pm1_observable(dim, seed).mat
         require_pm1(r, "real")
         assert not r.imag.any()
+
+
+def test_require_pm1_checks_each_matrix_of_a_stack():
+    stack = random_pm1_matrices(3, [[1, 2], [3, 4]])
+    np.testing.assert_array_equal(require_pm1(stack, "A_2,1"), stack)
+    stack[1, 0] = 2.0 * np.eye(3)
+    with pytest.raises(ValidationError, match="A_2,1 is not a"):
+        require_pm1(stack, "A_2,1")
+    with pytest.raises(ValueError, match="square"):
+        require_pm1(stack[..., :2], "A_2,1")
+
+
+def _one_draw(dim: int, seed: int, real: bool) -> np.ndarray:
+    """A draw computed one seed at a time: own rng, QR, phase fix, signs."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim))
+    if not real:
+        g = g + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))
+    signs = np.array([1.0] * (dim // 2) + [-1.0] * (dim - dim // 2))
+    return (q * signs) @ q.conj().T
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_batched_draws_are_bit_identical_to_one_seed_draws(dim, real):
+    seeds = np.random.default_rng(dim).integers(0, 2**63, size=(3, 4))
+    got = random_pm1_matrices(dim, seeds, real=real)
+    assert got.shape == (3, 4, dim, dim) and got.dtype == (float if real else complex)
+    make = random_real_pm1_observable if real else random_pm1_observable
+    for idx in np.ndindex(seeds.shape):
+        np.testing.assert_array_equal(got[idx], make(dim, int(seeds[idx])).mat)
+        np.testing.assert_array_equal(got[idx], _one_draw(dim, int(seeds[idx]), real))
 
 
 def test_random_observable_deterministic():

@@ -92,7 +92,8 @@ def test_eve_must_be_an_eve_measurement():
 
 
 def test_dense_projectors_factor_to_rank_one():
-    u = _haar_unitary(8, np.random.default_rng(5), real=False)
+    rng = np.random.default_rng(5)
+    u = _haar_unitary(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     projectors = [np.outer(u[:, l], u[:, l].conj()) for l in range(8)]
     # eigh sees rounding-level eigenvalues besides the 1; they are dropped.
     assert np.max(np.abs(np.linalg.eigvalsh(projectors[0])[:-1])) < 1e-14

@@ -85,6 +85,11 @@ def test_sos_rejects_non_observables():
     bad = [[np.eye(2) * 2, np.eye(2)] for _ in range(2)]
     with pytest.raises(ValidationError):
         verify_sos_identity_A(2, 0, bad)
+    # In a batch, one broken input fails the call, which names the stack.
+    stacks = [[np.stack([m, m, m]) for m in pair] for pair in ideal_network(3).pairs]
+    stacks[1][0][2] = 2.0 * np.eye(2)
+    with pytest.raises(ValidationError, match="A_2,0 is not a"):
+        verify_sos_identity_B(3, [0, 5, 7], stacks)
 
 
 def test_residual_norms_vanish_on_ideal():
