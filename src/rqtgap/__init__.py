@@ -27,10 +27,8 @@ from .functionals import (
 )
 from .linalg import DenseOperator, StateVector, kron, kron_all, partial_trace
 from .network import (
-    CorrelationTable,
     StarNetwork,
     conditional_state,
-    correlation_table,
     eve_outcome_probability,
     ghz_state,
     ideal_network,
@@ -81,10 +79,8 @@ __all__ = [
     "kron",
     "kron_all",
     "partial_trace",
-    "CorrelationTable",
     "StarNetwork",
     "conditional_state",
-    "correlation_table",
     "eve_outcome_probability",
     "ghz_state",
     "ideal_network",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateConditioningError, ValidationError
-from .functionals import I_values, I_values_from_correlators, classical_bound_I, ideal_I_value
+from .functionals import I_values, classical_bound_I, ideal_I_value
 from .linalg import Z
 from .network import StarNetwork, conditional_states, ideal_network, load_strategy
 from .robustness import (
@@ -38,10 +38,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # Largest n accepted by verify and seesaw. 2 shared vCPUs, one BLAS thread,
-# two runs each: verify --n 10 3.1-3.2 s, 154 MB (4.0 s, 154 MB with one SOS
-# call per input); verify --n 11 12.7-13.1 s, 499 MB (15.2 s, 529 MB); seesaw
-# --n 11 (20 restarts) 2.2-3.5 s, 292 MB. Load moves these about 2x. Verify
-# grows about 4x per party, so it, not the seesaw, holds the cap.
+# two runs each: verify --n 10 1.6 s, 148 MB (2.1-2.6 s, 154 MB with a
+# second, correlator-built I_l pass); verify --n 11 7.0-7.1 s, 486-487 MB
+# (9.9-10.5 s, 499 MB); seesaw --n 11 (20 restarts) 2.2-3.5 s, 292 MB. Load
+# moves these about 2x. Verify grows about 4x per party, so it, not the
+# seesaw, holds the cap.
 MAX_N = 11
 
 
@@ -148,22 +149,17 @@ def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -
 
     report["checks"] += _sos_checks(n, seed, net)
 
-    # Backend agreement: the factor-by-factor evaluation (I_values), the
-    # correlator assembly and the closed-form GHZ kernel must tell the same
-    # story on the ideal strategy. On the ideal network the battery's
-    # per_l values are I_values on these very states, so they are reused.
+    # Backend agreement: the factor-by-factor evaluation (I_values) and the
+    # closed-form GHZ kernel must tell the same story on the ideal strategy.
+    # On the ideal network the battery's per_l values are I_values on these
+    # very states, so they are reused.
     if net is ideal:
-        ideal_states = states
         bound_check = next(c for c in battery["checks"] if c["name"] == "quantum_bound_attained")
         direct = np.array(list(bound_check["per_l"].values()))
     else:
-        ideal_states = conditional_states(ideal)
-        direct = I_values(ideal, ideal_states)
+        direct = I_values(ideal, conditional_states(ideal))
     ref = np.array([ideal_I_value(n, l) for l in range(1 << n)])
-    back = float(max(
-        np.max(np.abs(direct - ref)),
-        np.max(np.abs(I_values_from_correlators(ideal, ideal_states) - ref)),
-    ))
+    back = float(np.max(np.abs(direct - ref)))
     report["checks"].append(
         {"name": "backend_equivalence", "measured": back, "bound": 1e-9, "passed": back <= 1e-9}
     )

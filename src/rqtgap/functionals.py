@@ -21,9 +21,9 @@ from .network import (
     TILDE_1,
     ConditionalStates,
     StarNetwork,
+    conditional_expectation,
     conditional_state,
     conditional_states,
-    settings_operator,
     tilde_pair,
 )
 from .pauli import OutcomeLabel, PauliWord, ghz_expectation
@@ -91,19 +91,6 @@ def I_values(net: StarNetwork, states: ConditionalStates) -> np.ndarray:
     return states.expect(I_terms(net.n, states.labels, net.pairs))
 
 
-def I_values_from_correlators(net: StarNetwork, states: ConditionalStates) -> np.ndarray:
-    """Same functional assembled from the party settings' correlators
-    (cross-check path)."""
-    n = net.n
-    sign = label_signs(n, states.labels)
-    value = (n - 1) * states.expect(settings_operator(net, [TILDE_1] + [1] * (n - 1)))
-    for i in range(2, n + 1):
-        settings: list = [TILDE_0] + [None] * (n - 1)
-        settings[i - 1] = 0
-        value = value + sign[:, i - 1] * states.expect(settings_operator(net, settings))
-    return sign[:, 0] * value
-
-
 def _single_outcome(net: StarNetwork, l: int) -> ConditionalStates:
     """rho^l from `conditional_state`, as a one-outcome batch."""
     rho = conditional_state(net, l)
@@ -116,8 +103,17 @@ def eval_I(net: StarNetwork, l: int) -> float:
 
 
 def eval_I_from_correlators(net: StarNetwork, l: int) -> float:
-    """`I_values_from_correlators` for the single outcome l."""
-    return float(I_values_from_correlators(net, _single_outcome(net, l))[0])
+    """I_l assembled setting by setting: the sign-weighted sum of the n
+    party-setting correlators from `conditional_expectation` (cross-check
+    of `eval_I`)."""
+    n = net.n
+    sign = label_signs(n, l)
+    value = (n - 1) * conditional_expectation(net, [TILDE_1] + [1] * (n - 1), l)
+    for i in range(2, n + 1):
+        settings: list = [TILDE_0] + [None] * (n - 1)
+        settings[i - 1] = 0
+        value += sign[i - 1] * conditional_expectation(net, settings, l)
+    return float(sign[0] * value)
 
 
 def ideal_I_value(n: int, l: int) -> float:

@@ -1,18 +1,19 @@
 """Complex linear algebra over explicit tensor-product spaces.
 
 The operators the package checks are short sums of tensor products of
-local matrices. `ProductSum` holds the Bell operators I_l, J_N and the
-SOS generators in that form; it adds, scales, multiplies and takes
-adjoints term by term. `TermStack` holds K terms as arrays, one
-coefficient array and one (K, d_i, d_i) stack per factor, and gets its
-Frobenius norm by splitting every term at the cut between the leading
-and trailing factors that best balances the two sides: the operator's
-entries, realigned as (left row, left column) x (right row, right
-column), form one matrix product of inner size K, so no 2^n x 2^n
-product is ever taken.
+local matrices. `ProductSum` holds the Bell operators I_l and J_N, and
+products of party settings, in that form, as a tuple of terms.
+`TermStack` holds K terms as arrays, one coefficient array and one
+(K, d_i, d_i) stack per factor, and gets its Frobenius norm by splitting
+every term at the cut between the leading and trailing factors that best
+balances the two sides: the operator's entries, realigned as (left row,
+left column) x (right row, right column), form one matrix product of
+inner size K, so no 2^n x 2^n product is ever taken.
 `expect_local` (density matrices) and `apply_local` (vectors) contract
 one term with states, one tensor factor at a time; they are the kernels
-of `network.ConditionalStates`, where every product-sum meets a state.
+of `network.ConditionalStates`, where every product-sum meets a state,
+and `apply_local` also maps the SOS generators over a state's columns
+in `robustness.residual_norms`.
 
 `kron_all`, `tensor_embed` and `ProductSum.dense` build the full
 operators. They are the ground-truth oracle the tests check the
@@ -235,9 +236,8 @@ class ProductSum:
     (c_t, placed_t), each placing local matrices on some factors, with the
     identity on the rest. `(c, {})` is c times the identity. For
     `ConditionalStates`, c_t may be an array over outcome labels.
-
-    Sums, scalar multiples, products and adjoints act on the terms and
-    never form the product operator; `dense` does, as the test oracle.
+    Nothing here forms the product operator except `dense`, the test
+    oracle.
     """
 
     terms: tuple[tuple[complex, Mapping[int, np.ndarray]], ...] = ()
@@ -246,31 +246,6 @@ class ProductSum:
     def product(cls, placed: Mapping[int, np.ndarray], coeff: complex = 1.0) -> "ProductSum":
         """The single term coeff (x)_i placed.get(i, 1)."""
         return cls(((coeff, dict(placed)),))
-
-    def __add__(self, other: "ProductSum") -> "ProductSum":
-        return ProductSum(self.terms + other.terms)
-
-    def __sub__(self, other: "ProductSum") -> "ProductSum":
-        return self + -1.0 * other
-
-    def __rmul__(self, scalar: complex) -> "ProductSum":
-        return ProductSum(tuple((scalar * c, p) for c, p in self.terms))
-
-    def __matmul__(self, other: "ProductSum") -> "ProductSum":
-        """Every pair of terms, with the local factors multiplied."""
-        terms = []
-        for c, p in self.terms:
-            for c2, q in other.terms:
-                placed = dict(p)
-                for i, m in q.items():
-                    placed[i] = placed[i] @ m if i in placed else m
-                terms.append((c * c2, placed))
-        return ProductSum(tuple(terms))
-
-    def adjoint(self) -> "ProductSum":
-        return ProductSum(tuple(
-            (np.conj(c), {i: np.conj(m).T for i, m in p.items()}) for c, p in self.terms
-        ))
 
     def dense(self, local_dims: Sequence[int]) -> np.ndarray:
         """The full matrix, through `tensor_embed`."""
@@ -383,7 +358,14 @@ def random_real_pm1_observable(dim: int, seed: int) -> DenseOperator:
 #
 # {"dim": n, "local_dims": [...], "re": [row-major], "im": [row-major]}
 # Round-trips bit-exactly at double precision (Python floats serialize via
-# repr, which is faithful).
+# repr, which is faithful). Sizes must be JSON integers (`json_size`).
+
+
+def json_size(value, name: str) -> int:
+    """`value` as a size; ValueError unless it is an integer >= 0 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
 
 
 def operator_to_json(m: DenseOperator) -> dict:
@@ -396,10 +378,11 @@ def operator_to_json(m: DenseOperator) -> dict:
 
 
 def operator_from_json(d: dict) -> DenseOperator:
-    dim = int(d["dim"])
+    dim = json_size(d["dim"], "dim")
     re = np.array(d["re"], dtype=float).reshape(dim, dim)
     im = np.array(d["im"], dtype=float).reshape(dim, dim)
-    return DenseOperator(re + 1j * im, tuple(d["local_dims"]))
+    local_dims = tuple(json_size(v, "local_dims") for v in d["local_dims"])
+    return DenseOperator(re + 1j * im, local_dims)
 
 
 # A rectangular matrix: {"rows": r, "cols": c, "re": [...], "im": [...]},
@@ -416,7 +399,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    shape = (int(d["rows"]), int(d["cols"]))
+    shape = (json_size(d["rows"], "rows"), json_size(d["cols"], "cols"))
     re = np.array(d["re"], dtype=float).reshape(shape)
     im = np.array(d["im"], dtype=float).reshape(shape)
     return re + 1j * im

@@ -10,18 +10,16 @@ joint density matrix. When every source is pure, V's columns are pushed
 through one source at a time, all outcomes at once, and kept as vectors
 when an outcome has fewer of them than the party dimension, else summed
 into matrices. Mixed sources take the density-matrix kernel, one outcome
-at a time. An operator, held as a `ProductSum`, meets the states only in
-`ConditionalStates`, which contracts each term factor by factor
+at a time. An operator, held as a `ProductSum`, meets the states in
+`ConditionalStates.expect`, which contracts each term factor by factor
 (`apply_local` on vectors, `expect_local` on matrices). The seesaw takes
 rho^0 as columns instead (`ConditionalStates.columns`) and contracts J_N
-on them itself.
+on them itself; `robustness.residual_norms` applies the SOS generators
+to the same columns.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -314,9 +312,9 @@ class ConditionalStates:
 
     Exactly one of `vectors` (axes l, c, a; P(l) rho^l is the sum over c of
     |vectors[l, c]><vectors[l, c]|, zero rows padding the ranks) and `mats`
-    (axes l, a, a') is set. The `expect` methods are where an operator, a
-    `ProductSum` with coefficients scalar or arrays over `labels`, meets
-    the states, one tensor factor at a time.
+    (axes l, a, a') is set. `expect` is where an operator, a `ProductSum`
+    with coefficients scalar or arrays over `labels`, meets the states,
+    one tensor factor at a time.
     """
 
     party_dims: tuple[int, ...]
@@ -336,17 +334,13 @@ class ConditionalStates:
         v = self.vectors
         return np.einsum("lca,lca->l", v.conj(), linalg.apply_local(v, self.party_dims, placed))
 
-    def weighted_expect(self, op: ProductSum) -> np.ndarray:
-        """Re Tr[op P(l) rho^l] for each label; the real part is taken once,
+    def expect(self, op: ProductSum) -> np.ndarray:
+        """Re Tr[op rho^l] for each label; the real part is taken once,
         after the terms are summed."""
         total = np.zeros(len(self.labels), dtype=complex)
         for c, placed in op.terms:
             total += c * self._traces(placed)
-        return total.real
-
-    def expect(self, op: ProductSum) -> np.ndarray:
-        """Re Tr[op rho^l] for each label."""
-        return self.weighted_expect(op) / self.probs
+        return total.real / self.probs
 
     def fidelity(self, targets: np.ndarray) -> np.ndarray:
         """<t_l| rho^l |t_l>, one target vector per label (rows of `targets`)."""
@@ -430,76 +424,15 @@ def eve_outcome_probability(net: StarNetwork, l: int) -> float:
     return float(np.real(np.vdot(v, linalg.apply_local(v, net.eve_dims, marg))))
 
 
-def settings_operator(net: StarNetwork, settings: Sequence) -> ProductSum:
-    """The product of the party settings as one term; identity where a
-    setting is None."""
+def conditional_expectation(net: StarNetwork, settings: Sequence, l: int) -> float:
+    """Correlator of the party settings on the post-measurement state rho^l;
+    a setting of None leaves the identity on that party."""
     if len(settings) != net.n:
         raise ValueError("need one setting per party")
-    return ProductSum.product(
+    op = ProductSum.product(
         {i: net.observable(i + 1, s) for i, s in enumerate(settings) if s is not None}
     )
-
-
-def conditional_expectation(net: StarNetwork, settings: Sequence, l: int) -> float:
-    """Correlator of the party settings on the post-measurement state rho^l."""
-    return float(conditional_states(net, [l]).expect(settings_operator(net, settings))[0])
-
-
-@dataclass(frozen=True)
-class CorrelationTable:
-    """p(a, l | x) for all settings x in {0,1,2}^n, outcomes a in {0,1}^n, l.
-
-    probs has axes (x_1, ..., x_n, a_1, ..., a_n, l).
-    """
-
-    n: int
-    probs: np.ndarray
-
-    def p(self, x: Sequence[int], a: Sequence[int], l: int) -> float:
-        return float(self.probs[tuple(x) + tuple(a) + (l,)])
-
-    def validate(self, tol_entry: float = 1e-12, tol_sum: float = 1e-10) -> None:
-        if self.probs.min() < -tol_entry or self.probs.max() > 1 + tol_entry:
-            raise ValidationError("probability entry out of [0, 1]")
-        sums = self.probs.sum(axis=tuple(range(self.n, 2 * self.n + 1)))
-        if np.max(np.abs(sums - 1.0)) > tol_sum:
-            raise ValidationError("probabilities do not sum to 1 per setting")
-        # No-signaling to Eve: the marginal over a must not depend on x.
-        marg = self.probs.sum(axis=tuple(range(self.n, 2 * self.n)))
-        flat = marg.reshape(-1, marg.shape[-1])
-        if np.max(np.abs(flat - flat[0])) > tol_sum:
-            raise ValidationError("Eve's marginal depends on the settings")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(
-            [f"x_{i}" for i in range(1, self.n + 1)]
-            + [f"a_{i}" for i in range(1, self.n + 1)]
-            + ["l", "p"]
-        )
-        for x in itertools.product(range(3), repeat=self.n):
-            for a in itertools.product(range(2), repeat=self.n):
-                for l in range(1 << self.n):
-                    w.writerow(list(x) + list(a) + [l, "%.17g" % self.p(x, a, l)])
-        return buf.getvalue()
-
-
-def correlation_table(net: StarNetwork) -> CorrelationTable:
-    n = net.n
-    shape = (3,) * n + (2,) * n + (1 << n,)
-    probs = np.zeros(shape)
-    states = _unnormalized_states(net, None)
-    for x in itertools.product(range(3), repeat=n):
-        effects = []
-        for i, xi in enumerate(x):
-            a_op = net.observable(i + 1, xi)
-            eye = np.eye(a_op.shape[0], dtype=complex)
-            effects.append(((eye + a_op) / 2, (eye - a_op) / 2))
-        for a in itertools.product(range(2), repeat=n):
-            effect = ProductSum.product({i: effects[i][ai] for i, ai in enumerate(a)})
-            probs[x + a] = states.weighted_expect(effect)
-    return CorrelationTable(n, probs)
+    return float(conditional_states(net, [l]).expect(op)[0])
 
 
 # --- strategy files -------------------------------------------------------
@@ -538,7 +471,7 @@ def network_from_json(d: dict) -> StarNetwork:
         eve = EveMeasurement.from_elements(
             [linalg.operator_from_json(r).mat for r in d["eve_povm"]]
         )
-    return StarNetwork(int(d["n"]), sources, obs, eve)
+    return StarNetwork(linalg.json_size(d["n"], "n"), sources, obs, eve)
 
 
 def save_strategy(net: StarNetwork, path) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .errors import InternalConsistencyError
 from .functionals import I_terms, I_values, label_signs, pair_dims, validated_pairs
-from .linalg import DenseOperator, ProductSum, TermStack
+from .linalg import DenseOperator, TermStack
 from .network import EveMeasurement, StarNetwork, conditional_states, ideal_network, tilde_pair
 from .rqt import SeesawResult, seesaw_real
 
@@ -135,8 +135,10 @@ def verify_sos_identity_B(n: int, labels, observables: Sequence[Sequence[np.ndar
 def residual_norms(net: StarNetwork, l: int) -> dict:
     """SOS term norms on the conditional state, against their proven bounds.
 
-    ||P |psi_l>|| is computed as sqrt(Tr(P^dag P rho^l)), which equals the
-    norm on any purification of rho^l.
+    ||G |psi_l>|| is computed as ||G X||_F with rho^l = X X^dag
+    (`ConditionalStates.columns`), which equals the norm on any
+    purification of rho^l. G X is summed term by term, each term one
+    `apply_local` on the columns.
     """
     n = net.n
     pairs = net.pairs
@@ -145,24 +147,24 @@ def residual_norms(net: StarNetwork, l: int) -> dict:
     if eps < -1e-8:
         raise InternalConsistencyError(f"value above the quantum bound by {-eps:.3e}")
     eps_pos = max(eps, 0.0)
-    generators = {}
+    columns = states.columns(0).T
+    bounds = {}
     for basis, rows, _, _ in (sos_terms_A(n, l, pairs), sos_terms_B(n, l, pairs)):
         for name, row in rows.items():
-            generators[name] = ProductSum(tuple((c, p) for c, p in zip(row, basis) if c != 0))
-    bounds = {}
-    for name, term in generators.items():
-        if name == "P_1":
-            bound = math.sqrt(2.0 * eps_pos / (n - 1))
-        elif name.startswith("P_"):
-            bound = math.sqrt(2.0 * eps_pos)
-        elif name.startswith("T_"):
-            bound = 2.0 * math.sqrt(eps_pos)
-        elif name.startswith("Q_") or name == "J_l":
-            bound = 2.0 * math.sqrt((n - 1) * eps_pos)
-        else:
-            continue
-        norm = math.sqrt(max(0.0, float(states.expect(term.adjoint() @ term)[0])))
-        bounds[name] = {"norm": norm, "bound": bound, "ok": norm <= bound + 1e-7}
+            if name == "P_1":
+                bound = math.sqrt(2.0 * eps_pos / (n - 1))
+            elif name.startswith("P_"):
+                bound = math.sqrt(2.0 * eps_pos)
+            elif name.startswith("T_"):
+                bound = 2.0 * math.sqrt(eps_pos)
+            else:  # J_l and the Q_{i,j}
+                bound = 2.0 * math.sqrt((n - 1) * eps_pos)
+            image = sum(
+                c * linalg.apply_local(columns, net.party_dims, p)
+                for c, p in zip(row, basis) if c != 0
+            )
+            norm = float(np.linalg.norm(image))
+            bounds[name] = {"norm": norm, "bound": bound, "ok": norm <= bound + 1e-7}
     return {"epsilon_attained": eps, "terms": bounds}
 
 

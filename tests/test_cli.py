@@ -114,6 +114,21 @@ def test_verify_fail_line_names_the_worst_sos_input(capsys, monkeypatch, bad_inp
     assert ("worst_draw" in check) == (bad_input >= 2)
 
 
+def test_verify_fails_when_the_backends_disagree(capsys, monkeypatch):
+    real = rqtgap.cli.ideal_I_value
+
+    def off_at_5(n, l):
+        return real(n, l) + (1e-6 if l == 5 else 0.0)
+
+    monkeypatch.setattr(rqtgap.cli, "ideal_I_value", off_at_5)
+    code, out, err = run(capsys, "verify", "--n", "3")
+    assert code == 1
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == "backend_equivalence")
+    assert not check["passed"] and check["measured"] == pytest.approx(1e-6)
+    assert err.startswith("FAIL: backend_equivalence measured ")
+    assert err.count("\n") == 1
+
+
 def test_verify_sos_battery_peak_memory_at_n9():
     # tracemalloc sees numpy's buffers. The bound is four realigned
     # 2^9-dim operators (4^9 complex entries each, 16 MiB): each input's
@@ -284,6 +299,9 @@ def test_unknown_subcommand_is_usage_error(capsys):
         ["verify", "--n", "2", "--strategy", "{tmp}/null_setting.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/four_dim_party.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/qutrit_eve.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/negative_rows.json"],
+        ["verify", "--n", "3", "--strategy", "{tmp}/fractional_n.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/fractional_local_dims.json"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}/", "").replace("{tmp}", "DIR"),
 )
@@ -296,6 +314,17 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
         factors[1]["re"][0] = bad
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(strategy, eve_factors=factors)))
     (tmp_path / "both_eve_keys.json").write_text(json.dumps(dict(strategy, eve_povm=[])))
+    # Sizes that numpy would accept: a reshape to -1 rows, an n truncated
+    # to 3, local dims truncated to (2, 2).
+    factors = [dict(f) for f in strategy["eve_factors"]]
+    factors[0]["rows"] = -1
+    (tmp_path / "negative_rows.json").write_text(json.dumps(dict(strategy, eve_factors=factors)))
+    sources = [dict(s) for s in strategy["sources"]]
+    sources[0]["local_dims"] = [2.9, 2.2]
+    (tmp_path / "fractional_local_dims.json").write_text(json.dumps(dict(strategy, sources=sources)))
+    (tmp_path / "fractional_n.json").write_text(
+        json.dumps(dict(network_to_json(ideal_network(3)), n=3.7))
+    )
     observables = [list(t) for t in strategy["observables"]]
     observables[0][0] = None
     (tmp_path / "null_setting.json").write_text(json.dumps(dict(strategy, observables=observables)))

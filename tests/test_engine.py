@@ -21,7 +21,6 @@ import rqtgap.network
 import rqtgap.rqt
 from rqtgap.functionals import (
     I_values,
-    I_values_from_correlators,
     J_fixed_factors,
     build_I_operator,
     eval_I,
@@ -175,7 +174,6 @@ def test_vector_path_matches_dense_kernel_and_bell_operator(dims, projective, ra
     states = conditional_states(net)
     pairs = [(t[0], t[1]) for t in net.observables]
     i_vec = I_values(net, states)
-    i_corr = I_values_from_correlators(net, states)
     for j, l in enumerate(states.labels):
         raw = _conditional_unnormalized(net, l)
         p = np.trace(raw).real
@@ -185,7 +183,6 @@ def test_vector_path_matches_dense_kernel_and_bell_operator(dims, projective, ra
         np.testing.assert_allclose(raw, _dense_conditional(net, l), atol=1e-12)
         want = np.trace(build_I_operator(n, l, pairs).mat @ raw).real / p
         assert i_vec[j] == pytest.approx(want, abs=1e-12)
-        assert i_corr[j] == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -330,8 +327,8 @@ def test_mixed_states_in_slices_match_one_batch(monkeypatch):
     whole = np.real(expect_local(states.mats, states.party_dims, placed))
     # Slices of 3, 3 and 2 of the 8 outcomes.
     monkeypatch.setattr(rqtgap.network, "MIXED_BATCH_ENTRIES", 3 * states.mats[0].size)
-    got = states.weighted_expect(ProductSum.product(placed))
-    np.testing.assert_allclose(got, whole, rtol=0, atol=1e-15)
+    got = states.expect(ProductSum.product(placed))
+    np.testing.assert_allclose(got, whole / states.probs, rtol=0, atol=1e-15)
 
 
 def _finite_difference_k(net: StarNetwork, rho: np.ndarray, third, i: int) -> np.ndarray:
@@ -460,15 +457,8 @@ def test_product_sum_matches_dense(dims, count, seed, data):
         coeff = complex(rng.normal(), rng.normal())
         terms.append((coeff, {i: _random_matrix(dims[i], rng) for i in where}))
     p = ProductSum(tuple(terms))
-    q = ProductSum(tuple(reversed(terms))).adjoint()
-    dp, dq = p.dense(dims), q.dense(dims)
-    np.testing.assert_allclose(dq, dp.conj().T, rtol=1e-12, atol=1e-12)
-    want = np.linalg.norm(dp)
+    want = np.linalg.norm(p.dense(dims))
     assert _stacked(p, dims).frobenius_norm() == pytest.approx(want, rel=1e-12)
-    r = (p @ q) - 2.5j * p
-    np.testing.assert_allclose(r.dense(dims), dp @ dq - 2.5j * dp, rtol=1e-12, atol=1e-11)
-    want = np.linalg.norm(r.dense(dims))
-    assert _stacked(r, dims).frobenius_norm() == pytest.approx(want, rel=1e-12)
 
 
 def _dense_sos_generators(n: int, l: int, pairs) -> tuple[dict, np.ndarray]:
@@ -549,17 +539,10 @@ def test_sos_identities_match_dense_products(dims, count, seed, data):
                         assert got[b] == pytest.approx(dense, rel=1e-12)
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    n=st.integers(2, 4),
-    model=st.sampled_from(NOISE_MODELS),
-    strength=st.floats(0.0, 0.2),
-    shrink=st.floats(0.3, 1.0),
-    data=st.data(),
-)
-def test_residual_norms_match_dense_generators(n, model, strength, shrink, data):
+def _check_residual_norms(n, model, strength, shrink, l):
+    """`residual_norms` on a noisy network whose A_{1,0} is not +/-1, each
+    norm squared against Tr(G^dag G rho^l) from dense generators."""
     net = apply_noise(ideal_network(n), model, strength)
-    l = data.draw(st.integers(0, (1 << n) - 1), label="l")
     with mock.patch.object(rqtgap.linalg, "require_pm1", _unchecked):
         # A_{1,0} shrunk and given an anti-Hermitian part is not +/-1: no SOS
         # term vanishes, and not every term is Hermitian.
@@ -574,6 +557,25 @@ def test_residual_norms_match_dense_generators(n, model, strength, shrink, data)
     for name, g in gens.items():
         want = max(0.0, np.trace(g.conj().T @ g @ rho).real)
         assert got[name]["norm"] ** 2 == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    model=st.sampled_from(NOISE_MODELS),
+    strength=st.floats(0.0, 0.2),
+    shrink=st.floats(0.3, 1.0),
+    data=st.data(),
+)
+def test_residual_norms_match_dense_generators(n, model, strength, shrink, data):
+    l = data.draw(st.integers(0, (1 << n) - 1), label="l")
+    _check_residual_norms(n, model, strength, shrink, l)
+
+
+def test_residual_norms_match_dense_generators_replayed_case():
+    # A case hypothesis found: Tr(G^dag G rho^l), summed from up to 36
+    # cancelling terms, missed the dense oracle here by 1.15e-14.
+    _check_residual_norms(4, "rotate_observables", 0.00390625, 0.990234375, 0)
 
 
 @pytest.mark.parametrize("model", [None, "mix_povm"])

@@ -14,7 +14,6 @@ from rqtgap.network import (
     conditional_expectation,
     conditional_state,
     conditional_states,
-    correlation_table,
     eve_outcome_probability,
     ghz_basis,
     ghz_state,
@@ -23,7 +22,6 @@ from rqtgap.network import (
     network_from_json,
     network_to_json,
     save_strategy,
-    settings_operator,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -129,7 +127,6 @@ def test_conditional_states_are_ghz(n):
 
 def test_conditional_expectation_stabilizers():
     net = ideal_network(3).with_third([Y.copy()] * 3)
-    states = conditional_states(net, [0])
     for settings, want in [
         # X X X with the tilde-1 rotation on party 1 stabilizes |phi_0>.
         ([TILDE_1, 1, 1], 1.0),
@@ -138,7 +135,6 @@ def test_conditional_expectation_stabilizers():
         # Y Y on parties 2,3 with X~ on party 1: -X Y Y stabilizes, so value -1.
         ([TILDE_1, 2, 2], -1.0),
     ]:
-        assert states.expect(settings_operator(net, settings))[0] == pytest.approx(want)
         assert conditional_expectation(net, settings, 0) == pytest.approx(want)
 
 
@@ -151,19 +147,6 @@ def test_outcome_label_out_of_range_rejected(l):
         conditional_state(net, l)
     with pytest.raises(ValueError, match="out of range"):
         eve_outcome_probability(net, l)
-
-
-def test_correlation_table_valid_and_consistent():
-    net = ideal_network(2).with_third([Y.copy(), Y.copy()])
-    table = correlation_table(net)
-    table.validate()
-    # Correlator reconstructed from the table matches the direct path.
-    val = 0.0
-    for a1, a2 in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        val += (-1) ** (a1 + a2) * table.p([1, 1], [a1, a2], 0)
-    correlator = conditional_states(net, [0]).expect(settings_operator(net, [1, 1]))[0]
-    direct = eve_outcome_probability(net, 0) * correlator
-    assert val == pytest.approx(direct, abs=1e-10)
 
 
 def test_strategy_json_roundtrip(tmp_path):
