@@ -37,12 +37,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Largest n accepted by verify and seesaw. 2 shared vCPUs, one BLAS thread,
-# two runs each: verify --n 10 1.6 s, 148 MB (2.1-2.6 s, 154 MB with a
-# second, correlator-built I_l pass); verify --n 11 7.0-7.1 s, 486-487 MB
-# (9.9-10.5 s, 499 MB); seesaw --n 11 (20 restarts) 2.2-3.5 s, 292 MB. Load
-# moves these about 2x. Verify grows about 4x per party, so it, not the
-# seesaw, holds the cap.
+# Largest n accepted by verify and seesaw. 2 shared vCPUs, one BLAS thread:
+# verify --n 10 1.0-1.2 s, 148 MB; verify --n 11 5.9-6.0 s, 486 MB; seesaw
+# --n 11 (20 restarts) 1.7-2.9 s, 291 MB. Load moves these about 2x. Verify
+# grows about 4x per party, so it, not the seesaw, holds the cap.
 MAX_N = 11
 
 

@@ -21,9 +21,9 @@ from .network import (
     TILDE_1,
     ConditionalStates,
     StarNetwork,
-    conditional_expectation,
     conditional_state,
     conditional_states,
+    settings_product,
     tilde_pair,
 )
 from .pauli import OutcomeLabel, PauliWord, ghz_expectation
@@ -103,16 +103,16 @@ def eval_I(net: StarNetwork, l: int) -> float:
 
 
 def eval_I_from_correlators(net: StarNetwork, l: int) -> float:
-    """I_l assembled setting by setting: the sign-weighted sum of the n
-    party-setting correlators from `conditional_expectation` (cross-check
-    of `eval_I`)."""
+    """I_l as the sign-weighted sum of n party-setting correlators, each a
+    `settings_product` on one rho^l, as in `conditional_expectation`
+    (cross-check of `eval_I`)."""
     n = net.n
     sign = label_signs(n, l)
-    value = (n - 1) * conditional_expectation(net, [TILDE_1] + [1] * (n - 1), l)
-    for i in range(2, n + 1):
-        settings: list = [TILDE_0] + [None] * (n - 1)
-        settings[i - 1] = 0
-        value += sign[i - 1] * conditional_expectation(net, settings, l)
+    states = conditional_states(net, [l])
+    settings = [[TILDE_1] + [1] * (n - 1)]
+    settings += [[TILDE_0] + [None] * (i - 1) + [0] + [None] * (n - 1 - i) for i in range(1, n)]
+    weights = [n - 1, *sign[1:]]
+    value = sum(w * states.expect(settings_product(net, s))[0] for w, s in zip(weights, settings))
     return float(sign[0] * value)
 
 

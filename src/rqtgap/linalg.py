@@ -10,10 +10,15 @@ balances the two sides: the operator's entries, realigned as (left row,
 left column) x (right row, right column), form one matrix product of
 inner size K, so no 2^n x 2^n product is ever taken.
 `expect_local` (density matrices) and `apply_local` (vectors) contract
-one term with states, one tensor factor at a time; they are the kernels
-of `network.ConditionalStates`, where every product-sum meets a state,
-and `apply_local` also maps the SOS generators over a state's columns
-in `robustness.residual_norms`.
+one term with states, one tensor factor at a time.
+
+Every array of state vectors is party-first: axis 0 is the joint index
+of the factors, leftmost most significant, then any outcome and column
+axes. Conditional vectors have axes (a, l, c), Eve's factors (e, l, c),
+a state's columns (a, c). A factor acts on such an array by one matmul
+on a (left, d, -1) view (`apply_factor`): that is the step of
+`apply_local`, of the seesaw's blocks and of the source matrices that
+build the pure-source vectors.
 
 `kron_all`, `tensor_embed` and `ProductSum.dense` build the full
 operators. They are the ground-truth oracle the tests check the
@@ -209,25 +214,27 @@ def expect_local(
     return t.reshape(batch)
 
 
-def apply_local(
-    vecs: np.ndarray, local_dims: Sequence[int], placed: Mapping[int, np.ndarray]
-) -> np.ndarray:
-    """((x)_i placed.get(i, 1)) applied to each vector of `vecs`.
+def apply_factor(m: np.ndarray, x: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """`m` on the factor that `shape`, (left, d, -1), isolates in the
+    party-first `x`; a (d', d) `m` maps it to dimension d'."""
+    return (m @ x.reshape(shape)).reshape((-1,) + x.shape[1:])
 
-    `vecs` holds vectors on the factors `local_dims` along its last axis,
-    with any leading batch axes; the result has the same shape. Each placed
-    factor is one matmul on its own axis, so the cost is O(dim * d) per
-    factor and the product operator is never formed.
-    """
-    t = np.asarray(vecs)
-    shape = t.shape
-    right = shape[-1]
+
+def apply_local(
+    x: np.ndarray, local_dims: Sequence[int], placed: Mapping[int, np.ndarray]
+) -> np.ndarray:
+    """((x)_i placed.get(i, 1)) applied to the party-first array `x`, one
+    `apply_factor` per placed factor: O(size * d) each, and the product
+    operator is never formed."""
+    t = np.asarray(x)
+    left = 1
     for i, d in enumerate(local_dims):
-        right //= d
         m = placed.get(i)
         if m is not None:
-            t = np.tensordot(m, t.reshape(-1, d, right), axes=(1, 1)).transpose(1, 0, 2)
-    return t.reshape(shape)
+            t = apply_factor(m, t, (left, d, -1))
+            d = m.shape[0]
+        left *= d
+    return t
 
 
 @dataclass(frozen=True, eq=False)

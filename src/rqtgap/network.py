@@ -6,16 +6,16 @@ R_l = V_l V_l^dag (`EveMeasurement`, the only form `StarNetwork` takes):
 the ideal network's, like any rank-1 projective measurement, is one
 2^n x 2^n unitary, and dense elements are factored once, by
 `EveMeasurement.from_elements`. Conditional states never materialize the
-joint density matrix. When every source is pure, V's columns are pushed
-through one source at a time, all outcomes at once, and kept as vectors
-when an outcome has fewer of them than the party dimension, else summed
-into matrices. Mixed sources take the density-matrix kernel, one outcome
-at a time. An operator, held as a `ProductSum`, meets the states in
-`ConditionalStates.expect`, which contracts each term factor by factor
-(`apply_local` on vectors, `expect_local` on matrices). The seesaw takes
-rho^0 as columns instead (`ConditionalStates.columns`) and contracts J_N
-on them itself; `robustness.residual_norms` applies the SOS generators
-to the same columns.
+joint density matrix. When every source is pure, one `apply_local` of
+the source matrices on conj(V) gives the vectors of all outcomes at
+once, party-first (axes a, l, c; see `linalg`). They are kept when an
+outcome has fewer of them than the party dimension, else summed into
+matrices by one batched matmul. Mixed sources take the density-matrix
+kernel, one outcome at a time. An operator, held as a `ProductSum`,
+meets the states in `ConditionalStates.expect`, which contracts each
+term factor by factor (`apply_local` on vectors, `expect_local` on
+matrices). The seesaw and `robustness.residual_norms` take rho^l as
+columns instead (`ConditionalStates.columns`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -290,31 +290,23 @@ def _conditional_unnormalized(net: StarNetwork, l: int) -> np.ndarray:
 
 
 def _pure_vectors(net: StarNetwork, labels: Sequence[int]) -> np.ndarray:
-    """Unnormalized conditional vectors for pure sources, axes (l, c, a):
-
-    psi[l, c, a] = sum_e conj(V_l[e, c]) prod_i S_i[a_i, e_i],
-
-    so that P(l) rho^l = sum_c |psi[l, c]><psi[l, c]|. Each source contracts
-    the leading E axis and appends its A axis: n matmuls in all.
-    """
-    t = net.eve.factors[:, list(labels), :]
-    shape = t.shape[1:]
-    t = np.conj(t, out=t)
-    for s, de in zip(net.source_vectors, net.eve_dims):
-        # t^T @ s^T lands the new A axis at the back without a copy of t.
-        t = t.reshape(de, -1).T @ s.T
-    return t.reshape(shape + (-1,))
+    """Unnormalized conditional vectors psi[a, l, c] for pure sources, with
+    P(l) rho^l = sum_c |psi[:, l, c]><psi[:, l, c]|: psi = ((x)_i S_i)
+    conj(V), one `apply_local` of the d_A x d_E source matrices."""
+    v = net.eve.factors[:, list(labels), :]
+    np.conj(v, out=v)
+    return linalg.apply_local(v, net.eve_dims, dict(enumerate(net.source_vectors)))
 
 
 @dataclass(frozen=True)
 class ConditionalStates:
     """P(l) rho^l for each outcome in `labels`, with P(l) in `probs`.
 
-    Exactly one of `vectors` (axes l, c, a; P(l) rho^l is the sum over c of
-    |vectors[l, c]><vectors[l, c]|, zero rows padding the ranks) and `mats`
-    (axes l, a, a') is set. `expect` is where an operator, a `ProductSum`
-    with coefficients scalar or arrays over `labels`, meets the states,
-    one tensor factor at a time.
+    Exactly one of `vectors` (axes a, l, c; P(l) rho^l is the sum over c
+    of |vectors[:, l, c]><vectors[:, l, c]|, zero columns padding the
+    ranks) and `mats` (axes l, a, a') is set. `expect` is where an
+    operator, a `ProductSum` with coefficients scalar or arrays over
+    `labels`, meets the states, one tensor factor at a time.
     """
 
     party_dims: tuple[int, ...]
@@ -323,31 +315,30 @@ class ConditionalStates:
     vectors: Optional[np.ndarray] = None
     mats: Optional[np.ndarray] = None
 
-    def _traces(self, placed: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Tr[((x)_i placed.get(i, 1)) P(l) rho^l] for each label, complex."""
-        if self.vectors is None:
+    def expect(self, op: ProductSum) -> np.ndarray:
+        """Re Tr[op rho^l] for each label: each term's complex trace,
+        summed, then the real part once."""
+        bra = None if self.vectors is None else self.vectors.conj()
+        total = np.zeros(len(self.labels), dtype=complex)
+        for c, placed in op.terms:
+            if bra is not None:
+                ket = linalg.apply_local(self.vectors, self.party_dims, placed)
+                total += c * np.einsum("alc,alc->l", bra, ket)
+                del ket  # freed before the next term's arrays are allocated
+                continue
             step = max(1, MIXED_BATCH_ENTRIES // self.mats[0].size)
-            return np.concatenate([
+            total += c * np.concatenate([
                 linalg.expect_local(self.mats[j : j + step], self.party_dims, placed)
                 for j in range(0, len(self.mats), step)
             ])
-        v = self.vectors
-        return np.einsum("lca,lca->l", v.conj(), linalg.apply_local(v, self.party_dims, placed))
-
-    def expect(self, op: ProductSum) -> np.ndarray:
-        """Re Tr[op rho^l] for each label; the real part is taken once,
-        after the terms are summed."""
-        total = np.zeros(len(self.labels), dtype=complex)
-        for c, placed in op.terms:
-            total += c * self._traces(placed)
         return total.real / self.probs
 
     def fidelity(self, targets: np.ndarray) -> np.ndarray:
-        """<t_l| rho^l |t_l>, one target vector per label (rows of `targets`)."""
+        """<t_l| rho^l |t_l>, one target vector per label (columns of `targets`)."""
         if self.vectors is None:
-            raw = np.real(np.einsum("la,lab,lb->l", targets.conj(), self.mats, targets))
+            raw = np.real(np.einsum("al,lab,bl->l", targets.conj(), self.mats, targets))
         else:
-            amp = np.einsum("la,lca->lc", targets.conj(), self.vectors)
+            amp = np.einsum("al,alc->lc", targets.conj(), self.vectors)
             raw = np.sum(np.abs(amp) ** 2, axis=1)
         return raw / self.probs
 
@@ -356,19 +347,20 @@ class ConditionalStates:
         if self.vectors is None:
             raw = self.mats[j]
         else:
-            raw = self.vectors[j].T @ self.vectors[j].conj()
+            raw = self.vectors[:, j] @ self.vectors[:, j].conj().T
         return raw / self.probs[j]
 
     def columns(self, j: int) -> np.ndarray:
         """Columns X with axes (a, c) and rho^l = X X^dag, for l = labels[j].
 
-        The vector form is transposed; the matrix form is factored by one
-        `eigh`, keeping the eigenvalues above RANK_CUTOFF of the largest.
+        The vector form is sliced; the matrix form is factored by one
+        `eigh`, keeping every positive eigenvalue: a cut relative to the
+        largest would drop weight that ||G X|| for a large G still sees.
         """
         if self.vectors is not None:
-            return self.vectors[j].T / math.sqrt(self.probs[j])
+            return self.vectors[:, j] / math.sqrt(self.probs[j])
         w, q = np.linalg.eigh(self.density(j))
-        keep = w > RANK_CUTOFF * w[-1]
+        keep = w > 0
         return q[:, keep] * np.sqrt(w[keep])
 
 
@@ -387,11 +379,12 @@ def _unnormalized_states(net: StarNetwork, labels: Optional[Sequence[int]]) -> C
     d = math.prod(net.party_dims)
     if net.source_vectors is not None:
         vecs = _pure_vectors(net, labels)
-        probs = np.sum(np.abs(vecs) ** 2, axis=(1, 2))
+        probs = np.sum(np.abs(vecs) ** 2, axis=(0, 2))
         # Fewer than d vectors per outcome are smaller than its d x d matrix.
-        if vecs.shape[1] < d:
+        if vecs.shape[2] < d:
             return ConditionalStates(net.party_dims, labels, probs, vectors=vecs)
-        mats = np.einsum("lca,lcb->lab", vecs, vecs.conj())
+        vecs = vecs.transpose(1, 0, 2)
+        mats = vecs @ vecs.conj().swapaxes(1, 2)
     else:
         mats = np.empty((len(labels), d, d), dtype=complex)
         for j, l in enumerate(labels):
@@ -420,19 +413,23 @@ def conditional_state(net: StarNetwork, l: int) -> DenseOperator:
 def eve_outcome_probability(net: StarNetwork, l: int) -> float:
     """P(l) = sum_c <v_c| (x)_i Tr_A rho_{A_i E_i} |v_c> over R_l's factor columns."""
     marg = {i: linalg.partial_trace(s, keep=[1]).mat for i, s in enumerate(net.sources)}
-    v = net.eve.factors[:, _checked_label(net, l), :].T
+    v = net.eve.factors[:, _checked_label(net, l), :]
     return float(np.real(np.vdot(v, linalg.apply_local(v, net.eve_dims, marg))))
 
 
-def conditional_expectation(net: StarNetwork, settings: Sequence, l: int) -> float:
-    """Correlator of the party settings on the post-measurement state rho^l;
-    a setting of None leaves the identity on that party."""
+def settings_product(net: StarNetwork, settings: Sequence) -> ProductSum:
+    """The product of one setting per party; None leaves the identity."""
     if len(settings) != net.n:
         raise ValueError("need one setting per party")
-    op = ProductSum.product(
+    return ProductSum.product(
         {i: net.observable(i + 1, s) for i, s in enumerate(settings) if s is not None}
     )
-    return float(conditional_states(net, [l]).expect(op)[0])
+
+
+def conditional_expectation(net: StarNetwork, settings: Sequence, l: int) -> float:
+    """Correlator of the party settings (`settings_product`) on the
+    post-measurement state rho^l."""
+    return float(conditional_states(net, [l]).expect(settings_product(net, settings))[0])
 
 
 # --- strategy files -------------------------------------------------------

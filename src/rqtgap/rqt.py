@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalConsistencyError
-from .linalg import I2, DenseOperator, X, Y, Z, kron_all, partial_trace
+from .linalg import I2, DenseOperator, X, Y, Z, apply_factor, kron_all, partial_trace
 from .network import StarNetwork, conditional_states, ideal_network
 from .functionals import J_fixed_factors, J_weight
 
@@ -157,7 +157,10 @@ def _best_real_observable(k: np.ndarray, current: np.ndarray) -> np.ndarray:
 # J_N = w e_2, with e_2 the sum over pairs of parties of the product with
 # the third observable T_m on the pair and the fixed factor O_m elsewhere.
 # On rho^0 = X X^dag, every operator below is applied to the columns X,
-# one party's axis at a time, the column axis last.
+# one party's axis at a time by `apply_factor`, the column axis last.
+
+SEESAW_MAX_ITER = 500  # sweeps per restart, at most
+SEESAW_TOL = 1e-10  # a restart stops when a sweep gains less than this
 
 
 def _axis_shapes(dims: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -168,14 +171,10 @@ def _axis_shapes(dims: Sequence[int]) -> list[tuple[int, int, int]]:
 def _place(blocks: list, one: np.ndarray, third: np.ndarray, shape, top: int) -> list:
     """Blocks indexed by the count k of thirds placed, after one more party:
     k takes `one` on blocks[k] plus `third` on blocks[k - 1], k <= top."""
-
-    def apply(m, b):
-        return (m @ b.reshape(shape)).reshape(b.shape)
-
-    out = [apply(one, blocks[0])]
+    out = [apply_factor(one, blocks[0], shape)]
     for k in range(1, min(len(blocks), top) + 1):
-        moved = apply(third, blocks[k - 1])
-        out.append(moved if k == len(blocks) else apply(one, blocks[k]) + moved)
+        moved = apply_factor(third, blocks[k - 1], shape)
+        out.append(moved if k == len(blocks) else apply_factor(one, blocks[k], shape) + moved)
     return out
 
 
@@ -229,7 +228,7 @@ def _sweep(x: np.ndarray, dims, ones, third: list) -> float:
 @dataclass(frozen=True)
 class SeesawResult:
     """`best_J` is max(per_restart). `best_third` holds the thirds of the
-    first restart within the seesaw's `tol` of it, so restarts that tie
+    first restart within SEESAW_TOL of it, so restarts that tie
     up to rounding do not change which one is returned."""
 
     best_J: float
@@ -243,8 +242,6 @@ def seesaw_real(
     net_base: StarNetwork,
     restarts: int,
     seed: int,
-    max_iter: int = 500,
-    tol: float = 1e-10,
     trace_path: Optional[str] = None,
 ) -> SeesawResult:
     """Alternating maximization of J_N over entrywise-real +/-1 third
@@ -280,11 +277,11 @@ def seesaw_real(
                 for i in range(n)
             ]
             current = _j_on_columns(x, dims, ones, third)
-            for it in range(max_iter):
+            for it in range(SEESAW_MAX_ITER):
                 new = _sweep(x, dims, ones, third)
                 if trace_fh:
                     trace_fh.write(json.dumps({"restart": r, "iter": it, "J": new}) + "\n")
-                if new - current < tol:
+                if new - current < SEESAW_TOL:
                     current = max(current, new)
                     break
                 current = new
@@ -296,7 +293,7 @@ def seesaw_real(
     best = max((v for v in per_restart if v > -np.inf), default=None)
     if best is None:
         raise InternalConsistencyError("no restart produced a finite J")
-    first = next(r for r, v in enumerate(per_restart) if v >= best - tol)
+    first = next(r for r, v in enumerate(per_restart) if v >= best - SEESAW_TOL)
     return SeesawResult(
         best_J=float(best),
         best_third=tuple(thirds[first]),

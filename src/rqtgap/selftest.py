@@ -198,7 +198,7 @@ def verify_selftest_noiseless(
     )
 
     targets = ghz_basis(n)
-    fid = np.abs(1.0 - states.fidelity(targets.T[list(states.labels)]))
+    fid = np.abs(1.0 - states.fidelity(targets[:, list(states.labels)]))
     fid_dev = float(np.max(fid))
     checks.append(
         {

@@ -8,6 +8,7 @@ projector check against the dense oracle (`kron_all`, `tensor_embed`,
 import itertools
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -188,21 +189,29 @@ def test_vector_path_matches_dense_kernel_and_bell_operator(dims, projective, ra
 @settings(max_examples=50, deadline=None)
 @given(
     dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
-    batch=st.sampled_from(((), (3,))),
+    trailing=st.lists(st.integers(1, 3), max_size=2),
     seed=SEEDS,
     data=st.data(),
 )
-def test_apply_local_matches_tensor_embed(dims, batch, seed, data):
+def test_apply_local_matches_tensor_embed(dims, trailing, seed, data):
+    # Party-first arrays: the joint factor index, then 0-2 trailing axes.
+    # A placed (d', d) factor maps its axis to dimension d'; the oracle is
+    # `tensor_embed`'s Kronecker chain with those factors.
     rng = np.random.default_rng(seed)
-    d = math.prod(dims)
-    vecs = rng.normal(size=batch + (d,)) + 1j * rng.normal(size=batch + (d,))
+    shape = (math.prod(dims), *trailing)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     where = data.draw(st.sets(st.integers(0, len(dims) - 1)), label="placed")
-    placed = {
-        i: rng.normal(size=(dims[i],) * 2) + 1j * rng.normal(size=(dims[i],) * 2)
-        for i in where
-    }
-    want = vecs @ tensor_embed(dims, placed).T
-    np.testing.assert_allclose(apply_local(vecs, dims, placed), want, rtol=1e-12, atol=1e-12)
+    placed = {}
+    for i in sorted(where):
+        rows = data.draw(st.integers(1, 3), label=f"rows of factor {i}")
+        placed[i] = rng.normal(size=(rows, dims[i])) + 1j * rng.normal(size=(rows, dims[i]))
+    op = kron_all(placed.get(i, np.eye(d)) for i, d in enumerate(dims))
+    if all(m.shape == (dims[i],) * 2 for i, m in placed.items()):
+        np.testing.assert_array_equal(op, tensor_embed(dims, placed))
+    want = (op @ x.reshape(shape[0], -1)).reshape((-1, *trailing))
+    got = apply_local(x, dims, placed)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -283,8 +292,9 @@ def _random_product_sum(dims, labels: int, rng: np.random.Generator, data) -> Pr
 def test_expect_matches_dense_trace(dims, labels, rank, seed, data):
     rng = np.random.default_rng(seed)
     d = math.prod(dims)
-    vecs = rng.normal(size=(labels, rank, d)) + 1j * rng.normal(size=(labels, rank, d))
-    mats = np.einsum("lca,lcb->lab", vecs, vecs.conj())
+    # Party-first vectors, axes (a, l, c), as `conditional_states` holds them.
+    vecs = rng.normal(size=(d, labels, rank)) + 1j * rng.normal(size=(d, labels, rank))
+    mats = np.einsum("alc,blc->lab", vecs, vecs.conj())
     probs = np.real(np.trace(mats, axis1=1, axis2=2))
     op = _random_product_sum(dims, labels, rng, data)
     want = np.array([
@@ -317,6 +327,21 @@ def test_representation_follows_rank(n):
         for j, l in enumerate(states.labels):
             raw = _conditional_unnormalized(net, l)
             np.testing.assert_allclose(states.density(j) * states.probs[j], raw, atol=1e-14)
+
+
+def test_states_and_I_pass_peak_within_20_mib():
+    # tracemalloc sees numpy's buffers. At n = 9 the conditional vectors
+    # are 2^9 x 2^9 complex entries (4 MiB); each factor of an I_l term
+    # is one matmul on a view of them, so a pass holds a few such arrays.
+    net = ideal_network(9)
+    tracemalloc.start()
+    try:
+        values = I_values(net, conditional_states(net))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(values, 16.0, rtol=0, atol=1e-12)
+    assert peak <= 20 * 2**20
 
 
 def test_mixed_states_in_slices_match_one_batch(monkeypatch):
