@@ -21,14 +21,15 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateConditioningError, ValidationError
-from .functionals import I_values, classical_bound_I, ideal_I_value
+from .functionals import I_values, classical_bound_I, ideal_I_value, validated_pairs
 from .linalg import Z
 from .network import StarNetwork, conditional_states, ideal_network, load_strategy
 from .robustness import (
     beta_rqt_upper,
     epsilon_threshold,
-    verify_sos_identity_A,
-    verify_sos_identity_B,
+    sos_residuals,
+    sos_terms_A,
+    sos_terms_B,
 )
 from .rqt import max_j_over_t, seesaw_real
 from .selftest import verify_selftest_noiseless
@@ -38,9 +39,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # Largest n accepted by verify and seesaw. 2 shared vCPUs, one BLAS thread:
-# verify --n 10 1.0-1.2 s, 148 MB; verify --n 11 5.9-6.0 s, 486 MB; seesaw
-# --n 11 (20 restarts) 1.7-2.9 s, 291 MB. Load moves these about 2x. Verify
-# grows about 4x per party, so it, not the seesaw, holds the cap.
+# verify --n 10 1.1-1.4 s, 149 MB; verify --n 11 3.6-4.0 s, 489 MB; seesaw
+# --n 11 (20 restarts) 0.69-0.72 s, 293 MB. Load moves these about 2x.
+# Verify grows about 4x per party, so it, not the seesaw, holds the cap.
 MAX_N = 11
 
 
@@ -110,9 +111,10 @@ def cmd_gap(args) -> int:
 
 def _sos_checks(n: int, seed: int, net: StarNetwork) -> list[dict]:
     """Both identities on the network's observables at l = 0 and
-    l = 2^n - 1, then on five random +/-1 draws at l = 0: one call per
-    identity on all seven inputs. Each check names the input with the
-    largest residual, the first on a tie."""
+    l = 2^n - 1, then on five random +/-1 draws at l = 0: the seven inputs
+    are validated once, then one call per identity takes them all. Each
+    check names the input with the largest residual, the first within
+    `linalg.TIE_TOL` of it."""
     labels = [0, (1 << n) - 1] + [0] * 5
     seeds = np.random.default_rng(seed).integers(0, 2**63, size=(5, n, 2))
     draws = linalg.random_pm1_matrices(2, seeds)
@@ -120,14 +122,12 @@ def _sos_checks(n: int, seed: int, net: StarNetwork) -> list[dict]:
         [np.concatenate([[a, a], draws[:, i, x]]) for x, a in enumerate(pair)]
         for i, pair in enumerate(net.pairs)
     ]
+    pairs = validated_pairs(n, obs)
     checks = []
-    for name, identity in (
-        ("sos_identity_A", verify_sos_identity_A),
-        ("sos_identity_B_residual", verify_sos_identity_B),
-    ):
-        residuals = identity(n, labels, obs)
-        worst = int(np.argmax(residuals))
-        res = float(residuals[worst])
+    for name, terms in (("sos_identity_A", sos_terms_A), ("sos_identity_B_residual", sos_terms_B)):
+        residuals = sos_residuals(terms, n, labels, pairs)
+        worst = linalg.first_near_max(residuals, linalg.TIE_TOL)
+        res = float(np.max(residuals))
         check = {"name": name, "measured": res, "bound": 1e-9, "passed": res <= 1e-9}
         check["worst_l"] = labels[worst]
         if worst >= 2:

@@ -23,7 +23,8 @@ build the pure-source vectors.
 `kron_all`, `tensor_embed` and `ProductSum.dense` build the full
 operators. They are the ground-truth oracle the tests check the
 structured paths against. `require_pm1` is the one check that a matrix,
-or each matrix of a stack, is a +/-1 observable.
+or each matrix of a stack, is a +/-1 observable, and `first_near_max` the
+one tie rule for naming the largest of several values.
 """
 
 from __future__ import annotations
@@ -320,6 +321,17 @@ def require_pm1(m: np.ndarray, who: str) -> np.ndarray:
     return m
 
 
+# Values within this of the largest one tie when a check names its worst
+# offender, so that rounding does not decide which one is named.
+TIE_TOL = 1e-12
+
+
+def first_near_max(values, tol: float) -> int:
+    """Index of the first value within `tol` of the largest one."""
+    v = np.asarray(values, dtype=float)
+    return int(np.argmax(v >= np.max(v) - tol))
+
+
 def _haar_unitary(g: np.ndarray) -> np.ndarray:
     """Q of g = QR with each column's phase (sign) fixed by R's diagonal:
     Haar unitaries (orthogonal matrices) from a stack of complex (real)
@@ -354,11 +366,6 @@ def random_pm1_matrices(dim: int, seeds, real: bool = False) -> np.ndarray:
 def random_pm1_observable(dim: int, seed: int) -> DenseOperator:
     """`random_pm1_matrices` for one seed, as a `DenseOperator`."""
     return DenseOperator(random_pm1_matrices(dim, seed), (dim,))
-
-
-def random_real_pm1_observable(dim: int, seed: int) -> DenseOperator:
-    """Entrywise-real variant of random_pm1_observable."""
-    return DenseOperator(random_pm1_matrices(dim, seed, real=True), (dim,))
 
 
 # --- JSON interchange -----------------------------------------------------

@@ -40,7 +40,8 @@ RANK_CUTOFF = 1e-14
 # Matrix entries per batched `expect_local` call on mixed conditional states.
 # expect_local copies its batch at the first factor: `I_values` on all
 # outcomes of a depolarized n = 8 network peaks at 314 MB in slices, 674 MB
-# in one call (n = 7: 89 and 113 MB).
+# in one call (n = 7: 89 and 113 MB). It also bounds the blocks that one
+# batch of seesaw restarts holds (`rqt.seesaw_real`).
 MIXED_BATCH_ENTRIES = 2**20
 
 # Party-1 settings: 0, 1, 2 select A_{1,x}; the tilde settings select the
@@ -91,7 +92,8 @@ class EveMeasurement:
     columns up to the largest rank. For a rank-1 projective measurement,
     factors[:, :, 0] is one unitary whose columns are the measurement
     vectors. Completeness, sum_l V_l V_l^dag = 1, is checked once, through
-    the stacked factors; positivity holds by construction.
+    the stacked factors (a real product when they are entrywise real);
+    positivity holds by construction.
     """
 
     factors: np.ndarray
@@ -105,7 +107,14 @@ class EveMeasurement:
         if not np.all(np.isfinite(v)):
             raise ValidationError("Eve's factors are not all finite")
         flat = v.reshape(v.shape[0], -1)
-        dev = np.max(np.abs(flat @ flat.conj().T - np.eye(v.shape[0])))
+        if flat.imag.any():
+            gram = flat @ flat.conj().T
+        else:
+            # Entrywise-real factors, as the ideal network's: a contiguous
+            # real copy lets the product run as one real syrk.
+            re = np.ascontiguousarray(flat.real)
+            gram = re @ re.T
+        dev = np.max(np.abs(gram - np.eye(v.shape[0])))
         # Written so that a NaN deviation (say, from overflow) fails too.
         if not dev <= 1e-10:
             raise ValidationError("Eve POVM does not sum to the identity")

@@ -87,15 +87,18 @@ def sos_terms_B(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) 
     return basis, rows, {f"T_{j}": n - 1 for j in range(2, n + 1)}, 4.0 * (n - 1) * j_row
 
 
-def _sos_residual(labels, basis, rows, weights, lhs, dims):
-    """||lhs - sum_g w_g G_g^2||_F for each input, as the norm of the
-    bilinear expansion sum_{s,t} C[s, t] b_s b_t with
+def sos_residuals(terms, n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]):
+    """||lhs - sum_g w_g G_g^2||_F of the identity `terms` (`sos_terms_A`
+    or `sos_terms_B`) for each input, on pairs that `validated_pairs`
+    already checked, as the norm of the bilinear expansion
+    sum_{s,t} C[s, t] b_s b_t with
 
     C = e_0 lhs^T - sum_g w_g v_g v_g^T,   v_g = rows[g];
 
     b_t b_0 = b_t is folded into row 0, and pairs whose coefficient is 0 on
     every input are dropped. Each factor of the products is one batched
     matmul over all inputs; the norm is taken one input at a time."""
+    basis, rows, weights, lhs = terms(n, labels, pairs)
     v = np.stack(list(rows.values()), axis=-2)
     w = np.array([weights.get(g, 1.0) for g in rows])
     coeff = -(v.swapaxes(-1, -2) @ (w[:, None] * v))
@@ -106,7 +109,7 @@ def _sos_residual(labels, basis, rows, weights, lhs, dims):
     s, t = np.nonzero(np.any(coeff != 0, axis=0))
     c = coeff[:, s, t]
     factors = []
-    for i, d in enumerate(dims):
+    for i, d in enumerate(pair_dims(pairs)):
         eye = np.broadcast_to(np.eye(d), np.shape(labels) + (d, d))
         f = np.stack([p.get(i, eye) for p in basis], axis=-3).reshape(len(c), -1, d, d)
         factors.append(f[:, s] @ f[:, t])
@@ -121,15 +124,13 @@ def verify_sos_identity_A(n: int, labels, observables: Sequence[Sequence[np.ndar
     a sequence of B labels, with each observables[i][x] a (B, d_i, d_i)
     stack, one norm per input in an array.
     """
-    pairs = validated_pairs(n, observables)
-    return _sos_residual(labels, *sos_terms_A(n, labels, pairs), pair_dims(pairs))
+    return sos_residuals(sos_terms_A, n, labels, validated_pairs(n, observables))
 
 
 def verify_sos_identity_B(n: int, labels, observables: Sequence[Sequence[np.ndarray]]):
     """Frobenius norm of 2 beta_Q J_l - [J_l^2 + sum Q^2 + (n-1) sum T^2];
     arguments and result as for `verify_sos_identity_A`."""
-    pairs = validated_pairs(n, observables)
-    return _sos_residual(labels, *sos_terms_B(n, labels, pairs), pair_dims(pairs))
+    return sos_residuals(sos_terms_B, n, labels, validated_pairs(n, observables))
 
 
 def residual_norms(net: StarNetwork, l: int) -> dict:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import linalg, network
 from .errors import InternalConsistencyError
 from .linalg import I2, DenseOperator, X, Y, Z, apply_factor, kron_all, partial_trace
 from .network import StarNetwork, conditional_states, ideal_network
@@ -119,7 +119,7 @@ def t_values(net: StarNetwork) -> list[float]:
         if x is None:
             x = conditional_states(net, [0]).columns(0)
         # <a|rho_i|b> = <x| (|b><a| (x) 1) |x>.
-        reduced = _open_trace(x, x, _axis_shapes(net.party_dims)[i]).T
+        reduced = _open_trace(x[None], x[None], _axis_shapes(net.party_dims)[i])[0].T
         aux_state = partial_trace(DenseOperator(reduced, (2, d // 2)), keep=[1])
         out.append(float(np.real(np.trace(dec.r2 @ aux_state.mat))))
     return out
@@ -134,6 +134,12 @@ def construct_optimal_real_strategy(n: int) -> StarNetwork:
 # --- seesaw ---------------------------------------------------------------
 
 
+def _ties(k: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Which eigenvalues w of K's symmetric part lie within
+    1e-12 max(||K||, 1) of zero, for one K or a stack of them."""
+    return np.abs(w) <= 1e-12 * np.maximum(np.linalg.norm(k, axis=(-2, -1)), 1.0)[..., None]
+
+
 def _best_real_observable(k: np.ndarray, current: np.ndarray) -> np.ndarray:
     """argmax of Tr(K A) over real symmetric A with A^2 = 1.
 
@@ -143,7 +149,7 @@ def _best_real_observable(k: np.ndarray, current: np.ndarray) -> np.ndarray:
     """
     sym = (k + k.T) / 2.0
     w, q = np.linalg.eigh(sym)
-    tie = np.abs(w) <= 1e-12 * max(np.linalg.norm(k), 1.0)
+    tie = _ties(k, w)
     if tie.all():
         return current
     a = (q[:, ~tie] * np.sign(w[~tie])) @ q[:, ~tie].T
@@ -154,10 +160,24 @@ def _best_real_observable(k: np.ndarray, current: np.ndarray) -> np.ndarray:
     return a
 
 
+def _best_real_observables(k: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """`_best_real_observable` on each row of the stacks k and current,
+    (R, d, d): one stacked `eigh`; a row whose K has a tie takes the
+    single-matrix rule."""
+    w, q = np.linalg.eigh((k + k.swapaxes(1, 2)) / 2.0)
+    a = (q * np.sign(w)[:, None, :]) @ q.swapaxes(1, 2)
+    for r in np.flatnonzero(_ties(k, w).any(axis=1)):
+        a[r] = _best_real_observable(k[r], current[r])
+    return a
+
+
 # J_N = w e_2, with e_2 the sum over pairs of parties of the product with
 # the third observable T_m on the pair and the fixed factor O_m elsewhere.
 # On rho^0 = X X^dag, every operator below is applied to the columns X,
-# one party's axis at a time by `apply_factor`, the column axis last.
+# one party's axis at a time, the column axis last. A batch of R restarts
+# shares X and the fixed factors and has its own thirds, so every block
+# has a leading restart axis, (R, a, c), and every third is a stack
+# (R, d, d) per party.
 
 SEESAW_MAX_ITER = 500  # sweeps per restart, at most
 SEESAW_TOL = 1e-10  # a restart stops when a sweep gains less than this
@@ -170,18 +190,33 @@ def _axis_shapes(dims: Sequence[int]) -> list[tuple[int, int, int]]:
 
 def _place(blocks: list, one: np.ndarray, third: np.ndarray, shape, top: int) -> list:
     """Blocks indexed by the count k of thirds placed, after one more party:
-    k takes `one` on blocks[k] plus `third` on blocks[k - 1], k <= top."""
-    out = [apply_factor(one, blocks[0], shape)]
+    k takes `one` on blocks[k] plus, for each restart r, `third[r]` on
+    blocks[k - 1][r], k <= top. `one` is one `apply_factor` with the
+    restart axis folded into the left one; the thirds one broadcast matmul."""
+    left, d, _ = shape
+    r = len(third)
+    folded = (r * left, d, -1)
+    out = [apply_factor(one, blocks[0], folded)]
     for k in range(1, min(len(blocks), top) + 1):
-        moved = apply_factor(third, blocks[k - 1], shape)
-        out.append(moved if k == len(blocks) else apply_factor(one, blocks[k], shape) + moved)
+        b = blocks[k - 1]
+        moved = (third[:, None] @ b.reshape(r, left, d, -1)).reshape(b.shape)
+        out.append(moved if k == len(blocks) else apply_factor(one, blocks[k], folded) + moved)
     return out
 
 
 def _open_trace(bra: np.ndarray, ket: np.ndarray, shape) -> np.ndarray:
-    """M[a, b] = <bra| (|a><b| (x) 1) |ket>, the party of `shape` left open."""
-    b = bra.reshape(shape)
-    return (b.conj() @ ket.reshape(shape).swapaxes(1, 2)).sum(axis=0)
+    """M[r, a, b] = <bra_r| (|a><b| (x) 1) |ket_r> for each restart r of
+    two (R, a, c) arrays, the party of `shape` left open."""
+    left, d, _ = shape
+    r = len(bra)
+    b = bra.reshape(r, left, d, -1)
+    return (b.conj() @ ket.reshape(r, left, d, -1).swapaxes(2, 3)).sum(axis=1)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_r|b_r> for each restart r of two (R, a, c) arrays."""
+    r = len(a)
+    return (a.reshape(r, 1, -1).conj() @ b.reshape(r, -1, 1)).real.reshape(r)
 
 
 def _suffix_blocks(x: np.ndarray, shapes, ones, third, top: int) -> list:
@@ -194,21 +229,27 @@ def _suffix_blocks(x: np.ndarray, shapes, ones, third, top: int) -> list:
     return suffix[::-1]
 
 
-def _j_on_columns(x: np.ndarray, dims, ones, third) -> float:
-    """J_N on rho^0 = X X^dag: one suffix pass carrying counts up to 2."""
-    s2 = _suffix_blocks(x, _axis_shapes(dims), ones, third, 2)[0][2]
-    return J_weight(len(dims)) * float(np.vdot(x, s2).real)
+def _j_on_columns(x: np.ndarray, dims, ones, third) -> np.ndarray:
+    """J_N on rho^0 = X X^dag for each restart: one suffix pass carrying
+    counts up to 2, which keeps only the blocks of the current party."""
+    blocks = [x]
+    for i, shape in reversed(list(enumerate(_axis_shapes(dims)))):
+        blocks = _place(blocks, ones[i], third[i], shape, 2)
+    return J_weight(len(dims)) * _inner(x, blocks[2])
 
 
-def _sweep(x: np.ndarray, dims, ones, third: list) -> float:
-    """One Gauss-Seidel pass over the parties on rho^0 = X X^dag; updates
-    `third` in place and returns J_N with the new thirds.
+def _sweep(x: np.ndarray, dims, ones, third: list) -> np.ndarray:
+    """One Gauss-Seidel pass over the parties on rho^0 = X X^dag for a
+    batch of restarts: `x` is X repeated along the restart axis, (R, a, c),
+    and third[i] is party i's (R, d, d) stack. Updates `third` in place and
+    returns each restart's J_N with its new thirds, shape (R,).
 
     A backward pass stores, for each party i, the suffix blocks S_0 X and
     S_1 X of the parties after i (old thirds). A forward pass carries the
     bra blocks P_k^dag X, k = 0, 1, 2, of the parties before i (new
     thirds). The linear coefficient of A_{i,2} is
-    w (<P_0^dag X| S_1 X> + <P_1^dag X| S_0 X>), party i's axis left open.
+    w (<P_0^dag X| S_1 X> + <P_1^dag X| S_0 X>), party i's axis left open;
+    the R coefficients of a party are solved by one stacked `eigh`.
     """
     n = len(dims)
     shapes = _axis_shapes(dims)
@@ -220,9 +261,37 @@ def _sweep(x: np.ndarray, dims, ones, third: list) -> float:
         k = _open_trace(bra[0], ket[1], shapes[i]) if len(ket) > 1 else 0
         if len(bra) > 1:
             k = k + _open_trace(bra[1], ket[0], shapes[i])
-        third[i] = _best_real_observable(J_weight(n) * k.real, third[i])
-        bra = _place(bra, ones[i].conj().T, third[i].conj().T, shapes[i], 2)
-    return J_weight(n) * float(np.vdot(bra[2], x).real)
+        third[i] = _best_real_observables(J_weight(n) * k.real, third[i])
+        bra = _place(bra, ones[i].conj().T, third[i].conj().swapaxes(1, 2), shapes[i], 2)
+    return J_weight(n) * _inner(bra[2], x)
+
+
+def _run_batch(x: np.ndarray, dims, ones, third: list) -> tuple[list, list, list]:
+    """Sweeps a batch of restarts from the thirds third[i], (R, d, d) per
+    party. A restart stops when a sweep gains less than SEESAW_TOL, keeping
+    the larger of its last two J, or after SEESAW_MAX_ITER sweeps, and
+    leaves the batch. Returns each restart's final J, its thirds and the J
+    of each of its sweeps."""
+    size = len(third[0])
+    current = _j_on_columns(np.broadcast_to(x, (size,) + x.shape), dims, ones, third)
+    history: list = [[] for _ in range(size)]
+    ends: list = [None] * size
+    live = np.arange(size)
+    for _ in range(SEESAW_MAX_ITER):
+        new = _sweep(np.broadcast_to(x, (live.size,) + x.shape), dims, ones, third)
+        for r, j in zip(live, new.tolist()):
+            history[r].append(j)
+        stop = new - current[live] < SEESAW_TOL
+        current[live] = np.where(stop, np.maximum(current[live], new), new)
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                ends[live[j]] = tuple(t[j] for t in third)
+            live, third = live[~stop], [t[~stop] for t in third]
+            if not live.size:
+                break
+    for j, r in enumerate(live):
+        ends[r] = tuple(t[j] for t in third)
+    return current.tolist(), ends, history
 
 
 @dataclass(frozen=True)
@@ -251,12 +320,20 @@ def seesaw_real(
     X with rho^0 = X X^dag (`ConditionalStates.columns`), and each sweep
     (`_sweep`) takes every party's linear coefficient matrix K from prefix
     blocks (parties before it, new thirds) and suffix blocks (parties
-    after it, old thirds), indexed by how many thirds they hold. Each
-    block step is one matmul of a d x d factor on one axis of an array the
-    size of X, so a sweep makes O(n) such calls and never forms a
-    2^n x 2^n matrix. Each K is solved exactly by eigendecomposition (an
-    O diag(+/-1) O^T update with O real orthogonal). Restarts are
-    independent; see `SeesawResult` for which one's thirds are returned.
+    after it, old thirds), indexed by how many thirds they hold. Each K is
+    solved exactly by eigendecomposition (an O diag(+/-1) O^T update with
+    O real orthogonal).
+
+    Restarts are independent and run in batches along a leading restart
+    axis: blocks are (R, a, c) and each party's thirds one (R, d, d)
+    stack, so a block step is one matmul for the whole batch, a sweep
+    makes O(n) calls and never forms a 2^n x 2^n matrix. A batch is sized
+    so that the blocks a sweep holds stay within
+    `network.MIXED_BATCH_ENTRIES` entries, and a restart leaves its batch
+    when it stops. Each restart draws its n seeds from one stream in
+    restart order, whatever the batch size, and `trace_path` gets one
+    JSON line per sweep, restart by restart. See `SeesawResult` for which
+    restart's thirds are returned.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -264,39 +341,34 @@ def seesaw_real(
     dims = net_base.party_dims
     x = conditional_states(net_base, [0]).columns(0)
     ones = J_fixed_factors(net_base.pairs)
+    # Per restart, a sweep holds 2n suffix blocks, three bra blocks and a
+    # few temporaries, each the size of X.
+    batch = max(1, network.MIXED_BATCH_ENTRIES // ((2 * n + 10) * x.size))
     rng = np.random.default_rng(seed)
     trace_fh = open(trace_path, "w") if trace_path else None
-    per_restart = []
-    thirds = []
+    per_restart: list = []
+    thirds: list = []
     try:
-        for r in range(restarts):
-            third = [
-                linalg.random_real_pm1_observable(
-                    dims[i], int(rng.integers(0, 2**63))
-                ).mat.real
-                for i in range(n)
-            ]
-            current = _j_on_columns(x, dims, ones, third)
-            for it in range(SEESAW_MAX_ITER):
-                new = _sweep(x, dims, ones, third)
-                if trace_fh:
-                    trace_fh.write(json.dumps({"restart": r, "iter": it, "J": new}) + "\n")
-                if new - current < SEESAW_TOL:
-                    current = max(current, new)
-                    break
-                current = new
-            per_restart.append(current)
-            thirds.append(third)
+        for start in range(0, restarts, batch):
+            seeds = rng.integers(0, 2**63, size=(min(batch, restarts - start), n))
+            third = [linalg.random_pm1_matrices(d, seeds[:, i], real=True) for i, d in enumerate(dims)]
+            values, ends, history = _run_batch(x, dims, ones, third)
+            per_restart += values
+            thirds += ends
+            if trace_fh:
+                for r, js in enumerate(history, start):
+                    for it, j in enumerate(js):
+                        trace_fh.write(json.dumps({"restart": r, "iter": it, "J": j}) + "\n")
     finally:
         if trace_fh:
             trace_fh.close()
     best = max((v for v in per_restart if v > -np.inf), default=None)
     if best is None:
         raise InternalConsistencyError("no restart produced a finite J")
-    first = next(r for r, v in enumerate(per_restart) if v >= best - SEESAW_TOL)
+    first = linalg.first_near_max(per_restart, SEESAW_TOL)
     return SeesawResult(
         best_J=float(best),
-        best_third=tuple(thirds[first]),
+        best_third=thirds[first],
         per_restart=tuple(per_restart),
         seed=seed,
     )

@@ -132,8 +132,9 @@ def canonicalize_pair(
 
 
 def _worst_label(states: ConditionalStates, dev) -> int:
-    """The outcome label with the largest deviation, the first on a tie."""
-    return states.labels[int(np.argmax(dev))]
+    """The outcome label with the largest deviation, the first within
+    `linalg.TIE_TOL` of it on a tie."""
+    return states.labels[linalg.first_near_max(dev, linalg.TIE_TOL)]
 
 
 def verify_selftest_noiseless(
@@ -149,7 +150,8 @@ def verify_selftest_noiseless(
     Frobenius norm is never smaller than the largest entry, so its 1e-10
     bound is no looser than one on entries. The per-outcome checks name
     their worst outcome (`worst_l`), the pair check its worst party
-    (`worst_party`, 1-based). `states`,
+    (`worst_party`, 1-based), each the first within `linalg.TIE_TOL` of
+    the largest deviation. `states`,
     when given, must be `conditional_states(net)`; it saves computing them
     again.
     """
@@ -193,7 +195,7 @@ def verify_selftest_noiseless(
             "measured": anti_worst,
             "bound": 1e-12,
             "passed": anti_worst <= 1e-12,
-            "worst_party": int(np.argmax(anti)) + 1,
+            "worst_party": linalg.first_near_max(anti, linalg.TIE_TOL) + 1,
         }
     )
 
@@ -226,7 +228,7 @@ def verify_selftest_noiseless(
             "measured": povm_dev,
             "bound": tol,
             "passed": povm_dev <= tol,
-            "worst_l": int(np.argmax(povm)),
+            "worst_l": linalg.first_near_max(povm, linalg.TIE_TOL),
         }
     )
 

@@ -14,6 +14,7 @@ import pytest
 import rqtgap
 import rqtgap.cli
 import rqtgap.functionals
+import rqtgap.linalg
 import rqtgap.selftest
 from rqtgap.cli import main
 from rqtgap.linalg import DenseOperator, Y
@@ -24,6 +25,7 @@ from rqtgap.network import (
     network_to_json,
     save_strategy,
 )
+from rqtgap.robustness import apply_noise
 
 
 def run(capsys, *argv):
@@ -96,16 +98,17 @@ def test_verify_fail_line_names_the_innermost_checks(capsys):
 def test_verify_fail_line_names_the_worst_sos_input(capsys, monkeypatch, bad_input, offender):
     # verify calls each identity once, on l = 0 and l = 2^n - 1 with the
     # network's observables, then on draws 0..4 at l = 0: input 5 is draw 3.
-    real = rqtgap.cli.verify_sos_identity_B
+    real = rqtgap.cli.sos_residuals
     calls = []
 
-    def fake(n, labels, observables):
-        calls.append(list(labels))
-        residuals = real(n, labels, observables)
-        residuals[bad_input] = 1e-6
+    def fake(terms, n, labels, pairs):
+        residuals = real(terms, n, labels, pairs)
+        if terms is rqtgap.cli.sos_terms_B:
+            calls.append(list(labels))
+            residuals[bad_input] = 1e-6
         return residuals
 
-    monkeypatch.setattr(rqtgap.cli, "verify_sos_identity_B", fake)
+    monkeypatch.setattr(rqtgap.cli, "sos_residuals", fake)
     code, out, err = run(capsys, "verify", "--n", "2")
     assert code == 1 and calls == [[0, 3, 0, 0, 0, 0, 0]]
     check = next(c for c in json.loads(out)["checks"] if c["name"] == "sos_identity_B_residual")
@@ -216,6 +219,41 @@ def test_verify_strategy_with_impossible_outcome_fails(tmp_path, capsys):
     assert code == 1
     assert "outcome 0 has probability" in json.loads(out)["error"]
     assert err.startswith("FAIL: ")
+
+
+def test_fail_line_names_the_first_of_outcomes_tied_up_to_rounding(tmp_path, capsys):
+    # mix_povm treats every outcome alike: the 32 deviations of each
+    # per-outcome check differ only by rounding (within 8.9e-16), so the
+    # first outcome is named, not whichever one rounding puts on top.
+    path = tmp_path / "strategy.json"
+    save_strategy(apply_noise(ideal_network(5), "mix_povm", 0.1), path)
+    code, _, err = run(capsys, "verify", "--n", "5", "--strategy", str(path))
+    assert code == 1
+    failing = err.removeprefix("FAIL: ").rstrip("\n").split(", ")
+    assert [f.split(" ")[0] for f in failing] == [
+        "selftest_noiseless/quantum_bound_attained",
+        "selftest_noiseless/conditional_states_ideal",
+        "selftest_noiseless/eve_povm_projects",
+    ]
+    assert all(f.endswith(" (l 0)") for f in failing)
+
+
+def test_sos_checks_validate_each_input_once(monkeypatch):
+    # One +/-1 check per (party, setting) stack of the seven inputs, shared
+    # by both identities.
+    n = 3
+    net = ideal_network(n)
+    real = rqtgap.linalg.require_pm1
+    calls = []
+
+    def counted(m, who):
+        calls.append(who)
+        return real(m, who)
+
+    monkeypatch.setattr(rqtgap.linalg, "require_pm1", counted)
+    checks = rqtgap.cli._sos_checks(n, 0, net)
+    assert [c["passed"] for c in checks] == [True, True]
+    assert sorted(calls) == sorted(f"A_{i},{x}" for i in range(1, n + 1) for x in (0, 1))
 
 
 def test_noise_curve_csv(capsys):

@@ -39,7 +39,6 @@ from rqtgap.linalg import (
     partial_trace,
     random_pm1_matrices,
     random_pm1_observable,
-    random_real_pm1_observable,
     tensor_embed,
 )
 from rqtgap.network import (
@@ -371,6 +370,44 @@ def _finite_difference_k(net: StarNetwork, rho: np.ndarray, third, i: int) -> np
     return k
 
 
+def _restart_axis(x: np.ndarray, restarts: int) -> np.ndarray:
+    """The columns X repeated along a leading restart axis, as a batched
+    sweep takes them."""
+    return np.broadcast_to(x, (restarts,) + x.shape)
+
+
+def _check_sweep_coefficients(net, rho, x, ones, rng, restarts: int) -> None:
+    # Non-symmetric, non-observable thirds make K and K^T differ, so the
+    # test pins which is which. Each update replaces the party's third by
+    # a fresh one, so every K must see the new thirds before its party and
+    # the old ones after it, each restart its own.
+    party_dims = net.party_dims
+    third = [rng.normal(size=(restarts, d, d)) for d in party_dims]
+    replacements = [rng.normal(size=(restarts, d, d)) for d in party_dims]
+    seen = list(third)
+    calls = []
+
+    def record(k, current):
+        i = len(calls)
+        calls.append(i)
+        np.testing.assert_array_equal(current, seen[i])
+        for r in range(restarts):
+            want = _finite_difference_k(net, rho, [t[r] for t in seen], i)
+            np.testing.assert_allclose(k[r], want, rtol=0, atol=1e-12)
+        seen[i] = replacements[i]
+        return replacements[i]
+
+    xs = _restart_axis(x, restarts)
+    with mock.patch.object(rqtgap.rqt, "_best_real_observables", record):
+        got = rqtgap.rqt._sweep(xs, party_dims, ones, third)
+    assert calls == list(range(net.n))
+    start = rqtgap.rqt._j_on_columns(xs, party_dims, ones, replacements)
+    for r in range(restarts):
+        want = _dense_j(net, rho, [t[r] for t in replacements])
+        assert got[r] == pytest.approx(want, abs=1e-12)
+        assert start[r] == pytest.approx(want, abs=1e-12)
+
+
 @settings(max_examples=15, deadline=None)
 @given(dims=_network_dims(4), seed=SEEDS, pure=st.booleans())
 def test_seesaw_coefficients_match_finite_differences(dims, seed, pure):
@@ -381,32 +418,17 @@ def test_seesaw_coefficients_match_finite_differences(dims, seed, pure):
     rho = conditional_state(net, 0).mat
     np.testing.assert_allclose(x @ x.conj().T, rho, rtol=0, atol=1e-13)
     ones = J_fixed_factors(net.pairs)
-    # Non-symmetric, non-observable thirds make K and K^T differ, so the
-    # test pins which is which. Each update replaces the party's third by
-    # a fresh one, so every K must see the new thirds before its party and
-    # the old ones after it.
-    rng = np.random.default_rng(seed)
-    third = [rng.normal(size=(d, d)) for d in party_dims]
-    replacements = [rng.normal(size=(d, d)) for d in party_dims]
-    seen = list(third)
-    calls = []
-
-    def record(k, current):
-        i = len(calls)
-        calls.append(i)
-        np.testing.assert_array_equal(current, seen[i])
-        np.testing.assert_allclose(k, _finite_difference_k(net, rho, seen, i), rtol=0, atol=1e-12)
-        seen[i] = replacements[i]
-        return replacements[i]
-
-    with mock.patch.object(rqtgap.rqt, "_best_real_observable", record):
-        got = rqtgap.rqt._sweep(x, party_dims, ones, third)
-    assert calls == list(range(net.n))
-    assert got == pytest.approx(_dense_j(net, rho, replacements), abs=1e-12)
-    start = rqtgap.rqt._j_on_columns(x, party_dims, ones, replacements)
-    assert start == pytest.approx(_dense_j(net, rho, replacements), abs=1e-12)
     own = [t[2] for t in net.observables]
     assert eval_J(net) == pytest.approx(_dense_j(net, rho, own), abs=1e-12)
+    rng = np.random.default_rng(seed)
+    for restarts in (1, 3):
+        _check_sweep_coefficients(net, rho, x, ones, rng, restarts)
+
+
+def _real_thirds(party_dims, seed: int, restarts: int) -> list[np.ndarray]:
+    """Random real +/-1 thirds, one (restarts, d, d) stack per party."""
+    seeds = np.random.default_rng(seed).integers(0, 2**63, size=(restarts, len(party_dims)))
+    return [random_pm1_matrices(d, seeds[:, i], real=True) for i, d in enumerate(party_dims)]
 
 
 @settings(max_examples=15, deadline=None)
@@ -416,12 +438,35 @@ def test_each_seesaw_sweep_returns_J_of_its_thirds(dims, seed, pure):
     net = _random_network(*dims, seed, pure=pure)
     x = conditional_states(net, [0]).columns(0)
     ones = J_fixed_factors(net.pairs)
-    third = [random_real_pm1_observable(d, seed + i).mat.real for i, d in enumerate(party_dims)]
-    got = rqtgap.rqt._j_on_columns(x, party_dims, ones, third)
-    assert got == pytest.approx(eval_J(net.with_third(third)), abs=1e-12)
-    for _ in range(3):
-        got = rqtgap.rqt._sweep(x, party_dims, ones, third)
-        assert got == pytest.approx(eval_J(net.with_third(third)), abs=1e-12)
+    for restarts in (1, 3):
+        xs = _restart_axis(x, restarts)
+        third = _real_thirds(party_dims, seed, restarts)
+
+        def each_j():
+            return [eval_J(net.with_third([t[r] for t in third])) for r in range(restarts)]
+
+        got = rqtgap.rqt._j_on_columns(xs, party_dims, ones, third)
+        assert got == pytest.approx(each_j(), abs=1e-12)
+        for _ in range(3):
+            got = rqtgap.rqt._sweep(xs, party_dims, ones, third)
+            assert got == pytest.approx(each_j(), abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dims=_network_dims(4), seed=SEEDS, pure=st.booleans(), restarts=st.integers(1, 5))
+def test_batched_sweep_matches_each_restart_alone(dims, seed, pure, restarts):
+    party_dims = dims[0]
+    net = _random_network(*dims, seed, pure=pure)
+    x = conditional_states(net, [0]).columns(0)
+    ones = J_fixed_factors(net.pairs)
+    batch = _real_thirds(party_dims, seed, restarts)
+    alone = [[t[r : r + 1] for t in batch] for r in range(restarts)]
+    got = rqtgap.rqt._sweep(_restart_axis(x, restarts), party_dims, ones, batch)
+    for r, third in enumerate(alone):
+        want = rqtgap.rqt._sweep(_restart_axis(x, 1), party_dims, ones, third)
+        assert got[r] == pytest.approx(want[0], rel=0, abs=1e-12)
+        for b, a in zip(batch, third):
+            np.testing.assert_allclose(b[r], a[0], rtol=0, atol=1e-12)
 
 
 @settings(max_examples=15, deadline=None)

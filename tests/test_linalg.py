@@ -19,7 +19,6 @@ from rqtgap.linalg import (
     partial_trace,
     random_pm1_matrices,
     random_pm1_observable,
-    random_real_pm1_observable,
     require_pm1,
     tensor_embed,
 )
@@ -84,8 +83,7 @@ def test_partial_trace_bell_marginal_is_mixed():
     data=st.data(),
 )
 def test_require_pm1_accepts_observables_and_rejects_the_rest(dim, seed, real, delta, bad, data):
-    make = random_real_pm1_observable if real else random_pm1_observable
-    a = make(dim, seed).mat
+    a = random_pm1_matrices(dim, seed, real=real)
     got = require_pm1(a, "A")
     assert got.dtype == complex
     np.testing.assert_array_equal(got, a)
@@ -105,7 +103,7 @@ def test_require_pm1_accepts_observables_and_rejects_the_rest(dim, seed, real, d
 def test_random_observables_are_pm1(dim):
     for seed in range(5):
         require_pm1(random_pm1_observable(dim, seed).mat, "complex")
-        r = random_real_pm1_observable(dim, seed).mat
+        r = random_pm1_matrices(dim, seed, real=True)
         require_pm1(r, "real")
         assert not r.imag.any()
 
@@ -139,9 +137,9 @@ def test_batched_draws_are_bit_identical_to_one_seed_draws(dim, real):
     seeds = np.random.default_rng(dim).integers(0, 2**63, size=(3, 4))
     got = random_pm1_matrices(dim, seeds, real=real)
     assert got.shape == (3, 4, dim, dim) and got.dtype == (float if real else complex)
-    make = random_real_pm1_observable if real else random_pm1_observable
     for idx in np.ndindex(seeds.shape):
-        np.testing.assert_array_equal(got[idx], make(dim, int(seeds[idx])).mat)
+        one = random_pm1_matrices(dim, int(seeds[idx]), real=real)
+        np.testing.assert_array_equal(got[idx], one)
         np.testing.assert_array_equal(got[idx], _one_draw(dim, int(seeds[idx]), real))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,16 +10,17 @@ import rqtgap.rqt as rqt
 from rqtgap.functionals import eval_J
 from rqtgap.linalg import (
     DenseOperator,
+    random_pm1_matrices,
     X,
     Y,
     Z,
     partial_trace,
     random_pm1_observable,
-    random_real_pm1_observable,
 )
 from rqtgap.network import StarNetwork, conditional_state, ideal_network
 from rqtgap.rqt import (
     _best_real_observable,
+    _best_real_observables,
     construct_optimal_real_strategy,
     j_from_t,
     max_j_over_t,
@@ -158,21 +160,23 @@ def test_seesaw_deterministic_and_traced(tmp_path):
 
 
 def test_seesaw_best_third_ignores_rounding_in_later_ties(monkeypatch):
-    j0, sweep = rqt._j_on_columns, rqt._sweep
+    sweep = rqt._sweep
 
     def run(bump):
-        thirds = []
+        batches = []
 
-        def start(x, dims, ones, third):
-            thirds.append(third)  # updated in place by every sweep
-            return j0(x, dims, ones, third)
+        def bumped(x, dims, ones, third):
+            # All six restarts share one batch and stop after the same
+            # sweep, so row r is restart r: it ends r * bump higher than
+            # it would.
+            assert len(x) == 6
+            batches.append(third)  # updated in place by the sweep
+            return sweep(x, dims, ones, third) + bump * np.arange(6)
 
-        # Restart r ends r * bump higher than it would.
-        monkeypatch.setattr(rqt, "_j_on_columns", start)
-        monkeypatch.setattr(rqt, "_sweep", lambda *a: sweep(*a) + bump * (len(thirds) - 1))
+        monkeypatch.setattr(rqt, "_sweep", bumped)
         res = seesaw_real(ideal_network(4), restarts=6, seed=2)
         monkeypatch.undo()
-        return res, thirds
+        return res, batches[-1]
 
     (plain, thirds), (bumped, _) = run(0.0), run(1e-15)
     exact = float(max_j_over_t(4).max_value)
@@ -180,7 +184,7 @@ def test_seesaw_best_third_ignores_rounding_in_later_ties(monkeypatch):
     # The last restart, now strictly the highest, ends at other observables
     # than the first, so a strict comparison would return its thirds.
     assert bumped.best_J == bumped.per_restart[-1] > bumped.per_restart[0]
-    assert any(not np.array_equal(a, b) for a, b in zip(thirds[0], thirds[-1]))
+    assert any(not np.array_equal(t[0], t[-1]) for t in thirds)
     for a, b in zip(plain.best_third, bumped.best_third):
         np.testing.assert_array_equal(a, b)
 
@@ -204,7 +208,7 @@ def test_seesaw_result_observables_are_real_pm1():
 )
 def test_best_real_observable_ignores_rounding_noise_in_K(k):
     d = k.shape[0]
-    current = random_real_pm1_observable(d, 4).mat.real
+    current = random_pm1_matrices(d, 4, real=True)
     chosen = _best_real_observable(k, current)
     np.testing.assert_allclose(chosen @ chosen, np.eye(d), atol=1e-12)
     rng = np.random.default_rng(0)
@@ -214,3 +218,53 @@ def test_best_real_observable_ignores_rounding_noise_in_K(k):
     if not k.any():
         # A K that vanishes up to rounding keeps the current observable as it is.
         assert _best_real_observable(1e-17 * rng.standard_normal((d, d)), current) is current
+
+
+def test_stacked_best_observables_match_each_row_alone():
+    # Tie rows (a zero K, one zero eigenvalue) between regular ones.
+    rng = np.random.default_rng(1)
+    k = np.stack([
+        rng.standard_normal((2, 2)),
+        np.zeros((2, 2)),
+        np.diag([0.7, 0.0]),
+        np.array([[0.3, -1.2], [0.4, 0.0]]),
+        rng.standard_normal((2, 2)),
+    ])
+    current = random_pm1_matrices(2, [4, 5, 6, 7, 8], real=True)
+    got = _best_real_observables(k, current)
+    for r in range(len(k)):
+        np.testing.assert_allclose(got[r], _best_real_observable(k[r], current[r]),
+                                   rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(got[1], current[1])
+
+
+def test_seesaw_batches_split_like_one_batch(monkeypatch, tmp_path):
+    # Each restart draws its seeds from one stream in restart order, so
+    # batches of 2 restarts reproduce one batch of 5, trace file included.
+    net = ideal_network(3)
+    one = seesaw_real(net, restarts=5, seed=4, trace_path=str(tmp_path / "one.jsonl"))
+    x_size = 1 << net.n
+    monkeypatch.setattr(rqt.network, "MIXED_BATCH_ENTRIES", 2 * (2 * net.n + 10) * x_size)
+    split = seesaw_real(net, restarts=5, seed=4, trace_path=str(tmp_path / "split.jsonl"))
+    assert split.per_restart == pytest.approx(one.per_restart, rel=0, abs=1e-12)
+    for a, b in zip(split.best_third, one.best_third):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    lines = [[json.loads(s) for s in (tmp_path / f).read_text().splitlines()]
+             for f in ("one.jsonl", "split.jsonl")]
+    assert [(r["restart"], r["iter"]) for r in lines[0]] == [(r["restart"], r["iter"]) for r in lines[1]]
+    assert [r["restart"] for r in lines[0]] == sorted(r["restart"] for r in lines[0])
+
+
+def test_seesaw_batch_peak_within_24_mib():
+    # tracemalloc sees numpy's buffers. A batch's blocks stay within
+    # network.MIXED_BATCH_ENTRIES complex entries (16 MiB), whatever the
+    # number of restarts; one unbounded batch of 64 peaks near 31 MiB.
+    net = ideal_network(10)
+    tracemalloc.start()
+    try:
+        res = seesaw_real(net, restarts=64, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.best_J == pytest.approx(float(max_j_over_t(10).max_value), abs=1e-6)
+    assert peak <= 24 * 2**20
