@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -79,6 +80,17 @@ def _rows_to_human(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_rows(header: list[str], rows: list[list], args) -> None:
+    """The table in the format `args.format` asks for, to `args.out`."""
+    if args.format == "json":
+        payload = [dict(zip(header, row)) for row in rows]
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    elif args.format == "csv":
+        _emit(_rows_to_csv(header, rows), args.out)
+    else:
+        _emit(_rows_to_human(header, rows), args.out)
+
+
 def cmd_gap(args) -> int:
     if args.n_min < 2 or args.n_min > args.n_max:
         return _usage_error("need 2 <= n-min <= n-max")
@@ -99,13 +111,7 @@ def cmd_gap(args) -> int:
                 float(n - 1),
             ]
         )
-    if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(_rows_to_csv(header, rows), args.out)
-    else:
-        _emit(_rows_to_human(header, rows), args.out)
+    _emit_rows(header, rows, args)
     return EXIT_OK
 
 
@@ -252,13 +258,7 @@ def cmd_noise_curve(args) -> int:
                 "" if eps_star is None else eps_star,
             ]
         )
-    if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(_rows_to_csv(header, rows), args.out)
-    else:
-        _emit(_rows_to_human(header, rows), args.out)
+    _emit_rows(header, rows, args)
     return EXIT_OK
 
 
@@ -288,7 +288,9 @@ def cmd_seesaw(args) -> int:
     return EXIT_OK if report["sound"] else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="rqtgap")
     p.add_argument("--format", choices=["json", "csv", "human"], default="human")
     p.add_argument("--out", default=None, help="write output to a file")

@@ -92,9 +92,8 @@ def I_values(net: StarNetwork, states: ConditionalStates) -> np.ndarray:
 
 
 def _single_outcome(net: StarNetwork, l: int) -> ConditionalStates:
-    """rho^l from `conditional_state`, as a one-outcome batch."""
-    rho = conditional_state(net, l)
-    return ConditionalStates(net.party_dims, (l,), np.ones(1), mats=rho.mat[None])
+    """rho^l from `conditional_state`, as a one-outcome pair array."""
+    return ConditionalStates.from_density(net.party_dims, l, conditional_state(net, l).mat)
 
 
 def eval_I(net: StarNetwork, l: int) -> float:

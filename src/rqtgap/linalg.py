@@ -9,16 +9,18 @@ every term at the cut between the leading and trailing factors that best
 balances the two sides: the operator's entries, realigned as (left row,
 left column) x (right row, right column), form one matrix product of
 inner size K, so no 2^n x 2^n product is ever taken.
-`expect_local` (density matrices) and `apply_local` (vectors) contract
-one term with states, one tensor factor at a time.
 
-Every array of state vectors is party-first: axis 0 is the joint index
-of the factors, leftmost most significant, then any outcome and column
+States have one layout rule, party-first: axis 0 is the joint index of
+the factors, leftmost most significant, then any outcome and column
 axes. Conditional vectors have axes (a, l, c), Eve's factors (e, l, c),
-a state's columns (a, c). A factor acts on such an array by one matmul
-on a (left, d, -1) view (`apply_factor`): that is the step of
-`apply_local`, of the seesaw's blocks and of the source matrices that
-build the pure-source vectors.
+a state's columns (a, c). A density matrix keeps each party's row and
+column index side by side, one factor (a_i a'_i) of dimension d_i^2, so
+Tr[((x)_i T_i) rho] is the product of the 1 x d_i^2 rows T_i^T on those
+factors. A factor acts on such an array by one matmul on a (left, d, -1)
+view (`apply_factor`), and `apply_local` chains them: it is the one
+kernel of operator terms on vectors and of traces on density matrices,
+and `apply_factor` the step of the seesaw's blocks and of the source
+matrices that build the pure-source vectors.
 
 `kron_all`, `tensor_embed` and `ProductSum.dense` build the full
 operators. They are the ground-truth oracle the tests check the
@@ -183,36 +185,6 @@ def partial_trace(rho: DenseOperator, keep: Iterable[int]) -> DenseOperator:
     kept_dims = tuple(dims[i] for i in keep)
     d = math.prod(kept_dims) if kept_dims else 1
     return DenseOperator(t.reshape(d, d), kept_dims if kept_dims else (1,))
-
-
-def expect_local(
-    rho: np.ndarray, local_dims: Sequence[int], placed: Mapping[int, np.ndarray]
-) -> np.ndarray:
-    """Tr[((x)_i placed.get(i, 1)) rho] without forming the product operator.
-
-    `rho` is a matrix on the factors `local_dims`, optionally with leading
-    batch axes; the result has the batch shape (a 0-d array for a plain
-    matrix). The factors are contracted one at a time, last first, so the
-    cost is O(dim^2); a factor missing from `placed` is a partial trace.
-    Factors need not be Hermitian.
-    """
-    dims = tuple(local_dims)
-    t = np.asarray(rho)
-    batch = t.shape[:-2]
-    left = t.shape[-1]
-    for i in reversed(range(len(dims))):
-        d = dims[i]
-        left //= d
-        # Axes (..., r, a, s, a'): factor i is the last one not yet contracted.
-        t = t.reshape(batch + (left, d, left, d))
-        m = placed.get(i)
-        if m is None:
-            t = np.trace(t, axis1=-3, axis2=-1)
-        else:
-            # sum_{a, a'} m[a', a] t[..., r, a, s, a']
-            pairs = np.swapaxes(t, -3, -2).reshape(batch + (left, left, d * d))
-            t = pairs @ np.ravel(np.transpose(m))
-    return t.reshape(batch)
 
 
 def apply_factor(m: np.ndarray, x: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:

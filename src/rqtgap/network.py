@@ -6,16 +6,16 @@ R_l = V_l V_l^dag (`EveMeasurement`, the only form `StarNetwork` takes):
 the ideal network's, like any rank-1 projective measurement, is one
 2^n x 2^n unitary, and dense elements are factored once, by
 `EveMeasurement.from_elements`. Conditional states never materialize the
-joint density matrix. When every source is pure, one `apply_local` of
-the source matrices on conj(V) gives the vectors of all outcomes at
-once, party-first (axes a, l, c; see `linalg`). They are kept when an
-outcome has fewer of them than the party dimension, else summed into
-matrices by one batched matmul. Mixed sources take the density-matrix
-kernel, one outcome at a time. An operator, held as a `ProductSum`,
-meets the states in `ConditionalStates.expect`, which contracts each
-term factor by factor (`apply_local` on vectors, `expect_local` on
-matrices). The seesaw and `robustness.residual_norms` take rho^l as
-columns instead (`ConditionalStates.columns`).
+joint density matrix, and follow `linalg`'s one layout rule. When every
+source is pure and Eve's factors have fewer columns than the party
+dimension, one `apply_local` of the source matrices on conj(V) gives the
+vectors of all outcomes at once (axes a, l, c). Otherwise the
+density-matrix kernel gives each outcome's matrix as a row of pairs
+(a_1 a'_1, ..., a_n a'_n). An operator, held as a `ProductSum`, meets
+either form in `ConditionalStates.expect`, through `apply_local`: each
+term applied to the vectors, or traced on the pairs. The seesaw and
+`robustness.residual_norms` take rho^l as columns instead
+(`ConditionalStates.columns`).
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ CONDITIONING_THRESHOLD = 1e-14
 # fraction of its largest one; the rest are rounding noise.
 RANK_CUTOFF = 1e-14
 
-# Matrix entries per batched `expect_local` call on mixed conditional states.
-# expect_local copies its batch at the first factor: `I_values` on all
-# outcomes of a depolarized n = 8 network peaks at 314 MB in slices, 674 MB
-# in one call (n = 7: 89 and 113 MB). It also bounds the blocks that one
+# Entries per label slice of pair rows that `ConditionalStates.expect`
+# traces at once: a trace's first factor leaves a quarter of its slice
+# (qubits). `verify --n 9 --strategy` on a depolarized network peaks at
+# 2,117 MB in slices, 2,746 MB in one. It also bounds the blocks that one
 # batch of seesaw restarts holds (`rqt.seesaw_real`).
 MIXED_BATCH_ENTRIES = 2**20
 
@@ -271,7 +271,7 @@ def ideal_network(n: int) -> StarNetwork:
 
 
 def _conditional_unnormalized(net: StarNetwork, l: int) -> np.ndarray:
-    """P(l) * rho^l as a matrix on the joined A factors, for any sources.
+    """P(l) * rho^l as a pair row (a_1 a'_1, ..., a_n a'_n), for any sources.
 
     rho~[a, a'] = sum_{e, e''} R_l[e, e''] prod_i S_i[a_i, e''_i, a'_i, e_i].
 
@@ -289,13 +289,7 @@ def _conditional_unnormalized(net: StarNetwork, l: int) -> np.ndarray:
         lam = net.sources[i].mat.reshape(da, dei, da, dei).transpose(0, 2, 3, 1)
         # t^T @ lam^T lands the new pair at the back without a copy of t.
         t = t.reshape(dei * dei, -1).T @ lam.reshape(da * da, dei * dei).T
-    # t's axes are now the pairs (a_1 a'_1, ..., a_n a'_n); split them
-    # into rows a and columns a'.
-    pa = net.party_dims
-    t = t.reshape(tuple(d for p in pa for d in (p, p)))
-    t = t.transpose([2 * i for i in range(n)] + [2 * i + 1 for i in range(n)])
-    d = math.prod(pa)
-    return t.reshape(d, d)
+    return t.reshape(-1)
 
 
 def _pure_vectors(net: StarNetwork, labels: Sequence[int]) -> np.ndarray:
@@ -307,45 +301,74 @@ def _pure_vectors(net: StarNetwork, labels: Sequence[int]) -> np.ndarray:
     return linalg.apply_local(v, net.eve_dims, dict(enumerate(net.source_vectors)))
 
 
+def _pair_axes(party_dims: Sequence[int]) -> tuple[int, ...]:
+    """(d_1, d_1, ..., d_n, d_n): a pair row's axes (a_1, a'_1, ..., a_n, a'_n)."""
+    return tuple(k for d in party_dims for k in (d, d))
+
+
 @dataclass(frozen=True)
 class ConditionalStates:
     """P(l) rho^l for each outcome in `labels`, with P(l) in `probs`.
 
-    Exactly one of `vectors` (axes a, l, c; P(l) rho^l is the sum over c
-    of |vectors[:, l, c]><vectors[:, l, c]|, zero columns padding the
-    ranks) and `mats` (axes l, a, a') is set. `expect` is where an
-    operator, a `ProductSum` with coefficients scalar or arrays over
-    `labels`, meets the states, one tensor factor at a time.
+    Exactly one of two forms, each party-first (`linalg`), is set.
+    `vectors` (axes a, l, c): P(l) rho^l is the sum over c of
+    |vectors[:, l, c]><vectors[:, l, c]|, zero columns padding the ranks.
+    `pairs` (axes l, p): row j is P(l) rho^l with each party's row and
+    column index side by side, p = (a_1 a'_1, ..., a_n a'_n). `expect` is
+    where an operator, a `ProductSum` with coefficients scalar or arrays
+    over `labels`, meets either form, through `apply_local`.
     """
 
     party_dims: tuple[int, ...]
     labels: tuple[int, ...]
     probs: np.ndarray
     vectors: Optional[np.ndarray] = None
-    mats: Optional[np.ndarray] = None
+    pairs: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_density(cls, party_dims: Sequence[int], l: int, rho) -> "ConditionalStates":
+        """The normalized matrix `rho` as the pair row of one outcome l."""
+        n = len(party_dims)
+        t = np.reshape(rho, tuple(party_dims) * 2)
+        t = t.transpose([k for i in range(n) for k in (i, n + i)])
+        return cls(tuple(party_dims), (l,), np.ones(1), pairs=t.reshape(1, -1))
 
     def expect(self, op: ProductSum) -> np.ndarray:
         """Re Tr[op rho^l] for each label: each term's complex trace,
-        summed, then the real part once."""
-        bra = None if self.vectors is None else self.vectors.conj()
+        summed, then the real part once. A term is applied to the vectors
+        and met with the bras; on pairs its rows T_i^T (the identity's
+        where it places nothing) take the trace of each label slice,
+        flattened so that its leading factor is the label axis."""
         total = np.zeros(len(self.labels), dtype=complex)
-        for c, placed in op.terms:
-            if bra is not None:
+        if self.vectors is not None:
+            bra = self.vectors.conj()
+            for c, placed in op.terms:
                 ket = linalg.apply_local(self.vectors, self.party_dims, placed)
                 total += c * np.einsum("alc,alc->l", bra, ket)
                 del ket  # freed before the next term's arrays are allocated
-                continue
-            step = max(1, MIXED_BATCH_ENTRIES // self.mats[0].size)
+            return total.real / self.probs
+        squares = tuple(d * d for d in self.party_dims)
+        step = max(1, MIXED_BATCH_ENTRIES // self.pairs.shape[1])
+        slices = [self.pairs[j : j + step] for j in range(0, len(self.labels), step)]
+        for c, placed in op.terms:
+            rows = {
+                i + 1: placed.get(i, np.eye(d)).T.reshape(1, d * d)
+                for i, d in enumerate(self.party_dims)
+            }
             total += c * np.concatenate([
-                linalg.expect_local(self.mats[j : j + step], self.party_dims, placed)
-                for j in range(0, len(self.mats), step)
+                linalg.apply_local(x.reshape(-1), (len(x),) + squares, rows) for x in slices
             ])
         return total.real / self.probs
 
     def fidelity(self, targets: np.ndarray) -> np.ndarray:
         """<t_l| rho^l |t_l>, one target vector per label (columns of `targets`)."""
         if self.vectors is None:
-            raw = np.real(np.einsum("al,lab,bl->l", targets.conj(), self.mats, targets))
+            # One einsum on views: axes 2i and 2i + 1 are a_i and a'_i.
+            n = len(self.party_dims)
+            view = self.pairs.reshape((-1,) + _pair_axes(self.party_dims))
+            t = targets.reshape(self.party_dims + (len(self.labels),))
+            rows, cols = [*range(0, 2 * n, 2), 2 * n], [*range(1, 2 * n, 2), 2 * n]
+            raw = np.real(np.einsum(view, [2 * n, *range(2 * n)], t.conj(), rows, t, cols, [2 * n]))
         else:
             amp = np.einsum("al,alc->lc", targets.conj(), self.vectors)
             raw = np.sum(np.abs(amp) ** 2, axis=1)
@@ -354,7 +377,10 @@ class ConditionalStates:
     def density(self, j: int) -> np.ndarray:
         """rho^l for l = labels[j] as a dense matrix."""
         if self.vectors is None:
-            raw = self.mats[j]
+            n = len(self.party_dims)
+            d = math.prod(self.party_dims)
+            raw = self.pairs[j].reshape(_pair_axes(self.party_dims))
+            raw = raw.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d, d)
         else:
             raw = self.vectors[:, j] @ self.vectors[:, j].conj().T
         return raw / self.probs[j]
@@ -362,7 +388,7 @@ class ConditionalStates:
     def columns(self, j: int) -> np.ndarray:
         """Columns X with axes (a, c) and rho^l = X X^dag, for l = labels[j].
 
-        The vector form is sliced; the matrix form is factored by one
+        The vector form is sliced; the pair form is factored by one
         `eigh`, keeping every positive eigenvalue: a cut relative to the
         largest would drop weight that ||G X|| for a large G still sees.
         """
@@ -386,20 +412,21 @@ def _unnormalized_states(net: StarNetwork, labels: Optional[Sequence[int]]) -> C
     else:
         labels = tuple(_checked_label(net, l) for l in labels)
     d = math.prod(net.party_dims)
-    if net.source_vectors is not None:
+    # Fewer than d vectors per outcome are smaller than its d x d matrix.
+    if net.source_vectors is not None and net.eve.factors.shape[2] < d:
         vecs = _pure_vectors(net, labels)
         probs = np.sum(np.abs(vecs) ** 2, axis=(0, 2))
-        # Fewer than d vectors per outcome are smaller than its d x d matrix.
-        if vecs.shape[2] < d:
-            return ConditionalStates(net.party_dims, labels, probs, vectors=vecs)
-        vecs = vecs.transpose(1, 0, 2)
-        mats = vecs @ vecs.conj().swapaxes(1, 2)
-    else:
-        mats = np.empty((len(labels), d, d), dtype=complex)
-        for j, l in enumerate(labels):
-            mats[j] = _conditional_unnormalized(net, l)
-        probs = np.real(np.trace(mats, axis1=1, axis2=2))
-    return ConditionalStates(net.party_dims, labels, probs, mats=mats)
+        return ConditionalStates(net.party_dims, labels, probs, vectors=vecs)
+    pairs = np.empty((len(labels), d * d), dtype=complex)
+    for j, l in enumerate(labels):
+        pairs[j] = _conditional_unnormalized(net, l)
+    # P(l) = Tr: the entries with a_i = a'_i in every pair (an einsum view),
+    # summed in a matrix diagonal's order, as np.trace sums it.
+    n = net.n
+    view = pairs.reshape((-1,) + _pair_axes(net.party_dims))
+    diagonal = np.einsum(view, [0, *(k for k in range(1, n + 1) for _ in "rc")], [*range(n + 1)])
+    probs = np.real(diagonal.reshape(len(labels), -1).sum(axis=1))
+    return ConditionalStates(net.party_dims, labels, probs, pairs=pairs)
 
 
 def conditional_states(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg, network
 from .errors import InternalConsistencyError
-from .linalg import I2, DenseOperator, X, Y, Z, apply_factor, kron_all, partial_trace
+from .linalg import I2, DenseOperator, X, Y, Z, apply_factor, partial_trace
 from .network import StarNetwork, conditional_states, ideal_network
 from .functionals import J_fixed_factors, J_weight
 
@@ -47,12 +47,8 @@ def pauli_block_decompose(a: DenseOperator) -> PauliBlockDecomp:
         raise ValueError("leading factor must have dimension 2")
     aux_dims = a.local_dims[1:] if len(a.local_dims) > 1 else (1,)
     aux = math.prod(aux_dims)
-    blocks = []
-    for sigma in _SIGMA:
-        m = kron_all([sigma, np.eye(aux)]) @ a.mat
-        r = partial_trace(DenseOperator(m, (2, aux)), keep=[1]).mat / 2.0
-        blocks.append(r)
-    return PauliBlockDecomp(*blocks)
+    t = a.mat.reshape(2, aux, 2, aux)
+    return PauliBlockDecomp(*(np.einsum("ab,biaj->ij", sigma, t) / 2.0 for sigma in _SIGMA))
 
 
 def j_from_t(t: Sequence[float]) -> float:

@@ -181,6 +181,26 @@ def test_verify_checks_survive_python_optimize(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # One process builds the parser once; each call must still print what
+    # a fresh process prints, a usage error included.
+    env = dict(os.environ, PYTHONPATH=str(Path(rqtgap.__file__).parents[1]))
+    calls = (
+        ["gap", "--n-min", "two", "--n-max", "3"],
+        ["gap", "--n-min", "2", "--n-max", "4"],
+        ["verify", "--n", "3"],
+        ["seesaw", "--n", "3"],
+    )
+    for argv in calls:
+        got = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rqtgap.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr)
+    assert rqtgap.cli.build_parser() is rqtgap.cli.build_parser()
+
+
 def test_verify_rejects_large_n(capsys):
     code, _, _ = run(capsys, "verify", "--n", "12")
     assert code == 2

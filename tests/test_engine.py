@@ -7,6 +7,7 @@ projector check against the dense oracle (`kron_all`, `tensor_embed`,
 
 import itertools
 import math
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rqtgap.cli
 import rqtgap.linalg
 import rqtgap.network
 import rqtgap.rqt
@@ -34,7 +36,6 @@ from rqtgap.linalg import (
     TermStack,
     _haar_unitary,
     apply_local,
-    expect_local,
     kron_all,
     partial_trace,
     random_pm1_matrices,
@@ -58,10 +59,12 @@ from rqtgap.network import (
 from rqtgap.robustness import (
     NOISE_MODELS,
     apply_noise,
+    perturbation_experiment,
     residual_norms,
     verify_sos_identity_A,
     verify_sos_identity_B,
 )
+from rqtgap.rqt import t_values
 from rqtgap.selftest import verify_selftest_noiseless
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -128,6 +131,17 @@ def _dense_conditional(net: StarNetwork, l: int) -> np.ndarray:
     return partial_trace(DenseOperator(lifted, dims), keep=range(n)).mat
 
 
+def _to_pairs(mats: np.ndarray, dims) -> np.ndarray:
+    """Matrices with axes (..., a, a') as pair rows (..., p), each party's
+    row and column index side by side: p = (a_1 a'_1, ..., a_n a'_n)."""
+    n = len(dims)
+    batch = mats.shape[:-2]
+    t = mats.reshape(batch + tuple(dims) * 2)
+    k = len(batch)
+    order = [*range(k)] + [k + j for i in range(n) for j in (i, n + i)]
+    return t.transpose(order).reshape(batch + (-1,))
+
+
 def _network_dims(max_n: int):
     """(party dims, Eve dims), each in {2, 3}, for n = 2..max_n parties."""
     return st.integers(2, max_n).flatmap(
@@ -146,8 +160,16 @@ def test_kernel_matches_dense_joint_state(dims, seed, data):
     l = data.draw(st.integers(0, (1 << net.n) - 1), label="l")
     raw = _conditional_unnormalized(net, l)
     dense = _dense_conditional(net, l)
-    np.testing.assert_allclose(raw, dense, atol=1e-12)
-    assert eve_outcome_probability(net, l) == pytest.approx(np.trace(dense).real, abs=1e-12)
+    np.testing.assert_allclose(raw, _to_pairs(dense, party_dims), atol=1e-12)
+    p = np.trace(dense).real
+    assert eve_outcome_probability(net, l) == pytest.approx(p, abs=1e-12)
+    # The pair form read back, on complex states and a complex target.
+    states = conditional_states(net, [l])
+    assert states.pairs is not None
+    np.testing.assert_allclose(states.density(0), dense / p, atol=1e-12)
+    t = _random_matrix(math.prod(party_dims), np.random.default_rng(seed))[:, :1]
+    want = np.real(t[:, 0].conj() @ dense @ t[:, 0]) / p
+    assert states.fidelity(t)[0] == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -175,13 +197,15 @@ def test_vector_path_matches_dense_kernel_and_bell_operator(dims, projective, ra
     pairs = [(t[0], t[1]) for t in net.observables]
     i_vec = I_values(net, states)
     for j, l in enumerate(states.labels):
-        raw = _conditional_unnormalized(net, l)
-        p = np.trace(raw).real
+        dense = _dense_conditional(net, l)
+        p = np.trace(dense).real
         assert states.probs[j] == pytest.approx(p, abs=1e-12)
         assert eve_outcome_probability(net, l) == pytest.approx(p, abs=1e-12)
-        np.testing.assert_allclose(states.density(j), raw / p, atol=1e-12)
-        np.testing.assert_allclose(raw, _dense_conditional(net, l), atol=1e-12)
-        want = np.trace(build_I_operator(n, l, pairs).mat @ raw).real / p
+        np.testing.assert_allclose(states.density(j), dense / p, atol=1e-12)
+        np.testing.assert_allclose(
+            _conditional_unnormalized(net, l), _to_pairs(dense, party_dims), atol=1e-12
+        )
+        want = np.trace(build_I_operator(n, l, pairs).mat @ dense).real / p
         assert i_vec[j] == pytest.approx(want, abs=1e-12)
 
 
@@ -210,30 +234,6 @@ def test_apply_local_matches_tensor_embed(dims, trailing, seed, data):
     want = (op @ x.reshape(shape[0], -1)).reshape((-1, *trailing))
     got = apply_local(x, dims, placed)
     assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
-    batch=st.sampled_from(((), (3,))),
-    seed=SEEDS,
-    data=st.data(),
-)
-def test_expect_local_matches_tensor_embed(dims, batch, seed, data):
-    rng = np.random.default_rng(seed)
-    d = math.prod(dims)
-    rho = rng.normal(size=batch + (d, d)) + 1j * rng.normal(size=batch + (d, d))
-    where = data.draw(st.sets(st.integers(0, len(dims) - 1)), label="placed")
-    # expect_local does not require Hermitian factors.
-    placed = {
-        i: rng.normal(size=(dims[i],) * 2) + 1j * rng.normal(size=(dims[i],) * 2)
-        for i in where
-    }
-    op = tensor_embed(dims, placed)
-    got = expect_local(rho, dims, placed)
-    assert got.shape == batch
-    want = np.trace(op @ rho, axis1=-2, axis2=-1)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -289,6 +289,8 @@ def _random_product_sum(dims, labels: int, rng: np.random.Generator, data) -> Pr
     data=st.data(),
 )
 def test_expect_matches_dense_trace(dims, labels, rank, seed, data):
+    # Size-1 party dims, one or more outcomes and non-Hermitian factors;
+    # the pair form also takes non-Hermitian matrices.
     rng = np.random.default_rng(seed)
     d = math.prod(dims)
     # Party-first vectors, axes (a, l, c), as `conditional_states` holds them.
@@ -296,36 +298,43 @@ def test_expect_matches_dense_trace(dims, labels, rank, seed, data):
     mats = np.einsum("alc,blc->lab", vecs, vecs.conj())
     probs = np.real(np.trace(mats, axis1=1, axis2=2))
     op = _random_product_sum(dims, labels, rng, data)
-    want = np.array([
-        np.trace(
-            ProductSum(tuple((np.broadcast_to(c, (labels,))[j], p) for c, p in op.terms)).dense(dims)
-            @ mats[j]
-        ).real / probs[j]
-        for j in range(labels)
-    ])
+
+    def dense_expect(rhos):
+        out = []
+        for j in range(labels):
+            op_j = ProductSum(tuple((np.broadcast_to(c, (labels,))[j], p) for c, p in op.terms))
+            out.append(np.trace(op_j.dense(dims) @ rhos[j]).real / probs[j])
+        return np.array(out)
+
     tags = tuple(range(labels))
     by_vectors = ConditionalStates(tuple(dims), tags, probs, vectors=vecs)
-    by_matrices = ConditionalStates(tuple(dims), tags, probs, mats=mats)
-    np.testing.assert_allclose(by_vectors.expect(op), want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(by_matrices.expect(op), want, rtol=1e-12, atol=1e-12)
-    # Slices of two outcomes.
-    with mock.patch.object(rqtgap.network, "MIXED_BATCH_ENTRIES", 2 * d * d):
-        np.testing.assert_allclose(by_matrices.expect(op), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(by_vectors.expect(op), dense_expect(mats), rtol=1e-12, atol=1e-12)
+    general = rng.normal(size=(labels, d, d)) + 1j * rng.normal(size=(labels, d, d))
+    for rhos in (mats, general):
+        want = dense_expect(rhos)
+        by_pairs = ConditionalStates(tuple(dims), tags, probs, pairs=_to_pairs(rhos, dims))
+        np.testing.assert_allclose(by_pairs.expect(op), want, rtol=1e-12, atol=1e-12)
+        # Slices of two outcomes.
+        with mock.patch.object(rqtgap.network, "MIXED_BATCH_ENTRIES", 2 * d * d):
+            np.testing.assert_allclose(by_pairs.expect(op), want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_representation_follows_rank(n):
     """Rank-1 Eve factors give vectors; mix_povm's d_E + 1 columns per
-    outcome give matrices. Both match the density-matrix kernel."""
+    outcome, on the same pure sources, give pair arrays from the
+    density-matrix kernel. Both match that kernel."""
     ideal = ideal_network(n)
     mixed = apply_noise(ideal, "mix_povm", 0.1)
     for net, vectors in ((ideal, True), (mixed, False)):
+        assert net.source_vectors is not None
         states = conditional_states(net)
         assert (states.vectors is not None) == vectors
-        assert (states.mats is None) == vectors
+        assert (states.pairs is None) == vectors
         for j, l in enumerate(states.labels):
             raw = _conditional_unnormalized(net, l)
-            np.testing.assert_allclose(states.density(j) * states.probs[j], raw, atol=1e-14)
+            got = _to_pairs(states.density(j) * states.probs[j], net.party_dims)
+            np.testing.assert_allclose(got, raw, atol=1e-14)
 
 
 def test_states_and_I_pass_peak_within_20_mib():
@@ -343,16 +352,41 @@ def test_states_and_I_pass_peak_within_20_mib():
     assert peak <= 20 * 2**20
 
 
+def test_mixed_states_pass_peak_within_44_mib():
+    # At n = 7 the pair rows of all outcomes are 2^7 x 4^7 complex entries
+    # (32 MiB). A trace reads them in label slices of MIXED_BATCH_ENTRIES
+    # entries, through views; its first factor leaves a quarter of a slice.
+    net = apply_noise(ideal_network(7), "depolarize_sources", 0.1)
+    tracemalloc.start()
+    try:
+        states = conditional_states(net)
+        I_values(net, states)
+        verify_selftest_noiseless(7, net, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.pairs is not None
+    assert peak <= 44 * 2**20
+
+
 def test_mixed_states_in_slices_match_one_batch(monkeypatch):
     net = apply_noise(ideal_network(3), "depolarize_sources", 0.1)
     states = conditional_states(net)
     u = _haar_unitary(_random_matrix(2, np.random.default_rng(0)))
-    placed = {0: u, 2: np.diag([1.0, -1.0])}
-    whole = np.real(expect_local(states.mats, states.party_dims, placed))
+    op = ProductSum.product({0: u, 2: np.diag([1.0, -1.0])})
+    whole = states.expect(op)
+    sizes = []
+
+    def recorded(x, dims, placed):
+        sizes.append(np.size(x) // states.pairs.shape[1])
+        return apply_local(x, dims, placed)
+
     # Slices of 3, 3 and 2 of the 8 outcomes.
-    monkeypatch.setattr(rqtgap.network, "MIXED_BATCH_ENTRIES", 3 * states.mats[0].size)
-    got = states.expect(ProductSum.product(placed))
-    np.testing.assert_allclose(got, whole / states.probs, rtol=0, atol=1e-15)
+    monkeypatch.setattr(rqtgap.network, "MIXED_BATCH_ENTRIES", 3 * states.pairs.shape[1])
+    monkeypatch.setattr(rqtgap.linalg, "apply_local", recorded)
+    got = states.expect(op)
+    assert sizes == [3, 3, 2]
+    np.testing.assert_allclose(got, whole, rtol=0, atol=1e-15)
 
 
 def _finite_difference_k(net: StarNetwork, rho: np.ndarray, third, i: int) -> np.ndarray:
@@ -661,3 +695,88 @@ def test_eve_projector_check_matches_dense_elements(model, n):
     )
     assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
     assert (got <= 1e-10) == (model is None)
+
+
+def _qubit_eve(n: int, rank_one: bool, max_rank: int, rng: np.random.Generator) -> EveMeasurement:
+    """A Haar rank-1 projective measurement, or factors of random ranks
+    1..max_rank per outcome, on n qubit E factors."""
+    dim = 1 << n
+    if rank_one:
+        return EveMeasurement(_haar_unitary(_random_matrix(dim, rng))[:, :, None])
+    ranks = list(rng.integers(1, max_rank + 1, size=dim))
+    ranks[0] = max(ranks[0], dim - sum(ranks[1:]))
+    return EveMeasurement.from_factors(_random_factors(dim, ranks, rng))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 3), pure=st.booleans(), rank_one=st.booleans(), seed=SEEDS, data=st.data())
+def test_selftest_battery_matches_dense_states(n, pure, rank_one, seed, data):
+    # Ranks up to 2^n + 1 reach past the party dimension 2^n, so pure
+    # sources take the density-matrix kernel too.
+    max_rank = data.draw(st.integers(1, (1 << n) + 1), label="max rank")
+    eve = _qubit_eve(n, rank_one, max_rank, np.random.default_rng(seed + 1))
+    net = _random_network([2] * n, [2] * n, seed, pure=pure, eve=eve)
+    checks = {c["name"]: c for c in verify_selftest_noiseless(n, net)["checks"]}
+    targets = ghz_basis(n)
+    pairs = [(t[0], t[1]) for t in net.observables]
+    tol = 1e-10
+    per_l, probs, fid = [], [], []
+    for l in range(1 << n):
+        raw = _dense_conditional(net, l)
+        p = np.trace(raw).real
+        probs.append(p)
+        per_l.append(np.trace(build_I_operator(n, l, pairs).mat @ raw).real / p)
+        fid.append(np.real(targets[:, l].conj() @ raw @ targets[:, l]) / p)
+    bound = checks["quantum_bound_attained"]
+    got = np.array([bound["per_l"][str(l)] for l in range(1 << n)])
+    np.testing.assert_allclose(got, per_l, rtol=0, atol=1e-12)
+    want = max(abs(v - 2.0 * (n - 1)) for v in per_l)
+    assert bound["passed"] == (want <= tol)
+    want = float(np.max(np.abs(np.array(probs) - 1.0 / (1 << n))))
+    assert checks["eve_uniform"]["measured"] == pytest.approx(want, rel=0, abs=1e-12)
+    assert checks["eve_uniform"]["passed"] == (want <= tol)
+    want = float(np.max(np.abs(1.0 - np.array(fid))))
+    assert checks["conditional_states_ideal"]["measured"] == pytest.approx(want, rel=0, abs=1e-12)
+    assert checks["conditional_states_ideal"]["passed"] == (want <= tol)
+
+
+def _party4_network() -> StarNetwork:
+    """ideal_network(2) with party 2 on a random pure 4 x 2 source, its
+    three observables random +/-1 on d = 4."""
+    rng = np.random.default_rng(5)
+    base = ideal_network(2)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi /= np.linalg.norm(psi)
+    sources = (base.sources[0], DenseOperator(np.outer(psi, psi.conj()), (4, 2)))
+    big = tuple(random_pm1_observable(4, s).mat for s in (1, 2, 3))
+    obs = (base.observables[0][:2] + (rqtgap.linalg.X.copy(),), big)
+    return StarNetwork(2, sources, obs, base.eve)
+
+
+def test_production_paths_never_build_dense_operators(tmp_path, monkeypatch):
+    # Every module of the package that binds one of the dense oracles
+    # gets a stand-in that raises; `partial_trace` of small marginals stays.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense oracle called from a production path")
+
+    oracles = {name: getattr(rqtgap.linalg, name) for name in ("kron_all", "tensor_embed")}
+    for name, mod in list(sys.modules.items()):
+        if name == "rqtgap" or name.startswith("rqtgap."):
+            for attr, oracle in oracles.items():
+                if getattr(mod, attr, None) is oracle:
+                    monkeypatch.setattr(mod, attr, refuse)
+    monkeypatch.setattr(ProductSum, "dense", refuse)
+    noisy = tmp_path / "noisy.json"
+    save_strategy(apply_noise(ideal_network(4), "depolarize_sources", 0.1), noisy)
+    out = tmp_path / "out.json"
+    runs = (
+        (["verify", "--n", "4"], 0),
+        (["verify", "--n", "4", "--strategy", str(noisy)], 1),
+        (["seesaw", "--n", "4", "--restarts", "3"], 0),
+    )
+    for argv, code in runs:
+        assert rqtgap.cli.main(["--out", str(out)] + argv) == code
+    for model in NOISE_MODELS:
+        perturbation_experiment(3, model, 0.1, seed=0, restarts=2)
+        residual_norms(apply_noise(ideal_network(3), model, 0.1), 5)
+    assert len(t_values(_party4_network())) == 2
