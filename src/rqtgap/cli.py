@@ -33,7 +33,7 @@ from .robustness import (
     sos_terms_B,
 )
 from .rqt import max_j_over_t, seesaw_real
-from .selftest import verify_selftest_noiseless
+from .selftest import check_record, verify_selftest_noiseless
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -119,8 +119,7 @@ def _sos_checks(n: int, seed: int, net: StarNetwork) -> list[dict]:
     """Both identities on the network's observables at l = 0 and
     l = 2^n - 1, then on five random +/-1 draws at l = 0: the seven inputs
     are validated once, then one call per identity takes them all. Each
-    check names the input with the largest residual, the first within
-    `linalg.TIE_TOL` of it."""
+    check names the input with the largest residual (`check_record`)."""
     labels = [0, (1 << n) - 1] + [0] * 5
     seeds = np.random.default_rng(seed).integers(0, 2**63, size=(5, n, 2))
     draws = linalg.random_pm1_matrices(2, seeds)
@@ -129,17 +128,14 @@ def _sos_checks(n: int, seed: int, net: StarNetwork) -> list[dict]:
         for i, pair in enumerate(net.pairs)
     ]
     pairs = validated_pairs(n, obs)
-    checks = []
-    for name, terms in (("sos_identity_A", sos_terms_A), ("sos_identity_B_residual", sos_terms_B)):
-        residuals = sos_residuals(terms, n, labels, pairs)
-        worst = linalg.first_near_max(residuals, linalg.TIE_TOL)
-        res = float(np.max(residuals))
-        check = {"name": name, "measured": res, "bound": 1e-9, "passed": res <= 1e-9}
-        check["worst_l"] = labels[worst]
-        if worst >= 2:
-            check["worst_draw"] = worst - 2
-        checks.append(check)
-    return checks
+    identities = (("sos_identity_A", sos_terms_A), ("sos_identity_B_residual", sos_terms_B))
+    return [
+        check_record(
+            name, sos_residuals(terms, n, labels, pairs), 1e-9,
+            worst_l=labels, worst_draw=[None, None, 0, 1, 2, 3, 4],
+        )
+        for name, terms in identities
+    ]
 
 
 def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -> dict:
@@ -163,10 +159,7 @@ def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -
     else:
         direct = I_values(ideal, conditional_states(ideal))
     ref = np.array([ideal_I_value(n, l) for l in range(1 << n)])
-    back = float(np.max(np.abs(direct - ref)))
-    report["checks"].append(
-        {"name": "backend_equivalence", "measured": back, "bound": 1e-9, "passed": back <= 1e-9}
-    )
+    report["checks"].append(check_record("backend_equivalence", np.abs(direct - ref), 1e-9))
 
     report["passed"] = all(c["passed"] for c in report["checks"])
     return report
@@ -200,7 +193,7 @@ def cmd_verify(args) -> int:
         try:
             net = load_strategy(args.strategy)
             net.pairs  # ConfigurationError if A_{i,0} or A_{i,1} is unset
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             return _usage_error(f"cannot load strategy file {args.strategy}: {why}")
         if net.n != args.n:

@@ -130,20 +130,20 @@ def ideal_I_value(n: int, l: int) -> float:
     return float(((-1) ** lab.bit(1) * value).real)
 
 
-def classical_bound_I(n: int, l: int = 0) -> dict[str, float]:
+def classical_bound_I(n: int) -> dict[str, float]:
     """Max of the I_l expression over deterministic +/-1 assignments.
 
     The external parties factor out: for fixed party-1 signs (a0, a1) the
     product prod A_{i,1} and each A_{i,0} can be chosen to make both
     brackets positive, so the maximum over the 2^(2n) assignments equals
     max over 4 party-1 cases of (n-1)(|a0+a1| + |a0-a1|)/sqrt2. The value
-    sqrt2 (n-1) is independent of l. The sqrt2 (n+1) figure sometimes
-    quoted for this functional is returned alongside, never merged (it
-    exceeds the quantum bound 2(n-1) for large n; consumers report both).
+    sqrt2 (n-1) is the same for every outcome l. The sqrt2 (n+1) figure
+    sometimes quoted for this functional is returned alongside, never
+    merged (it exceeds the quantum bound 2(n-1) for large n; consumers
+    report both).
     """
     if n < 2:
         raise ValueError("need at least 2 parties")
-    OutcomeLabel(n, l)  # range check only; the bound is l-independent
     best = 0.0
     for a0, a1 in itertools.product((1, -1), repeat=2):
         best = max(best, (n - 1) * (abs(a0 + a1) + abs(a0 - a1)) / SQRT2)
@@ -182,10 +182,8 @@ def J_terms(n: int, pairs: Sequence, third: Sequence) -> ProductSum:
     return ProductSum(tuple(terms))
 
 
-def eval_J(net: StarNetwork, l: int = 0) -> float:
-    """The rescaled Mermin part, evaluated only at Eve's all-zero outcome."""
-    if l != 0:
-        raise ValueError("J_N is defined at the all-zero outcome only")
+def eval_J(net: StarNetwork) -> float:
+    """The rescaled Mermin part at Eve's all-zero outcome, where J_N is defined."""
     third = [net.observable(i, 2) for i in range(1, net.n + 1)]
     return float(_single_outcome(net, 0).expect(J_terms(net.n, net.pairs, third))[0])
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg, network
 from .errors import InternalConsistencyError
-from .linalg import I2, DenseOperator, X, Y, Z, apply_factor, partial_trace
+from .linalg import I2, DenseOperator, ProductSum, X, Y, Z, apply_factor
 from .network import StarNetwork, conditional_states, ideal_network
 from .functionals import J_fixed_factors, J_weight
 
@@ -96,10 +96,10 @@ def t_values(net: StarNetwork) -> list[float]:
 
     For qubit parties the auxiliary factor is trivial and r_{i,2} is the
     scalar X coefficient, and no state is built. Larger parties are split
-    as qubit (x) aux and the junk state is the auxiliary marginal of the
-    conditional state at l = 0, traced from its columns.
+    as qubit (x) aux, and t_i is the expectation of 1 (x) r_{i,2} on that
+    party in the conditional state at l = 0, built once.
     """
-    x = None
+    states = None
     out = []
     for i in range(net.n):
         a2 = net.observables[i][2]
@@ -112,12 +112,9 @@ def t_values(net: StarNetwork) -> list[float]:
         if d % 2:
             raise ValueError("party dimension must be even for the qubit split")
         dec = pauli_block_decompose(DenseOperator(a2, (2, d // 2)))
-        if x is None:
-            x = conditional_states(net, [0]).columns(0)
-        # <a|rho_i|b> = <x| (|b><a| (x) 1) |x>.
-        reduced = _open_trace(x[None], x[None], _axis_shapes(net.party_dims)[i])[0].T
-        aux_state = partial_trace(DenseOperator(reduced, (2, d // 2)), keep=[1])
-        out.append(float(np.real(np.trace(dec.r2 @ aux_state.mat))))
+        if states is None:
+            states = conditional_states(net, [0])
+        out.append(float(states.expect(ProductSum.product({i: np.kron(I2, dec.r2)}))[0]))
     return out
 
 

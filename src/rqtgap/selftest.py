@@ -5,6 +5,8 @@ canonicalize_pair builds the explicit unitary that brings a pair of +/-1
 observables into the form (Z (x) 1, ~X (x) 1) up to a residual controlled
 by how well the pair anticommutes on the state. verify_selftest_noiseless
 runs the ideal network through every exactness check at once.
+check_record is the one builder of a check record and holds the one tie
+rule for its worst offender; every check `verify` reports goes through it.
 """
 
 from __future__ import annotations
@@ -131,10 +133,22 @@ def canonicalize_pair(
     )
 
 
-def _worst_label(states: ConditionalStates, dev) -> int:
-    """The outcome label with the largest deviation, the first within
-    `linalg.TIE_TOL` of it on a tie."""
-    return states.labels[linalg.first_near_max(dev, linalg.TIE_TOL)]
+def check_record(name: str, deviations, bound: float, **offenders) -> dict:
+    """The record of one check: its largest deviation as `measured`, with
+    `passed` when that is at most `bound`. Each offender keyword is a
+    sequence aligned with `deviations`; the record names its entry at the
+    first deviation within `linalg.TIE_TOL` of the largest, so rounding
+    does not decide which is named, and leaves out a `None` entry. Every
+    check `verify` reports is built here.
+    """
+    measured = float(np.max(deviations))
+    record = {"name": name, "measured": measured, "bound": bound, "passed": measured <= bound}
+    if offenders:
+        worst = linalg.first_near_max(deviations, linalg.TIE_TOL)
+        for key, entries in offenders.items():
+            if entries[worst] is not None:
+                record[key] = entries[worst]
+    return record
 
 
 def verify_selftest_noiseless(
@@ -148,12 +162,11 @@ def verify_selftest_noiseless(
     Eve's POVM elements are exactly the projectors onto them. The last
     check measures max_l ||R_l - t_l t_l^dag||_F from Eve's factors; a
     Frobenius norm is never smaller than the largest entry, so its 1e-10
-    bound is no looser than one on entries. The per-outcome checks name
-    their worst outcome (`worst_l`), the pair check its worst party
-    (`worst_party`, 1-based), each the first within `linalg.TIE_TOL` of
-    the largest deviation. `states`,
-    when given, must be `conditional_states(net)`; it saves computing them
-    again.
+    bound is no looser than one on entries. Each record comes from
+    `check_record`: the per-outcome checks name their worst outcome
+    (`worst_l`), the pair check its worst party (`worst_party`, 1-based).
+    `states`, when given, must be `conditional_states(net)`; it saves
+    computing them again.
     """
     if n < 2:
         raise ValueError("need at least 2 parties")
@@ -162,74 +175,25 @@ def verify_selftest_noiseless(
     if states is None:
         states = conditional_states(net)
     tol = 1e-10
-    checks = []
-
-    beta_q = 2.0 * (n - 1)
-    per_l = {l: float(v) for l, v in zip(states.labels, I_values(net, states))}
-    dev = [abs(v - beta_q) for v in per_l.values()]
-    worst = max(dev)
-    checks.append(
-        {
-            "name": "quantum_bound_attained",
-            "measured": worst,
-            "bound": tol,
-            "passed": worst <= tol,
-            "worst_l": _worst_label(states, dev),
-            "per_l": {str(l): v for l, v in per_l.items()},
-        }
-    )
-
-    p_dev = float(np.max(np.abs(states.probs - 1.0 / (1 << n))))
-    checks.append(
-        {"name": "eve_uniform", "measured": p_dev, "bound": tol, "passed": p_dev <= tol}
-    )
-
-    anti = []
-    for i in range(n):
-        a0, a1 = net.observables[i][0], net.observables[i][1]
-        anti.append(float(np.linalg.norm(a0 @ a1 + a1 @ a0, 2)))
-    anti_worst = max(anti)
-    checks.append(
-        {
-            "name": "pairs_anticommute",
-            "measured": anti_worst,
-            "bound": 1e-12,
-            "passed": anti_worst <= 1e-12,
-            "worst_party": linalg.first_near_max(anti, linalg.TIE_TOL) + 1,
-        }
-    )
-
+    labels = states.labels
+    per_l = I_values(net, states)
+    anti = [np.linalg.norm(a0 @ a1 + a1 @ a0, 2) for a0, a1 in net.pairs]
     targets = ghz_basis(n)
-    fid = np.abs(1.0 - states.fidelity(targets[:, list(states.labels)]))
-    fid_dev = float(np.max(fid))
-    checks.append(
-        {
-            "name": "conditional_states_ideal",
-            "measured": fid_dev,
-            "bound": tol,
-            "passed": fid_dev <= tol,
-            "worst_l": _worst_label(states, fid),
-        }
-    )
+    fid = np.abs(1.0 - states.fidelity(targets[:, list(labels)]))
+    checks = [
+        check_record("quantum_bound_attained", np.abs(per_l - 2.0 * (n - 1)), tol, worst_l=labels),
+        check_record("eve_uniform", np.abs(states.probs - 1.0 / (1 << n)), tol),
+        check_record("pairs_anticommute", anti, 1e-12, worst_party=range(1, n + 1)),
+        check_record("conditional_states_ideal", fid, tol, worst_l=labels),
+    ]
+    checks[0]["per_l"] = {str(l): float(v) for l, v in zip(labels, per_l)}
 
     # R_l - t_l t_l^dag = W_l S W_l^dag with W_l = [V_l, t_l] and
     # S = diag(1, ..., 1, -1). With W_l = Q_l R_l (one stacked QR over l)
     # its Frobenius norm is ||R_l S R_l^dag||_F, and no d x d matrix is built.
     w = np.concatenate([np.moveaxis(net.eve.factors, 1, 0), targets.T[:, :, None]], axis=2)
     r = np.linalg.qr(w, mode="r")
-    s = np.ones(w.shape[2])
-    s[-1] = -1.0
-    diff = (r * s) @ np.conj(np.swapaxes(r, 1, 2))
-    povm = np.linalg.norm(diff, axis=(1, 2))
-    povm_dev = float(np.max(povm))
-    checks.append(
-        {
-            "name": "eve_povm_projects",
-            "measured": povm_dev,
-            "bound": tol,
-            "passed": povm_dev <= tol,
-            "worst_l": linalg.first_near_max(povm, linalg.TIE_TOL),
-        }
-    )
-
+    s = np.append(np.ones(w.shape[2] - 1), -1.0)
+    povm = np.linalg.norm((r * s) @ np.conj(np.swapaxes(r, 1, 2)), axis=(1, 2))
+    checks.append(check_record("eve_povm_projects", povm, tol, worst_l=range(len(povm))))
     return {"n": n, "passed": all(c["passed"] for c in checks), "checks": checks}

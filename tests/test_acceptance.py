@@ -185,7 +185,7 @@ def test_criterion_10_classical_bound():
                 for i in range(2, n + 1):
                     value += (-1) ** lab.bit(i) * t0 * a[i - 1][0]
                 best = max(best, (-1) ** lab.bit(1) * value)
-            got = classical_bound_I(n, l)
+            got = classical_bound_I(n)
             assert got["enumerated"] == pytest.approx(best, abs=1e-12)
             assert got["enumerated"] == pytest.approx(
                 classical_bound_closed_form(n), abs=1e-12

@@ -258,6 +258,44 @@ def test_fail_line_names_the_first_of_outcomes_tied_up_to_rounding(tmp_path, cap
     assert all(f.endswith(" (l 0)") for f in failing)
 
 
+_RECORD = ["name", "measured", "bound", "passed"]
+
+
+@pytest.mark.parametrize("case", ["ideal", "inject_broken", "mix_povm", "worst_draw"])
+def test_verify_records_keep_their_key_order(tmp_path, capsys, monkeypatch, case):
+    argv = ["verify", "--n", "3"]
+    if case == "inject_broken":
+        argv.append("--inject-broken")
+    elif case == "mix_povm":
+        path = tmp_path / "strategy.json"
+        save_strategy(apply_noise(ideal_network(3), "mix_povm", 0.1), path)
+        argv += ["--strategy", str(path)]
+    elif case == "worst_draw":
+        real = rqtgap.cli.sos_residuals
+
+        def fake(terms, n, labels, pairs):
+            residuals = real(terms, n, labels, pairs)
+            residuals[5] = 1e-6
+            return residuals
+
+        monkeypatch.setattr(rqtgap.cli, "sos_residuals", fake)
+    _, out, _ = run(capsys, *argv)
+    rep = json.loads(out)
+    assert list(rep) == ["n", "seed", "rng", "checks", "passed"]
+    battery = rep["checks"][0]
+    assert list(battery) == ["name", "passed", "detail"]
+    assert list(battery["detail"]) == ["n", "passed", "checks"]
+    assert [list(c) for c in battery["detail"]["checks"]] == [
+        _RECORD + ["worst_l", "per_l"],
+        _RECORD,
+        _RECORD + ["worst_party"],
+        _RECORD + ["worst_l"],
+        _RECORD + ["worst_l"],
+    ]
+    sos = _RECORD + ["worst_l"] + (["worst_draw"] if case == "worst_draw" else [])
+    assert [list(c) for c in rep["checks"][1:]] == [sos, sos, _RECORD]
+
+
 def test_sos_checks_validate_each_input_once(monkeypatch):
     # One +/-1 check per (party, setting) stack of the seven inputs, shared
     # by both identities.
@@ -360,6 +398,7 @@ def test_unknown_subcommand_is_usage_error(capsys):
         ["verify", "--n", "2", "--strategy", "{tmp}/negative_rows.json"],
         ["verify", "--n", "3", "--strategy", "{tmp}/fractional_n.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/fractional_local_dims.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/deeply_nested.json"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}/", "").replace("{tmp}", "DIR"),
 )
@@ -400,6 +439,8 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
     save_strategy(qutrit, tmp_path / "qutrit_eve.json")
     del strategy["eve_factors"]
     (tmp_path / "no_eve_key.json").write_text(json.dumps(strategy))
+    # Nested past the recursion limit: json.load raises RecursionError.
+    (tmp_path / "deeply_nested.json").write_text("[" * 10000 + "]" * 10000)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(rqtgap.__file__).parents[1]))
     proc = subprocess.run(

@@ -85,7 +85,7 @@ def test_eval_I_rejects_outcome_out_of_range(l):
 def test_classical_bound_matches_brute_force(n):
     for l in range(1 << n):
         oracle = brute_force_classical_bound(n, l)
-        got = classical_bound_I(n, l)["enumerated"]
+        got = classical_bound_I(n)["enumerated"]
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got == pytest.approx(classical_bound_closed_form(n), abs=1e-12)
 
@@ -108,11 +108,6 @@ def test_cqt_strategy_reaches_one(n):
 def test_eval_J_requires_third_observables():
     with pytest.raises(ConfigurationError):
         eval_J(ideal_network(3))
-
-
-def test_eval_J_rejects_other_outcomes():
-    with pytest.raises(ValueError):
-        eval_J(cqt_strategy(2), l=1)
 
 
 def test_report_contents_and_serialization():

@@ -11,7 +11,7 @@ from rqtgap.linalg import (
     random_pm1_observable,
 )
 from rqtgap.network import EveMeasurement, StarNetwork, ideal_network
-from rqtgap.selftest import canonicalize_pair, verify_selftest_noiseless
+from rqtgap.selftest import canonicalize_pair, check_record, verify_selftest_noiseless
 
 SQRT2 = math.sqrt(2.0)
 
@@ -132,3 +132,21 @@ def test_failing_checks_name_the_worst_offender():
     anti = {c["name"]: c for c in rep["checks"]}["pairs_anticommute"]
     assert not anti["passed"]
     assert anti["worst_party"] == 3
+
+
+def test_check_record_reduces_to_a_maximum_and_a_first_worst_offender():
+    # Deviations within TIE_TOL of the largest tie: the first one is named.
+    tied = check_record("c", [0.0, 1.0 - 5e-13, 1.0], 0.5, worst_l=[7, 8, 9])
+    assert tied == {"name": "c", "measured": 1.0, "bound": 0.5, "passed": False, "worst_l": 8}
+    # One deviation 2e-12 above the rest is beyond the tie and names itself.
+    above = check_record("c", [1.0, 1.0 + 2e-12, 1.0], 2.0, worst_party=range(1, 4))
+    assert above["passed"] and above["worst_party"] == 2
+    # A None entry leaves its key out; the keys keep their order.
+    offenders = {"worst_l": [0, 3, 0], "worst_draw": [None, None, 0]}
+    keys = ["name", "measured", "bound", "passed", "worst_l"]
+    assert list(check_record("c", [0.0, 3e-10, 0.0], 1e-9, **offenders)) == keys
+    assert list(check_record("c", [0.0, 0.0, 1.0], 1e-9, **offenders)) == keys + ["worst_draw"]
+    # The reduction is np.max, so a NaN deviation fails the check.
+    nan = check_record("c", [0.0, math.nan, 0.0], 1.0, worst_l=[0, 1, 2])
+    assert math.isnan(nan["measured"]) and nan["passed"] is False
+    assert list(check_record("c", np.zeros(3), 1.0)) == ["name", "measured", "bound", "passed"]
