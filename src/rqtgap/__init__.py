@@ -14,7 +14,6 @@ from .errors import (
     ValidationError,
 )
 from .functionals import (
-    FunctionalReport,
     build_I_operator,
     classical_bound_I,
     classical_bound_closed_form,
@@ -23,9 +22,8 @@ from .functionals import (
     eval_I_from_correlators,
     eval_J,
     ideal_I_value,
-    report,
 )
-from .linalg import DenseOperator, StateVector, kron, kron_all, partial_trace
+from .linalg import DenseOperator, StateVector, kron_all, partial_trace
 from .network import (
     StarNetwork,
     conditional_state,
@@ -64,7 +62,6 @@ __all__ = [
     "DegenerateConditioningError",
     "InternalConsistencyError",
     "ValidationError",
-    "FunctionalReport",
     "build_I_operator",
     "classical_bound_I",
     "classical_bound_closed_form",
@@ -73,10 +70,8 @@ __all__ = [
     "eval_I_from_correlators",
     "eval_J",
     "ideal_I_value",
-    "report",
     "DenseOperator",
     "StateVector",
-    "kron",
     "kron_all",
     "partial_trace",
     "StarNetwork",

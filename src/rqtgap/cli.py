@@ -141,8 +141,7 @@ def _sos_checks(n: int, seed: int, net: StarNetwork) -> list[dict]:
 def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -> dict:
     report: dict = {"n": n, "seed": seed, "rng": linalg.RNG_NAME, "checks": []}
 
-    states = conditional_states(net)
-    battery = verify_selftest_noiseless(n, net, states)
+    battery = verify_selftest_noiseless(net)
     report["checks"].append(
         {"name": "selftest_noiseless", "passed": battery["passed"], "detail": battery}
     )

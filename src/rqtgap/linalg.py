@@ -101,14 +101,6 @@ class StateVector:
         if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
             raise ValueError("state vector is not normalized")
 
-    @classmethod
-    def normalized(cls, vec, local_dims) -> "StateVector":
-        vec = np.asarray(vec, dtype=complex)
-        nrm = np.linalg.norm(vec)
-        if nrm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(vec / nrm, tuple(local_dims))
-
     @property
     def dim(self) -> int:
         return self.vec.shape[0]
@@ -123,16 +115,6 @@ X = _frozen([[0, 1], [1, 0]])
 Y = _frozen([[0, -1j], [1j, 0]])
 Z = _frozen([[1, 0], [0, -1]])
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
-
-def kron(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    """Kronecker product; local factors of `b` are appended after those of `a`."""
-    dim = a.dim * b.dim
-    if dim * dim > ENTRY_CAPACITY:
-        raise CapacityError(
-            f"kron result would hold {dim * dim} entries, cap is {ENTRY_CAPACITY}"
-        )
-    return DenseOperator(np.kron(a.mat, b.mat), a.local_dims + b.local_dims)
 
 
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
@@ -344,7 +326,8 @@ def random_pm1_observable(dim: int, seed: int) -> DenseOperator:
 #
 # {"dim": n, "local_dims": [...], "re": [row-major], "im": [row-major]}
 # Round-trips bit-exactly at double precision (Python floats serialize via
-# repr, which is faithful). Sizes must be JSON integers (`json_size`).
+# repr, which is faithful). Sizes must be JSON integers (`json_size`), and
+# entries finite numbers (`_complex_from_json`).
 
 
 def json_size(value, name: str) -> int:
@@ -363,12 +346,21 @@ def operator_to_json(m: DenseOperator) -> dict:
     }
 
 
+def _complex_from_json(d: dict, shape: tuple[int, int]) -> np.ndarray:
+    """The row-major `re` and `im` lists of `d` as one complex array;
+    ValidationError unless every part is finite, checked before they are
+    combined, so that no inf or NaN reaches the arithmetic."""
+    re = np.array(d["re"], dtype=float).reshape(shape)
+    im = np.array(d["im"], dtype=float).reshape(shape)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValidationError("re and im entries must all be finite")
+    return re + 1j * im
+
+
 def operator_from_json(d: dict) -> DenseOperator:
     dim = json_size(d["dim"], "dim")
-    re = np.array(d["re"], dtype=float).reshape(dim, dim)
-    im = np.array(d["im"], dtype=float).reshape(dim, dim)
     local_dims = tuple(json_size(v, "local_dims") for v in d["local_dims"])
-    return DenseOperator(re + 1j * im, local_dims)
+    return DenseOperator(_complex_from_json(d, (dim, dim)), local_dims)
 
 
 # A rectangular matrix: {"rows": r, "cols": c, "re": [...], "im": [...]},
@@ -385,7 +377,4 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    shape = (json_size(d["rows"], "rows"), json_size(d["cols"], "cols"))
-    re = np.array(d["re"], dtype=float).reshape(shape)
-    im = np.array(d["im"], dtype=float).reshape(shape)
-    return re + 1j * im
+    return _complex_from_json(d, (json_size(d["rows"], "rows"), json_size(d["cols"], "cols")))

@@ -107,15 +107,17 @@ class EveMeasurement:
         if not np.all(np.isfinite(v)):
             raise ValidationError("Eve's factors are not all finite")
         flat = v.reshape(v.shape[0], -1)
-        if flat.imag.any():
-            gram = flat @ flat.conj().T
-        else:
-            # Entrywise-real factors, as the ideal network's: a contiguous
-            # real copy lets the product run as one real syrk.
-            re = np.ascontiguousarray(flat.real)
-            gram = re @ re.T
-        dev = np.max(np.abs(gram - np.eye(v.shape[0])))
-        # Written so that a NaN deviation (say, from overflow) fails too.
+        # Huge finite factors overflow here; the deviation is then inf or
+        # NaN, and the test below, written so that NaN fails too, rejects it.
+        with np.errstate(all="ignore"):
+            if flat.imag.any():
+                gram = flat @ flat.conj().T
+            else:
+                # Entrywise-real factors, as the ideal network's: a contiguous
+                # real copy lets the product run as one real syrk.
+                re = np.ascontiguousarray(flat.real)
+                gram = re @ re.T
+            dev = np.max(np.abs(gram - np.eye(v.shape[0])))
         if not dev <= 1e-10:
             raise ValidationError("Eve POVM does not sum to the identity")
 

@@ -4,7 +4,7 @@ noiseless self-test battery.
 canonicalize_pair builds the explicit unitary that brings a pair of +/-1
 observables into the form (Z (x) 1, ~X (x) 1) up to a residual controlled
 by how well the pair anticommutes on the state. verify_selftest_noiseless
-runs the ideal network through every exactness check at once.
+runs a network through every exactness check at once.
 check_record is the one builder of a check record and holds the one tie
 rule for its worst offender; every check `verify` reports goes through it.
 """
@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .functionals import I_values
 from .linalg import StateVector, X, Z
-from .network import ConditionalStates, StarNetwork, conditional_states, ghz_basis, ideal_network
+from .network import StarNetwork, conditional_states, ghz_basis
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,7 @@ class CanonicalizationResult:
     quadratic_bound: float
 
 
-def canonicalize_pair(
-    a0: np.ndarray, a1: np.ndarray, psi: StateVector, pad: bool = True
-) -> CanonicalizationResult:
+def canonicalize_pair(a0: np.ndarray, a1: np.ndarray, psi: StateVector) -> CanonicalizationResult:
     """Rotate (a0, a1) toward (Z (x) 1, X (x) 1) on the first factor of psi.
 
     The +1 and -1 eigenspaces of a0 are balanced by a direct-sum extension
@@ -68,11 +66,6 @@ def canonicalize_pair(
     minus = [v[:, k] for k in range(d) if w[k] < 0]
     m = max(len(plus), len(minus))
     padded = 2 * m
-    if padded != d and not pad:
-        raise ValueError(
-            f"a0 spectrum is unbalanced ({len(plus)} vs {len(minus)}) "
-            "and padding is disabled"
-        )
 
     # Basis rows: the +1 eigenvectors (zero-extended) topped up with extra
     # padding directions, then the same for the -1 side. In this basis the
@@ -151,10 +144,9 @@ def check_record(name: str, deviations, bound: float, **offenders) -> dict:
     return record
 
 
-def verify_selftest_noiseless(
-    n: int, net: StarNetwork | None = None, states: ConditionalStates | None = None
-) -> dict:
-    """Exactness battery on the ideal network (or a supplied candidate).
+def verify_selftest_noiseless(net: StarNetwork) -> dict:
+    """Exactness battery on a candidate network, from its conditional
+    states for all 2^n outcomes.
 
     It checks that every <I_l> sits at the quantum bound, Eve's outcomes are
     uniform, each party's pair anticommutes as operators, the conditional
@@ -165,15 +157,9 @@ def verify_selftest_noiseless(
     bound is no looser than one on entries. Each record comes from
     `check_record`: the per-outcome checks name their worst outcome
     (`worst_l`), the pair check its worst party (`worst_party`, 1-based).
-    `states`, when given, must be `conditional_states(net)`; it saves
-    computing them again.
     """
-    if n < 2:
-        raise ValueError("need at least 2 parties")
-    if net is None:
-        net = ideal_network(n)
-    if states is None:
-        states = conditional_states(net)
+    n = net.n
+    states = conditional_states(net)
     tol = 1e-10
     labels = states.labels
     per_l = I_values(net, states)

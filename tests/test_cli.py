@@ -392,6 +392,9 @@ def test_unknown_subcommand_is_usage_error(capsys):
         ["seesaw", "--n", "2", "--trace", "{tmp}/no/such/dir/x.jsonl"],
         ["verify", "--n", "2", "--strategy", "{tmp}/nan_factor.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/inf_factor.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/inf_im_factor.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/inf_im_source.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/huge_factor.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/null_setting.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/four_dim_party.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/qutrit_eve.json"],
@@ -410,6 +413,17 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
         factors = [dict(f, re=list(f["re"])) for f in strategy["eve_factors"]]
         factors[1]["re"][0] = bad
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(strategy, eve_factors=factors)))
+    # Finite entries that overflow Eve's completeness check, and an inf
+    # imaginary part, which 1j * inf would turn into a NaN real part.
+    factors = [dict(f, re=list(f["re"]), im=list(f["im"])) for f in strategy["eve_factors"]]
+    factors[3]["re"][3] = 1e308
+    (tmp_path / "huge_factor.json").write_text(json.dumps(dict(strategy, eve_factors=factors)))
+    factors = [dict(f, im=list(f["im"])) for f in strategy["eve_factors"]]
+    factors[1]["im"][0] = math.inf
+    (tmp_path / "inf_im_factor.json").write_text(json.dumps(dict(strategy, eve_factors=factors)))
+    sources = [dict(s, im=list(s["im"])) for s in strategy["sources"]]
+    sources[0]["im"][0] = math.inf
+    (tmp_path / "inf_im_source.json").write_text(json.dumps(dict(strategy, sources=sources)))
     (tmp_path / "both_eve_keys.json").write_text(json.dumps(dict(strategy, eve_povm=[])))
     # Sizes that numpy would accept: a reshape to -1 rows, an n truncated
     # to 3, local dims truncated to (2, 2).

@@ -26,3 +26,12 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_library_tour_runs():
+    # The README's tour names public functions; one that is deleted or
+    # renamed fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import rqtgap" in tour
+    exec(compile(tour, "README.md (Library tour)", "exec"), {})

@@ -26,6 +26,7 @@ from rqtgap.functionals import (
     I_values,
     J_fixed_factors,
     build_I_operator,
+    cqt_strategy,
     eval_I,
     eval_I_from_correlators,
     eval_J,
@@ -352,20 +353,33 @@ def test_states_and_I_pass_peak_within_20_mib():
     assert peak <= 20 * 2**20
 
 
+def test_eval_J_peak_within_4_mib():
+    # J_N is taken on rho^0 alone, as the 2^10-entry vector of outcome 0;
+    # the dense 2^10 x 2^10 rho^0 alone would be 16 MiB.
+    net = cqt_strategy(10)
+    tracemalloc.start()
+    try:
+        value = eval_J(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert peak <= 4 * 2**20
+
+
 def test_mixed_states_pass_peak_within_44_mib():
     # At n = 7 the pair rows of all outcomes are 2^7 x 4^7 complex entries
     # (32 MiB). A trace reads them in label slices of MIXED_BATCH_ENTRIES
     # entries, through views; its first factor leaves a quarter of a slice.
+    # The battery builds the states and takes the I pass on them.
     net = apply_noise(ideal_network(7), "depolarize_sources", 0.1)
+    assert conditional_states(net, [0]).pairs is not None
     tracemalloc.start()
     try:
-        states = conditional_states(net)
-        I_values(net, states)
-        verify_selftest_noiseless(7, net, states)
+        verify_selftest_noiseless(net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert states.pairs is not None
     assert peak <= 44 * 2**20
 
 
@@ -686,7 +700,7 @@ def test_residual_norms_match_dense_generators_replayed_case():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_eve_projector_check_matches_dense_elements(model, n):
     net = ideal_network(n) if model is None else apply_noise(ideal_network(n), model, 0.1)
-    battery = verify_selftest_noiseless(n, net)
+    battery = verify_selftest_noiseless(net)
     got = next(c for c in battery["checks"] if c["name"] == "eve_povm_projects")["measured"]
     targets = ghz_basis(n)
     want = max(
@@ -716,7 +730,7 @@ def test_selftest_battery_matches_dense_states(n, pure, rank_one, seed, data):
     max_rank = data.draw(st.integers(1, (1 << n) + 1), label="max rank")
     eve = _qubit_eve(n, rank_one, max_rank, np.random.default_rng(seed + 1))
     net = _random_network([2] * n, [2] * n, seed, pure=pure, eve=eve)
-    checks = {c["name"]: c for c in verify_selftest_noiseless(n, net)["checks"]}
+    checks = {c["name"]: c for c in verify_selftest_noiseless(net)["checks"]}
     targets = ghz_basis(n)
     pairs = [(t[0], t[1]) for t in net.observables]
     tol = 1e-10

@@ -1,13 +1,10 @@
 import itertools
-import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import rqtgap.rqt
-from rqtgap.errors import ConfigurationError, InternalConsistencyError
+from rqtgap.errors import ConfigurationError
 from rqtgap.functionals import (
     build_I_operator,
     classical_bound_I,
@@ -17,9 +14,8 @@ from rqtgap.functionals import (
     eval_I_from_correlators,
     eval_J,
     ideal_I_value,
-    report,
 )
-from rqtgap.linalg import X, Y, Z
+from rqtgap.linalg import X, Z
 from rqtgap.network import ideal_network, tilde_pair
 from rqtgap.pauli import OutcomeLabel
 
@@ -108,29 +104,3 @@ def test_cqt_strategy_reaches_one(n):
 def test_eval_J_requires_third_observables():
     with pytest.raises(ConfigurationError):
         eval_J(ideal_network(3))
-
-
-def test_report_contents_and_serialization():
-    rep = report(cqt_strategy(3))
-    assert rep.n == 3
-    assert rep.beta_Q == pytest.approx(4.0)
-    assert rep.beta_CQT == 1.0
-    assert rep.beta_RQT_bound == pytest.approx(0.5)
-    assert rep.gap_ratio == pytest.approx(2.0)
-    assert rep.value_J == pytest.approx(1.0, abs=1e-10)
-    assert all(v == pytest.approx(4.0, abs=1e-10) for v in rep.values_I.values())
-    blob = json.dumps(rep.to_json())
-    assert json.loads(blob)["gap_ratio"] == pytest.approx(2.0)
-    csv_text = rep.to_csv()
-    assert csv_text.splitlines()[0].startswith("l,value_I")
-    assert len(csv_text.splitlines()) == 1 + 8
-
-
-def test_report_rejects_optimum_above_certified_bound(monkeypatch):
-    # A plain assert would vanish under python -O; the guard must raise.
-    monkeypatch.setattr(
-        rqtgap.rqt, "max_j_over_t", lambda n: rqtgap.rqt.TMaximum(Fraction(1, 1), (1,) * n)
-    )
-    with pytest.raises(InternalConsistencyError, match="certified bound"):
-        report(ideal_network(3))
-    assert report(ideal_network(3), with_rqt_analysis=False).gap_ratio == 2.0

