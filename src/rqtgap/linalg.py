@@ -24,9 +24,10 @@ matrices that build the pure-source vectors.
 
 `kron_all`, `tensor_embed` and `ProductSum.dense` build the full
 operators. They are the ground-truth oracle the tests check the
-structured paths against. `require_pm1` is the one check that a matrix,
-or each matrix of a stack, is a +/-1 observable, and `first_near_max` the
-one tie rule for naming the largest of several values.
+structured paths against. `is_hermitian` is the one Hermiticity test,
+`require_pm1` the one check that a matrix, or each matrix of a stack, is
+a +/-1 observable, and `first_near_max` the one tie rule for naming the
+largest of several values.
 """
 
 from __future__ import annotations
@@ -205,9 +206,9 @@ class ProductSum:
     terms: tuple[tuple[complex, Mapping[int, np.ndarray]], ...] = ()
 
     @classmethod
-    def product(cls, placed: Mapping[int, np.ndarray], coeff: complex = 1.0) -> "ProductSum":
-        """The single term coeff (x)_i placed.get(i, 1)."""
-        return cls(((coeff, dict(placed)),))
+    def product(cls, placed: Mapping[int, np.ndarray]) -> "ProductSum":
+        """The single term (x)_i placed.get(i, 1)."""
+        return cls(((1.0, dict(placed)),))
 
     def dense(self, local_dims: Sequence[int]) -> np.ndarray:
         """The full matrix, through `tensor_embed`."""
@@ -258,19 +259,26 @@ class TermStack:
         return float(np.linalg.norm((sides[0].T * self.coeffs) @ sides[1]))
 
 
+def is_hermitian(m: np.ndarray) -> bool:
+    """Whether the square matrix `m`, or each of a stack of them along
+    leading axes, equals its conjugate transpose to 1e-10 in every entry.
+    A NaN or inf entry fails. This is the package's only Hermiticity test."""
+    with np.errstate(all="ignore"):  # a NaN deviation fails the test below
+        return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= 1e-10)
+
+
 def require_pm1(m: np.ndarray, who: str) -> np.ndarray:
     """`m` as a complex array; ValidationError naming `who` unless it is a
-    +/-1 observable, or a stack of them along leading axes: Hermitian with
-    square 1, both to 1e-10 in every entry. A NaN or inf entry fails; a
-    non-square `m` raises ValueError. This is the package's only +/-1
-    check."""
+    +/-1 observable, or a stack of them along leading axes: Hermitian
+    (`is_hermitian`) with square 1 to 1e-10 in every entry. A NaN or inf
+    entry fails; a non-square `m` raises ValueError. This is the package's
+    only +/-1 check."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{who} must be a square matrix, got shape {m.shape}")
     with np.errstate(all="ignore"):  # a NaN deviation fails the test below
-        herm = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
         square = np.max(np.abs(m @ m - np.eye(m.shape[-1])))
-    if not (herm <= 1e-10 and square <= 1e-10):
+    if not (is_hermitian(m) and square <= 1e-10):
         raise ValidationError(f"{who} is not a +/-1 observable")
     return m
 

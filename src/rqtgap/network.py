@@ -135,11 +135,15 @@ class EveMeasurement:
 
     @classmethod
     def from_elements(cls, elements: Sequence[np.ndarray]) -> "EveMeasurement":
-        """Factor dense POVM elements by `eigh`, one per element."""
+        """Factor dense POVM elements by `eigh`, one per element, each
+        checked Hermitian first (`eigh` would read only one triangle)."""
         factors = []
         for l, r in enumerate(elements):
             r = np.asarray(r, dtype=complex)
-            w, q = np.linalg.eigh((r + r.conj().T) / 2)
+            if not linalg.is_hermitian(r):
+                raise ValidationError(f"Eve POVM element {l} is not Hermitian")
+            # Halved before the sum, so that no finite entry overflows.
+            w, q = np.linalg.eigh(r / 2 + r.conj().T / 2)
             if w[0] < -1e-12:
                 raise ValidationError(f"Eve POVM element {l} is not positive")
             keep = w > RANK_CUTOFF * w[-1]
@@ -203,6 +207,9 @@ class StarNetwork:
         for i, rho in enumerate(self.sources):
             if len(rho.local_dims) != 2:
                 raise ValidationError(f"source {i + 1} must be bipartite")
+            # `eigh` reads only the lower triangle.
+            if not linalg.is_hermitian(rho.mat):
+                raise ValidationError(f"source {i + 1} is not Hermitian")
             w, q = np.linalg.eigh(rho.mat)
             if w[0] < -1e-10 or abs(np.trace(rho.mat) - 1.0) > 1e-10:
                 raise ValidationError(f"source {i + 1} is not a density operator")

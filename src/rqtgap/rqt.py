@@ -76,15 +76,9 @@ def max_j_over_t(n: int) -> TMaximum:
     """
     if n < 2:
         raise ValueError("need at least 2 parties")
-    best: Optional[Fraction] = None
-    best_k = 0
-    for k in range(n + 1):
-        value = Fraction(n - (n - 2 * k) ** 2, n * (n - 1))
-        if best is None or value > best:
-            best = value
-            best_k = k  # ties keep the smaller k: lexicographically smallest
-    if best is None:
-        raise InternalConsistencyError("no vertex count was evaluated")
+    values = [Fraction(n - (n - 2 * k) ** 2, n * (n - 1)) for k in range(n + 1)]
+    best = max(values)
+    best_k = values.index(best)  # ties keep the smaller k: lexicographically smallest
     if best > Fraction(1, n - 1):
         raise InternalConsistencyError("cube maximum exceeds 1/(n-1)")
     pattern = (-1,) * (n - best_k) + (1,) * best_k
@@ -127,40 +121,27 @@ def construct_optimal_real_strategy(n: int) -> StarNetwork:
 # --- seesaw ---------------------------------------------------------------
 
 
-def _ties(k: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Which eigenvalues w of K's symmetric part lie within
-    1e-12 max(||K||, 1) of zero, for one K or a stack of them."""
-    return np.abs(w) <= 1e-12 * np.maximum(np.linalg.norm(k, axis=(-2, -1)), 1.0)[..., None]
-
-
-def _best_real_observable(k: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """argmax of Tr(K A) over real symmetric A with A^2 = 1.
+def _best_real_observables(k: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """argmax of Tr(K A) over real symmetric A with A^2 = 1, for each row
+    of the stacks k and current, (R, d, d), from one stacked `eigh`.
 
     An eigenvalue of K's symmetric part within 1e-12 max(||K||, 1) of zero
     is a tie that rounding noise would break at random; on that eigenspace
-    the result keeps `current`, compressed to it and rounded to +/-1.
+    the row keeps its `current`, compressed to it and rounded to +/-1. A
+    row whose eigenvalues all tie keeps `current` as it is.
     """
-    sym = (k + k.T) / 2.0
-    w, q = np.linalg.eigh(sym)
-    tie = _ties(k, w)
-    if tie.all():
-        return current
-    a = (q[:, ~tie] * np.sign(w[~tie])) @ q[:, ~tie].T
-    if tie.any():
-        q0 = q[:, tie]
-        w0, u = np.linalg.eigh(q0.T @ current @ q0)
-        a = a + (q0 @ (u * np.where(w0 >= 0, 1.0, -1.0))) @ (q0 @ u).T
-    return a
-
-
-def _best_real_observables(k: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """`_best_real_observable` on each row of the stacks k and current,
-    (R, d, d): one stacked `eigh`; a row whose K has a tie takes the
-    single-matrix rule."""
     w, q = np.linalg.eigh((k + k.swapaxes(1, 2)) / 2.0)
     a = (q * np.sign(w)[:, None, :]) @ q.swapaxes(1, 2)
-    for r in np.flatnonzero(_ties(k, w).any(axis=1)):
-        a[r] = _best_real_observable(k[r], current[r])
+    tie = np.abs(w) <= 1e-12 * np.maximum(np.linalg.norm(k, axis=(1, 2)), 1.0)[:, None]
+    for r in np.flatnonzero(tie.any(axis=1)):
+        t = tie[r]
+        if t.all():
+            a[r] = current[r]
+            continue
+        a[r] = (q[r][:, ~t] * np.sign(w[r][~t])) @ q[r][:, ~t].T
+        q0 = q[r][:, t]
+        w0, u = np.linalg.eigh(q0.T @ current[r] @ q0)
+        a[r] += (q0 @ (u * np.where(w0 >= 0, 1.0, -1.0))) @ (q0 @ u).T
     return a
 
 
@@ -174,11 +155,6 @@ def _best_real_observables(k: np.ndarray, current: np.ndarray) -> np.ndarray:
 
 SEESAW_MAX_ITER = 500  # sweeps per restart, at most
 SEESAW_TOL = 1e-10  # a restart stops when a sweep gains less than this
-
-
-def _axis_shapes(dims: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(left, d, -1) for each party: its axis of a column array, isolated."""
-    return [(math.prod(dims[:i]), d, -1) for i, d in enumerate(dims)]
 
 
 def _place(blocks: list, one: np.ndarray, third: np.ndarray, shape, top: int) -> list:
@@ -212,25 +188,6 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(r, 1, -1).conj() @ b.reshape(r, -1, 1)).real.reshape(r)
 
 
-def _suffix_blocks(x: np.ndarray, shapes, ones, third, top: int) -> list:
-    """suffix[i][k] = S_k X for k <= top, with S_k the sum over the ways to
-    place k thirds among the parties from i on, the others at their fixed
-    factor; suffix[n] = [X]."""
-    suffix = [[x]]
-    for i in reversed(range(len(shapes))):
-        suffix.append(_place(suffix[-1], ones[i], third[i], shapes[i], top))
-    return suffix[::-1]
-
-
-def _j_on_columns(x: np.ndarray, dims, ones, third) -> np.ndarray:
-    """J_N on rho^0 = X X^dag for each restart: one suffix pass carrying
-    counts up to 2, which keeps only the blocks of the current party."""
-    blocks = [x]
-    for i, shape in reversed(list(enumerate(_axis_shapes(dims)))):
-        blocks = _place(blocks, ones[i], third[i], shape, 2)
-    return J_weight(len(dims)) * _inner(x, blocks[2])
-
-
 def _sweep(x: np.ndarray, dims, ones, third: list) -> np.ndarray:
     """One Gauss-Seidel pass over the parties on rho^0 = X X^dag for a
     batch of restarts: `x` is X repeated along the restart axis, (R, a, c),
@@ -245,8 +202,13 @@ def _sweep(x: np.ndarray, dims, ones, third: list) -> np.ndarray:
     the R coefficients of a party are solved by one stacked `eigh`.
     """
     n = len(dims)
-    shapes = _axis_shapes(dims)
-    suffix = _suffix_blocks(x, shapes, ones, third, 1)
+    # (left, d, -1) for each party: its axis of a column array, isolated.
+    shapes = [(math.prod(dims[:i]), d, -1) for i, d in enumerate(dims)]
+    # suffix[i][k] = S_k X, k <= 1, with S_k the sum over the ways to place
+    # k thirds among the parties from i on; suffix[n] = [X].
+    suffix = [[x]]
+    for i in reversed(range(n)):
+        suffix.insert(0, _place(suffix[0], ones[i], third[i], shapes[i], 1))
     bra = [x]
     for i in range(n):
         ket = suffix[i + 1]
@@ -263,10 +225,11 @@ def _run_batch(x: np.ndarray, dims, ones, third: list) -> tuple[list, list, list
     """Sweeps a batch of restarts from the thirds third[i], (R, d, d) per
     party. A restart stops when a sweep gains less than SEESAW_TOL, keeping
     the larger of its last two J, or after SEESAW_MAX_ITER sweeps, and
-    leaves the batch. Returns each restart's final J, its thirds and the J
+    leaves the batch. Every restart starts at J = -inf, so its first sweep
+    never stops it. Returns each restart's final J, its thirds and the J
     of each of its sweeps."""
     size = len(third[0])
-    current = _j_on_columns(np.broadcast_to(x, (size,) + x.shape), dims, ones, third)
+    current = np.full(size, -np.inf)
     history: list = [[] for _ in range(size)]
     ends: list = [None] * size
     live = np.arange(size)

@@ -62,59 +62,40 @@ def canonicalize_pair(a0: np.ndarray, a1: np.ndarray, psi: StateVector) -> Canon
     rest = psi.dim // d
 
     w, v = np.linalg.eigh(a0)
-    plus = [v[:, k] for k in range(d) if w[k] > 0]
-    minus = [v[:, k] for k in range(d) if w[k] < 0]
-    m = max(len(plus), len(minus))
+    plus, minus = v[:, w > 0], v[:, w < 0]
+    p, q = plus.shape[1], minus.shape[1]
+    m = max(p, q)
     padded = 2 * m
 
     # Basis rows: the +1 eigenvectors (zero-extended) topped up with extra
     # padding directions, then the same for the -1 side. In this basis the
     # padded a0 is diag(+1 x m, -1 x m) = Z (x) 1 exactly.
     basis = np.zeros((padded, padded), dtype=complex)
-    row = 0
-    for vec in plus:
-        basis[row, :d] = vec.conj()
-        row += 1
-    extra = d
-    for _ in range(m - len(plus)):
-        basis[row, extra] = 1.0
-        extra += 1
-        row += 1
-    for vec in minus:
-        basis[row, :d] = vec.conj()
-        row += 1
-    for _ in range(m - len(minus)):
-        basis[row, extra] = 1.0
-        extra += 1
-        row += 1
+    basis[:p, :d] = plus.conj().T
+    basis[m : m + q, :d] = minus.conj().T
+    basis[np.r_[p:m, m + q : padded], d:] = np.eye(padded - d)
 
     # Padding directions act as +1 where they top up the +1 side, else -1.
-    a0_pad = np.diag([1.0] * (d + m - len(plus)) + [-1.0] * (m - len(minus))).astype(complex)
+    a0_pad = np.diag(np.r_[np.ones(d + m - p), -np.ones(m - q)]).astype(complex)
     a0_pad[:d, :d] = a0
     a1_pad = np.eye(padded, dtype=complex)
     a1_pad[:d, :d] = a1
-    a1_rot = basis @ a1_pad @ basis.conj().T
-    c = a1_rot[:m, m:]
-    uu, _, vvh = np.linalg.svd(c)
+    uu, _, vvh = np.linalg.svd((basis @ a1_pad @ basis.conj().T)[:m, m:])
     w2 = np.zeros((padded, padded), dtype=complex)
     w2[:m, :m] = uu.conj().T
     w2[m:, m:] = vvh
     u_total = w2 @ basis
 
-    psi_pad = np.zeros(padded * rest, dtype=complex)
-    psi_pad[: d * rest] = psi.vec
-    psi_rot = np.kron(u_total, np.eye(rest)) @ psi_pad
-
-    z_target = np.kron(np.kron(Z.astype(complex), np.eye(m)), np.eye(rest))
-    x_target = np.kron(np.kron(X.astype(complex), np.eye(m)), np.eye(rest))
-    a0_fin = np.kron(u_total @ a0_pad @ u_total.conj().T, np.eye(rest))
-    a1_fin = np.kron(u_total @ a1_pad @ u_total.conj().T, np.eye(rest))
-
-    residual_a0 = float(np.linalg.norm((a0_fin - z_target) @ psi_rot))
-    residual_a1 = float(np.linalg.norm((a1_fin - x_target) @ psi_rot))
-
-    anti = a0 @ a1 + a1 @ a0
-    eps = float(np.linalg.norm(np.kron(anti, np.eye(rest)) @ psi.vec))
+    # Each operator acts on the first factor of psi, so on the rows of its
+    # state matrix (d, rest), padded with zero rows.
+    state = np.zeros((padded, rest), dtype=complex)
+    state[:d] = psi.vec.reshape(d, rest)
+    rot = u_total @ state
+    a0_fin = u_total @ a0_pad @ u_total.conj().T
+    a1_fin = u_total @ a1_pad @ u_total.conj().T
+    residual_a0 = float(np.linalg.norm((a0_fin - np.kron(Z, np.eye(m))) @ rot))
+    residual_a1 = float(np.linalg.norm((a1_fin - np.kron(X, np.eye(m))) @ rot))
+    eps = float(np.linalg.norm((a0 @ a1 + a1 @ a0) @ state[:d]))
     return CanonicalizationResult(
         u=u_total,
         padded_dim=padded,

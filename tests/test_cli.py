@@ -1,15 +1,20 @@
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rqtgap
 import rqtgap.cli
@@ -369,6 +374,18 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def _povm_form(net: StarNetwork) -> dict:
+    """The strategy file of `net` with Eve's measurement as dense elements
+    (`eve_povm`) in place of factors."""
+    d = network_to_json(net)
+    dims = net.eve_dims
+    d["eve_povm"] = [
+        rqtgap.linalg.operator_to_json(DenseOperator(net.eve.element(l), dims))
+        for l in range(len(d.pop("eve_factors")))
+    ]
+    return d
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -402,6 +419,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
         ["verify", "--n", "3", "--strategy", "{tmp}/fractional_n.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/fractional_local_dims.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/deeply_nested.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/upper_triangle_source.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/anti_hermitian_povm.json"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}/", "").replace("{tmp}", "DIR"),
 )
@@ -451,6 +470,17 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
     eve = EveMeasurement.from_factors([np.eye(9)] + [np.zeros((9, 0))] * 3)
     qutrit = StarNetwork(2, (mixed, mixed), net.observables, eve)
     save_strategy(qutrit, tmp_path / "qutrit_eve.json")
+    # Not Hermitian, but each would pass if only one triangle were read:
+    # a source with its upper triangle edited, and a dense POVM element
+    # with an anti-Hermitian part added.
+    sources = [dict(s, re=list(s["re"]), im=list(s["im"])) for s in strategy["sources"]]
+    sources[0]["im"][1] = 0.3
+    sources[0]["re"][3] = 0.7
+    (tmp_path / "upper_triangle_source.json").write_text(json.dumps(dict(strategy, sources=sources)))
+    povm = _povm_form(net)
+    povm["eve_povm"][0]["re"][1] += 0.2
+    povm["eve_povm"][0]["re"][4] -= 0.2
+    (tmp_path / "anti_hermitian_povm.json").write_text(json.dumps(povm))
     del strategy["eve_factors"]
     (tmp_path / "no_eve_key.json").write_text(json.dumps(strategy))
     # Nested past the recursion limit: json.load raises RecursionError.
@@ -466,3 +496,63 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+# Values a fuzzed strategy file puts at one JSON path; _DELETE removes it.
+_FUZZ_VALUES = (None, True, False, 0, -1, 1.5, 1e308, -1e308, 1e200, math.nan, math.inf,
+                -math.inf, "x", "", [], {}, 10**12, 2**63)
+_DELETE = "<delete>"
+
+
+def _json_paths(node, path=()):
+    """Every path to a list entry or dict value in a JSON tree."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from _json_paths(child, path + (key,))
+
+
+@functools.cache
+def _fuzz_bases() -> list:
+    """Valid strategy files to mutate, as (n, JSON text, paths): pure,
+    depolarized and `mix_povm` at n = 2 and 3, and pure n = 2 with Eve's
+    measurement as dense elements."""
+    docs = [(2, _povm_form(ideal_network(2)))]
+    for n in (2, 3):
+        net = ideal_network(n)
+        docs.append((n, network_to_json(net)))
+        for model in ("depolarize_sources", "mix_povm"):
+            docs.append((n, network_to_json(apply_noise(net, model, 0.1))))
+    return [(n, json.dumps(d), list(_json_paths(d))) for n, d in docs]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fuzzed_strategy_files_keep_the_exit_contract(data):
+    # One JSON path of a valid file set to an extreme value, or deleted.
+    # Every such file is invalid or fails verification: exit 1 or 2, never
+    # an exception (pytest turns warnings into errors), and a usage error
+    # is one `error:` line on stderr with nothing on stdout.
+    n, text, paths = data.draw(st.sampled_from(_fuzz_bases()))
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(st.sampled_from(_FUZZ_VALUES + (_DELETE,)))
+    doc = json.loads(text)
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    old = parent[path[-1]]
+    if value == _DELETE:
+        del parent[path[-1]]
+    else:
+        # A number read as a float entry is unchanged by any equal value.
+        assume(not (old == value and (isinstance(old, float) or type(old) is type(value))))
+        parent[path[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "strategy.json"
+        file.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--n", str(n), "--strategy", str(file)])
+    assert code in (1, 2), (path, value, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

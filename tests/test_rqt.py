@@ -19,7 +19,6 @@ from rqtgap.linalg import (
 )
 from rqtgap.network import StarNetwork, conditional_state, ideal_network
 from rqtgap.rqt import (
-    _best_real_observable,
     _best_real_observables,
     construct_optimal_real_strategy,
     j_from_t,
@@ -196,6 +195,11 @@ def test_seesaw_result_observables_are_real_pm1():
         np.testing.assert_allclose(m @ m, np.eye(m.shape[0]), atol=1e-8)
 
 
+def _best_alone(k, current):
+    """`_best_real_observables` on a one-row stack."""
+    return _best_real_observables(k[None], current[None])[0]
+
+
 @pytest.mark.parametrize(
     "k",
     [
@@ -209,15 +213,16 @@ def test_seesaw_result_observables_are_real_pm1():
 def test_best_real_observable_ignores_rounding_noise_in_K(k):
     d = k.shape[0]
     current = random_pm1_matrices(d, 4, real=True)
-    chosen = _best_real_observable(k, current)
+    chosen = _best_alone(k, current)
     np.testing.assert_allclose(chosen @ chosen, np.eye(d), atol=1e-12)
     rng = np.random.default_rng(0)
     for _ in range(20):
         noisy = k + 1e-15 * rng.standard_normal((d, d))
-        np.testing.assert_allclose(_best_real_observable(noisy, current), chosen, atol=1e-12)
+        np.testing.assert_allclose(_best_alone(noisy, current), chosen, atol=1e-12)
     if not k.any():
         # A K that vanishes up to rounding keeps the current observable as it is.
-        assert _best_real_observable(1e-17 * rng.standard_normal((d, d)), current) is current
+        got = _best_alone(1e-17 * rng.standard_normal((d, d)), current)
+        np.testing.assert_array_equal(got, current)
 
 
 def test_stacked_best_observables_match_each_row_alone():
@@ -233,8 +238,7 @@ def test_stacked_best_observables_match_each_row_alone():
     current = random_pm1_matrices(2, [4, 5, 6, 7, 8], real=True)
     got = _best_real_observables(k, current)
     for r in range(len(k)):
-        np.testing.assert_allclose(got[r], _best_real_observable(k[r], current[r]),
-                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got[r], _best_alone(k[r], current[r]), rtol=0, atol=1e-14)
     np.testing.assert_array_equal(got[1], current[1])
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,24 @@ def test_randomized_bound_battery():
             )
             count += 1
     assert count == 20
+
+
+def test_canonicalization_peak_memory_on_a_long_state():
+    # tracemalloc sees numpy's buffers. The pair acts on the first factor
+    # of a (2, 2^10) state, whose matrix (2 x 2^10 complex entries) is
+    # 32 KiB; a 2^11 x 2^11 operator on the whole state would be 64 MiB.
+    vec = np.random.default_rng(5).normal(size=2**11) + 0j
+    psi = StateVector(vec / np.linalg.norm(vec), (2, 2**10))
+    a1 = (0.6 * X + 0.8 * Z).astype(complex)
+    tracemalloc.start()
+    try:
+        res = canonicalize_pair(Z.astype(complex), a1, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.residual_a0 <= 1e-12
+    assert res.residual_a1 <= res.stated_bound
+    assert peak < 2**20
 
 
 def test_rejects_non_observable_input():
