@@ -39,10 +39,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Largest n accepted by verify and seesaw. 2 shared vCPUs, one BLAS thread:
-# verify --n 10 1.1-1.4 s, 149 MB; verify --n 11 3.6-4.0 s, 489 MB; seesaw
-# --n 11 (20 restarts) 0.69-0.72 s, 293 MB. Load moves these about 2x.
-# Verify grows about 4x per party, so it, not the seesaw, holds the cap.
+# Largest n accepted by verify and seesaw. 2 shared vCPUs, one BLAS thread,
+# three runs each: verify --n 10 0.58-0.65 s, 149 MB; verify --n 11
+# 3.2-3.4 s, 488 MB; seesaw --n 11 (20 restarts) 0.48-0.54 s, 293 MB. Load
+# moves these about 2x. Verify grows about 5x from n = 10 to 11, so it, not
+# the seesaw, holds the cap.
 MAX_N = 11
 
 
@@ -157,7 +158,7 @@ def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -
         direct = np.array(list(bound_check["per_l"].values()))
     else:
         direct = I_values(ideal, conditional_states(ideal))
-    ref = np.array([ideal_I_value(n, l) for l in range(1 << n)])
+    ref = ideal_I_value(n, np.arange(1 << n))
     report["checks"].append(check_record("backend_equivalence", np.abs(direct - ref), 1e-9))
 
     report["passed"] = all(c["passed"] for c in report["checks"])

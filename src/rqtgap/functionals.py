@@ -112,19 +112,23 @@ def eval_I_from_correlators(net: StarNetwork, l: int) -> float:
     return float(sign[0] * value)
 
 
-def ideal_I_value(n: int, l: int) -> float:
+def ideal_I_value(n: int, labels):
     """<I_l> for the ideal strategy, via the closed-form GHZ Pauli kernel.
 
     The ideal tilde pair is exactly (Z, X), so the Bell operator is a sum of
     n Pauli words; this evaluates in O(n^2) bit operations at any n.
+    `labels` is one outcome l, for a float, or an integer array of them,
+    for a float array: one `ghz_expectation` call per word either way.
     """
-    lab = OutcomeLabel(n, l)
+    sign = label_signs(n, labels)
+    lab = OutcomeLabel(n, labels) if np.ndim(labels) == 0 else np.asarray(labels)
     full = (1 << n) - 1
     value = (n - 1) * ghz_expectation(PauliWord(n, full, 0), lab)
     for i in range(2, n + 1):
         z_mask = (1 << (n - 1)) | (1 << (n - i))
-        value += (-1) ** lab.bit(i) * ghz_expectation(PauliWord(n, 0, z_mask), lab)
-    return float(((-1) ** lab.bit(1) * value).real)
+        value = value + sign[..., i - 1] * ghz_expectation(PauliWord(n, 0, z_mask), lab)
+    value = (sign[..., 0] * value).real
+    return float(value) if np.ndim(labels) == 0 else value
 
 
 def classical_bound_I(n: int) -> dict[str, float]:

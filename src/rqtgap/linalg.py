@@ -4,7 +4,8 @@ The operators the package checks are short sums of tensor products of
 local matrices. `ProductSum` holds the Bell operators I_l and J_N, and
 products of party settings, in that form, as a tuple of terms.
 `TermStack` holds K terms as arrays, one coefficient array and one
-(K, d_i, d_i) stack per factor, and gets its Frobenius norm by splitting
+(K, d_i, d_i) stack per factor, optionally for B operators at once along
+a leading input axis, and gets its Frobenius norm by splitting
 every term at the cut between the leading and trailing factors that best
 balances the two sides: the operator's entries, realigned as (left row,
 left column) x (right row, right column), form one matrix product of
@@ -223,40 +224,49 @@ class ProductSum:
 class TermStack:
     """sum_k coeffs[k] (x)_i factors[i][k]: K terms held as a coefficient
     array (K,) and, for each tensor factor i, one (K, d_i, d_i) array, with
-    the identity where a term leaves the factor alone.
+    the identity where a term leaves the factor alone. A leading input axis
+    holds B such operators at once: coefficients (B, K), factors
+    (B, K, d_i, d_i).
     """
 
     coeffs: np.ndarray
     factors: tuple[np.ndarray, ...]
 
-    def frobenius_norm(self) -> float:
-        """||sum_k c_k (x)_i F_{i,k}||_F without the dense operator.
+    def frobenius_norm(self):
+        """||sum_k c_k (x)_i F_{i,k}||_F without the dense operator: a float,
+        or one per input in a (B,) array.
 
         Factors split at the cut k that best balances the dimensions
         d_L = prod_{i<k} d_i and d_R = prod_{i>=k} d_i. Row t of the side
         A (of B) is the row-wise Khatri-Rao product of term t's flattened
         left (right) factors, so A^T diag(c) B holds every entry of the
         dense operator once, in another order, and has the same Frobenius
-        norm: one gemm of inner size K, the number of terms.
+        norm: one gemm of inner size K, the number of terms. The sides of
+        all inputs are built together, one broadcast product per factor;
+        the gemm and its norm are taken one input at a time, so only one
+        realigned operator is ever held.
         """
         dims = tuple(f.shape[-1] for f in self.factors)
         d = math.prod(dims)
         if d * d > ENTRY_CAPACITY:
             raise CapacityError(f"{d * d} entries exceed the cap {ENTRY_CAPACITY}")
-        count = len(self.coeffs)
+        coeffs = np.asarray(self.coeffs)
+        count = coeffs.shape[-1]
+        batch = coeffs.reshape(-1, count)
         k = min(range(len(dims) + 1), key=lambda k: max(math.prod(dims[:k]), math.prod(dims[k:])))
         sides = []
         for part in (self.factors[:k], self.factors[k:]):
-            side = np.ones((count, 1), dtype=complex)
+            side = np.ones((len(batch), count, 1), dtype=complex)
             for f in part:
                 # The new factor's entries go outermost, so the inner loop
                 # of the broadcast product runs over the longer side.
                 width = f.shape[-1] ** 2
-                side = (f.reshape(count, width, 1) * side[:, None, :]).reshape(
-                    count, width * side.shape[1]
+                side = (f.reshape(-1, count, width, 1) * side[:, :, None, :]).reshape(
+                    len(batch), count, width * side.shape[-1]
                 )
             sides.append(side)
-        return float(np.linalg.norm((sides[0].T * self.coeffs) @ sides[1]))
+        norms = np.array([np.linalg.norm((a.T * c) @ b) for a, b, c in zip(*sides, batch)])
+        return float(norms[0]) if coeffs.ndim == 1 else norms
 
 
 def is_hermitian(m: np.ndarray) -> bool:

@@ -94,33 +94,47 @@ class PauliWord:
         return self.phase * kron_all(PAULIS[c] for c in self.letters)
 
 
-def ghz_expectation(w: PauliWord, l: OutcomeLabel) -> complex:
+def _parity(x, n: int):
+    """Parity of the low n bits of `x`, an int or an integer array, by
+    shifts and XOR: each fold halves the width that still holds bits."""
+    shift = 1
+    while shift < n:
+        shift <<= 1
+    while shift > 1:
+        shift >>= 1
+        x = x ^ (x >> shift)
+    return x & 1
+
+
+def ghz_expectation(w: PauliWord, labels):
     """<phi_l| w |phi_l> in closed form.
 
-    Only three patterns contribute: words with no X/Y letter (the two
-    diagonal terms), words with X or Y on every site (the two cross terms),
-    and everything else vanishes. The value is real whenever the word is
-    Hermitian; the complex return type only matters for i-phased words.
+    `labels` is one `OutcomeLabel`, for a complex, or an integer array of
+    label values l, for a complex array of the same shape; a value out of
+    range raises ValueError. Only three patterns contribute: words with no
+    X/Y letter (the two diagonal terms), words with X or Y on every site
+    (the two cross terms), and everything else vanishes. The value is real
+    whenever the word is Hermitian; the complex type only matters for
+    i-phased words.
     """
-    if w.n != l.n:
-        raise ValueError(f"word has {w.n} sites, label has {l.n}")
-    full = (1 << w.n) - 1
-    phase = 1j**w.phase_exp
-    if w.x_mask == 0:
-        # Diagonal: <l|Z-part|l> + <lbar|Z-part|lbar>; cancels unless the
-        # number of Z letters is even.
-        if bin(w.z_mask).count("1") % 2:
-            return 0j
-        sign = (-1) ** bin(w.z_mask & l.value).count("1")
-        return phase * sign
-    if w.x_mask == full:
-        # Cross terms flip every bit; they add up unless the Y count is odd.
-        if bin(w.z_mask).count("1") % 2:
-            return 0j
-        l1 = l.bit(1)
-        sign = (-1) ** (l1 + bin(w.z_mask & l.value).count("1"))
-        return phase * sign
-    return 0j
+    n = w.n
+    if isinstance(labels, OutcomeLabel):
+        if labels.n != n:
+            raise ValueError(f"word has {n} sites, label has {labels.n}")
+        values = labels.value
+    else:
+        values = np.asarray(labels)
+        if np.any((values < 0) | (values >= 1 << n)):
+            raise ValueError(f"label out of range for n={n}")
+    # Diagonal words give <l|Z-part|l> + <lbar|Z-part|lbar>; full-X words
+    # flip every bit, the cross terms. Either way the two add up unless the
+    # number of Z (for full-X words, Y) letters is odd.
+    if w.x_mask not in (0, (1 << n) - 1) or _parity(w.z_mask, n):
+        return 0j * values  # zero, in the labels' shape
+    parity = _parity(w.z_mask & values, n)
+    if w.x_mask:
+        parity = parity ^ (values >> (n - 1))  # the cross terms carry (-1)^{l_1}
+    return 1j**w.phase_exp * (1 - 2 * parity)
 
 
 def ideal_spectrum(n: int, l: OutcomeLabel) -> list[tuple[int, float]]:

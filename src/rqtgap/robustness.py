@@ -27,22 +27,32 @@ from .network import EveMeasurement, StarNetwork, conditional_states, ideal_netw
 from .rqt import SeesawResult, seesaw_real
 
 
-def _sos_basis(n: int, labels, pairs) -> tuple[list, np.ndarray]:
-    """The products every SOS generator combines, as placed products
-    (factor -> matrix, identity elsewhere): b_0 = 1, b_1..b_n the terms of
-    I_l without their signs, then X_j for j = 2..n and Y_j for j = 2..n,
-    the two products of T_j. Returned with J_l = beta_Q 1 - I_l as a
-    coefficient row over them (labels' shape plus one axis)."""
+def _sos_basis(n: int, labels, pairs) -> tuple:
+    """The products every SOS generator combines: b_0 = 1, b_1..b_n the
+    terms of I_l without their signs, in `I_terms`' order, then X_j for
+    j = 2..n and Y_j for j = 2..n, the two products of T_j.
+
+    Every product places, on party i, the identity or one of two matrices:
+    (At_{1,0}, At_{1,1}) on party 1 and (A_{i,0}, A_{i,1}) on the others.
+    The basis is returned as those matrices, `mats`, and an integer array
+    `codes` with one row per product and one column per party: 0 for the
+    identity, x + 1 for the matrix of setting x. Then J_l = beta_Q 1 - I_l
+    as a coefficient row over the products (labels' shape plus one axis).
+    """
     i_op = I_terms(n, labels, pairs)
-    at0 = tilde_pair(*pairs[0])[0]
-    basis = [{}] + [p for _, p in i_op.terms]
-    basis += [{**basis[1], j: pairs[j][0]} for j in range(1, n)]
-    basis += [{0: at0, j: pairs[j][1]} for j in range(1, n)]
-    j_row = np.zeros(np.shape(labels) + (len(basis),))
+    mats = [tilde_pair(*pairs[0]), *pairs[1:]]
+    codes = np.zeros((3 * n - 1, n), dtype=int)
+    codes[1] = 2  # At_{1,1} (x)_{i>=2} A_{i,1}
+    for j in range(1, n):
+        codes[1 + j, [0, j]] = 1  # At_{1,0} A_{j+1,0}
+        codes[n + j] = codes[1]
+        codes[n + j, j] = 1  # X_{j+1}: A_{j+1,0} in the first term
+        codes[2 * n - 1 + j, [0, j]] = 1, 2  # Y_{j+1} = At_{1,0} A_{j+1,1}
+    j_row = np.zeros(np.shape(labels) + (len(codes),))
     j_row[..., 0] = 2.0 * (n - 1)
     for k, (c, _) in enumerate(i_op.terms, start=1):
         j_row[..., k] = -c
-    return basis, j_row
+    return (mats, codes), j_row
 
 
 def sos_terms_A(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple:
@@ -53,8 +63,9 @@ def sos_terms_A(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) 
     with P_1 = 1 - (first term of I_l)/(n-1) and P_i = 1 - (term i of I_l).
     `labels` is one outcome l or a sequence; `pairs` as returned by
     `validated_pairs`, each matrix one (d, d) or stacked along the labels'
-    axis. Returns (basis, rows, weights, lhs): each generator G_g and the
-    LHS as coefficient rows over `_sos_basis`, and G_g's weight if not 1.
+    axis. Returns (basis, rows, weights, lhs): the (mats, codes) basis of
+    `_sos_basis`, each generator G_g and the LHS as coefficient rows over
+    it, and G_g's weight if not 1.
     """
     basis, j_row = _sos_basis(n, labels, pairs)
     rows = {}
@@ -96,9 +107,11 @@ def sos_residuals(terms, n: int, labels, pairs: Sequence[tuple[np.ndarray, np.nd
     C = e_0 lhs^T - sum_g w_g v_g v_g^T,   v_g = rows[g];
 
     b_t b_0 = b_t is folded into row 0, and pairs whose coefficient is 0 on
-    every input are dropped. Each factor of the products is one batched
-    matmul over all inputs; the norm is taken one input at a time."""
-    basis, rows, weights, lhs = terms(n, labels, pairs)
+    every input are dropped. On each party the products b_s b_t take one
+    of the 3 x 3 products of its identity and two matrices: those are
+    taken once per input, and each pair's factor is gathered from that
+    table by the two codes. The norms of all inputs are one `TermStack`."""
+    (mats, codes), rows, weights, lhs = terms(n, labels, pairs)
     v = np.stack(list(rows.values()), axis=-2)
     w = np.array([weights.get(g, 1.0) for g in rows])
     coeff = -(v.swapaxes(-1, -2) @ (w[:, None] * v))
@@ -110,11 +123,13 @@ def sos_residuals(terms, n: int, labels, pairs: Sequence[tuple[np.ndarray, np.nd
     c = coeff[:, s, t]
     factors = []
     for i, d in enumerate(pair_dims(pairs)):
-        eye = np.broadcast_to(np.eye(d), np.shape(labels) + (d, d))
-        f = np.stack([p.get(i, eye) for p in basis], axis=-3).reshape(len(c), -1, d, d)
-        factors.append(f[:, s] @ f[:, t])
-    norms = [TermStack(cb, tuple(f[b] for f in factors)).frobenius_norm() for b, cb in enumerate(c)]
-    return norms[0] if np.ndim(labels) == 0 else np.array(norms)
+        shape = np.shape(labels) + (d, d)
+        m = np.stack([np.broadcast_to(a, shape) for a in (np.eye(d), *mats[i])], axis=-3)
+        m = m.reshape(len(c), 3, d, d)
+        table = m[:, :, None] @ m[:, None]
+        factors.append(table[:, codes[s, i], codes[t, i]])
+    norms = TermStack(c, tuple(factors)).frobenius_norm()
+    return float(norms[0]) if np.ndim(labels) == 0 else norms
 
 
 def verify_sos_identity_A(n: int, labels, observables: Sequence[Sequence[np.ndarray]]):
@@ -149,11 +164,12 @@ def residual_norms(net: StarNetwork, l: int) -> dict:
     if eps < -1e-8:
         raise InternalConsistencyError(f"value above the quantum bound by {-eps:.3e}")
     eps_pos = max(eps, 0.0)
-    basis, rows, _, _ = sos_terms_A(n, l, pairs)
+    (mats, codes), rows, _, _ = sos_terms_A(n, l, pairs)
     rows = {**rows, **sos_terms_B(n, l, pairs)[1]}
     columns = states.columns(0)
-    images = np.stack([linalg.apply_local(columns, net.party_dims, p) for p in basis])
-    norms = np.linalg.norm(np.array(list(rows.values())) @ images.reshape(len(basis), -1), axis=1)
+    placed = [{i: mats[i][x - 1] for i, x in enumerate(row) if x} for row in codes]
+    images = np.stack([linalg.apply_local(columns, net.party_dims, p) for p in placed])
+    norms = np.linalg.norm(np.array(list(rows.values())) @ images.reshape(len(codes), -1), axis=1)
     bounds = {}
     for name, norm in zip(rows, norms.tolist()):
         if name == "P_1":

@@ -126,7 +126,7 @@ def test_verify_fails_when_the_backends_disagree(capsys, monkeypatch):
     real = rqtgap.cli.ideal_I_value
 
     def off_at_5(n, l):
-        return real(n, l) + (1e-6 if l == 5 else 0.0)
+        return real(n, l) + 1e-6 * (np.asarray(l) == 5)
 
     monkeypatch.setattr(rqtgap.cli, "ideal_I_value", off_at_5)
     code, out, err = run(capsys, "verify", "--n", "3")
@@ -135,6 +135,26 @@ def test_verify_fails_when_the_backends_disagree(capsys, monkeypatch):
     assert not check["passed"] and check["measured"] == pytest.approx(1e-6)
     assert err.startswith("FAIL: backend_equivalence measured ")
     assert err.count("\n") == 1
+
+
+def test_verify_takes_the_closed_form_reference_in_one_call(capsys, monkeypatch):
+    # backend_equivalence's reference is one ideal_I_value call on all 2^n
+    # labels, and that call makes one ghz_expectation call per word of I_l.
+    calls = {"ideal_I_value": 0, "ghz_expectation": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(rqtgap.cli, "ideal_I_value")
+    counted(rqtgap.functionals, "ghz_expectation")
+    assert run(capsys, "verify", "--n", "5")[0] == 0
+    assert calls["ideal_I_value"] == 1 and calls["ghz_expectation"] <= 5
 
 
 def test_verify_sos_battery_peak_memory_at_n9():

@@ -69,6 +69,21 @@ def test_eval_paths_agree(n):
         assert closed == pytest.approx(2 * (n - 1), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_ideal_I_value_on_all_labels_equals_the_scalar_calls(n):
+    got = ideal_I_value(n, np.arange(1 << n))
+    assert got.shape == (1 << n,) and got.dtype == float
+    for l in range(1 << n):
+        want = ideal_I_value(n, l)
+        assert type(want) is float and got[l] == want == 2 * (n - 1)
+
+
+@pytest.mark.parametrize("labels", [[0, 8], [-1, 3], 8, -1])
+def test_ideal_I_value_rejects_a_label_out_of_range(labels):
+    with pytest.raises(ValueError, match="out of range"):
+        ideal_I_value(3, labels)
+
+
 @pytest.mark.parametrize("l", [-1, 4])
 def test_eval_I_rejects_outcome_out_of_range(l):
     net = ideal_network(2)

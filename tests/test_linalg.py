@@ -53,6 +53,29 @@ def test_frobenius_norm_capacity_guard():
     assert peak < 2**16
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    inputs=st.integers(1, 4),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frobenius_norm_of_each_input_is_its_own_stacks_norm(dims, inputs, count, seed):
+    # A B-input stack gives each input exactly the norm of the one-input
+    # stack made of that input's coefficients and factors alone.
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    stack = TermStack(draw(inputs, count), tuple(draw(inputs, count, d, d) for d in dims))
+    norms = stack.frobenius_norm()
+    assert norms.shape == (inputs,)
+    for b in range(inputs):
+        one = TermStack(stack.coeffs[b], tuple(f[b] for f in stack.factors)).frobenius_norm()
+        assert type(one) is float and norms[b] == one
+
+
 def test_tensor_embed_places_factors():
     m = tensor_embed((2, 2, 2), {1: X})
     np.testing.assert_allclose(m, np.kron(np.eye(2), np.kron(X, np.eye(2))))

@@ -56,6 +56,26 @@ def test_ghz_expectation_exhaustive_small_n():
                 )
 
 
+def test_ghz_expectation_on_label_arrays_equals_the_scalar_calls():
+    for n in (1, 2, 3, 4):
+        labels = np.arange(1 << n)
+        for x, z, phase in itertools.product(range(1 << n), range(1 << n), range(4)):
+            w = PauliWord(n, x, z, phase)
+            got = ghz_expectation(w, labels)
+            assert got.shape == labels.shape
+            for l in labels:
+                want = ghz_expectation(w, OutcomeLabel(n, int(l)))
+                assert type(want) is complex and got[l] == want
+        # Any shape of label array gives that shape back.
+        np.testing.assert_array_equal(ghz_expectation(w, labels.reshape(-1, 1)), got[:, None])
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_ghz_expectation_rejects_a_label_out_of_range_in_an_array(bad):
+    with pytest.raises(ValueError, match="out of range"):
+        ghz_expectation(PauliWord(4, 0, 0b1100), np.array([0, bad, 3]))
+
+
 def test_ghz_expectation_random_words_large_n():
     rng = np.random.default_rng(42)
     for n in (5, 6, 7):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqtgap.functionals import eval_I
+from rqtgap.functionals import I_terms, eval_I
 from rqtgap.linalg import DenseOperator, random_pm1_observable
 from rqtgap.network import StarNetwork, eve_outcome_probability, ideal_network
 from rqtgap.robustness import (
     NOISE_MODELS,
+    _sos_basis,
     apply_noise,
     beta_rqt_upper,
     delta_n,
@@ -77,6 +78,22 @@ def test_sos_identity_B_residual_vanishes():
     net = ideal_network(3)
     pairs = [(t[0], t[1]) for t in net.observables]
     assert verify_sos_identity_B(3, 5, pairs) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_sos_basis_codes_place_the_terms_of_I(n):
+    # b_1..b_n, read through their codes, are I_terms' products, and the
+    # coefficients of J_l over them are minus I_l's.
+    rng = np.random.default_rng(n)
+    pairs = random_pairs(n, 2, rng)
+    (mats, codes), j_row = _sos_basis(n, 5 % (1 << n), pairs)
+    i_op = I_terms(n, 5 % (1 << n), pairs)
+    assert codes.shape == (3 * n - 1, n) and not codes[0].any()
+    for row, (c, placed), coeff in zip(codes[1:], i_op.terms, j_row[1:]):
+        assert coeff == -c
+        assert sorted(placed) == [i for i, x in enumerate(row) if x]
+        for i, m in placed.items():
+            np.testing.assert_array_equal(mats[i][row[i] - 1], m)
 
 
 def test_sos_rejects_non_observables():
