@@ -28,6 +28,7 @@ from .network import StarNetwork, conditional_states, ideal_network, load_strate
 from .robustness import (
     beta_rqt_upper,
     epsilon_threshold,
+    sos_inputs,
     sos_residuals,
     sos_terms_A,
     sos_terms_B,
@@ -119,7 +120,8 @@ def cmd_gap(args) -> int:
 def _sos_checks(n: int, seed: int, net: StarNetwork) -> list[dict]:
     """Both identities on the network's observables at l = 0 and
     l = 2^n - 1, then on five random +/-1 draws at l = 0: the seven inputs
-    are validated once, then one call per identity takes them all. Each
+    are validated once and their shared tables built once (`sos_inputs`),
+    then one call per identity takes them all. Each
     check names the input with the largest residual (`check_record`)."""
     labels = [0, (1 << n) - 1] + [0] * 5
     seeds = np.random.default_rng(seed).integers(0, 2**63, size=(5, n, 2))
@@ -128,11 +130,11 @@ def _sos_checks(n: int, seed: int, net: StarNetwork) -> list[dict]:
         [np.concatenate([[a, a], draws[:, i, x]]) for x, a in enumerate(pair)]
         for i, pair in enumerate(net.pairs)
     ]
-    pairs = validated_pairs(n, obs)
+    inputs = sos_inputs(n, labels, validated_pairs(n, obs))
     identities = (("sos_identity_A", sos_terms_A), ("sos_identity_B_residual", sos_terms_B))
     return [
         check_record(
-            name, sos_residuals(terms, n, labels, pairs), 1e-9,
+            name, sos_residuals(terms, inputs), 1e-9,
             worst_l=labels, worst_draw=[None, None, 0, 1, 2, 3, 4],
         )
         for name, terms in identities

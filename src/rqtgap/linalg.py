@@ -317,18 +317,18 @@ def random_pm1_matrices(dim: int, seeds, real: bool = False) -> np.ndarray:
     """Seeded Hermitian unitaries with (near-)balanced +/-1 spectrum, Haar
     distributed: one (dim, dim) matrix for one seed, a stack along a
     leading axis for a sequence of seeds. Each seed's own `default_rng`
-    draws its normals; the QR, the phase fix and the product with the
-    signs act on the whole stack. Entrywise real when `real`.
+    draws its normals in one call; the QR, the phase fix and the product
+    with the signs act on the whole stack. Entrywise real when `real`.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
     seeds = np.asarray(seeds)
     g = np.empty(seeds.shape + (dim, dim), dtype=float if real else complex)
     for idx, seed in np.ndenumerate(seeds):
-        rng = np.random.default_rng(seed)
-        g[idx] = rng.normal(size=(dim, dim))
-        if not real:
-            g[idx] += 1j * rng.normal(size=(dim, dim))
+        # One draw per seed: a complex seed's real parts come first in its
+        # stream, then its imaginary parts.
+        z = np.random.default_rng(seed).normal(size=(dim, dim) if real else (2, dim, dim))
+        g[idx] = z if real else z[0] + 1j * z[1]
     q = _haar_unitary(g)
     signs = np.array([1.0] * (dim // 2) + [-1.0] * (dim - dim // 2))
     mat = (q * signs) @ q.conj().swapaxes(-1, -2)

@@ -2,15 +2,19 @@
 
 Global state order is A_1 E_1 A_2 E_2 ... ; Eve's POVM acts on the joined
 E factors in the order E_1 ... E_N. Eve's measurement is held as factors
-R_l = V_l V_l^dag (`EveMeasurement`, the only form `StarNetwork` takes):
-the ideal network's, like any rank-1 projective measurement, is one
-2^n x 2^n unitary, and dense elements are factored once, by
+and an optional identity floor, R_l = V_l V_l^dag + mu_l 1
+(`EveMeasurement`, the only form `StarNetwork` takes): the ideal
+network's, like any rank-1 projective measurement, is one 2^n x 2^n
+unitary, white noise on it (`robustness.apply_noise`'s `mix_povm`) is the
+scaled unitary and a floor, and dense elements are factored once, by
 `EveMeasurement.from_elements`. Conditional states never materialize the
 joint density matrix, and follow `linalg`'s one layout rule. When every
 source is pure and Eve's factors have fewer columns than the party
 dimension, one `apply_local` of the source matrices on conj(V) gives the
-vectors of all outcomes at once (axes a, l, c). Otherwise the
-density-matrix kernel gives each outcome's matrix as a row of pairs
+vectors of all outcomes at once (axes a, l, c); a floor adds mu_l times
+the product of the sources' A-marginals, which every reader of the
+vectors takes in closed form. Otherwise the density-matrix kernel gives
+each outcome's matrix, floor included, as a row of pairs
 (a_1 a'_1, ..., a_n a'_n). An operator, held as a `ProductSum`, meets
 either form in `ConditionalStates.expect`, through `apply_local`: each
 term applied to the vectors, or traced on the pairs. The seesaw and
@@ -28,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import ConfigurationError, DegenerateConditioningError, ValidationError
+from .errors import CapacityError, ConfigurationError, DegenerateConditioningError, ValidationError
 from .linalg import DenseOperator, ProductSum, StateVector, X, Z
 
 CONDITIONING_THRESHOLD = 1e-14
@@ -86,17 +90,21 @@ def ghz_basis(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EveMeasurement:
-    """Eve's POVM {R_l}, held as factors R_l = V_l V_l^dag.
+    """Eve's POVM {R_l}, held as factors and an optional identity floor,
+    R_l = V_l V_l^dag + mu_l 1.
 
     `factors` has axes (e, l, c): V_l = factors[:, l, :], padded with zero
     columns up to the largest rank. For a rank-1 projective measurement,
     factors[:, :, 0] is one unitary whose columns are the measurement
-    vectors. Completeness, sum_l V_l V_l^dag = 1, is checked once, through
-    the stacked factors (a real product when they are entrywise real);
+    vectors. `floor` holds mu_l >= 0 per outcome, or is None, which is
+    the same measurement as a zero floor. Completeness,
+    sum_l V_l V_l^dag + (sum_l mu_l) 1 = 1, is checked once, through the
+    stacked factors (a real product when they are entrywise real);
     positivity holds by construction.
     """
 
     factors: np.ndarray
+    floor: Optional[np.ndarray] = None
 
     def __post_init__(self):
         v = np.array(self.factors, dtype=complex)
@@ -106,9 +114,18 @@ class EveMeasurement:
             raise ValueError("factors need axes (e, l, c)")
         if not np.all(np.isfinite(v)):
             raise ValidationError("Eve's factors are not all finite")
+        if self.floor is not None:
+            mu = np.array(self.floor, dtype=float)
+            mu.setflags(write=False)
+            object.__setattr__(self, "floor", mu)
+            if mu.shape != (v.shape[1],):
+                raise ValueError(f"Eve's floor needs {v.shape[1]} entries, one per outcome")
+            if not (np.all(np.isfinite(mu)) and np.all(mu >= 0)):
+                raise ValidationError("Eve's floor entries must be finite and nonnegative")
         flat = v.reshape(v.shape[0], -1)
-        # Huge finite factors overflow here; the deviation is then inf or
-        # NaN, and the test below, written so that NaN fails too, rejects it.
+        # Huge finite factors or floors overflow here; the deviation is then
+        # inf or NaN, and the test below, written so that NaN fails too,
+        # rejects it.
         with np.errstate(all="ignore"):
             if flat.imag.any():
                 gram = flat @ flat.conj().T
@@ -117,13 +134,16 @@ class EveMeasurement:
                 # real copy lets the product run as one real syrk.
                 re = np.ascontiguousarray(flat.real)
                 gram = re @ re.T
+            if self.floor is not None:
+                gram = gram + np.sum(self.floor) * np.eye(v.shape[0])
             dev = np.max(np.abs(gram - np.eye(v.shape[0])))
         if not dev <= 1e-10:
             raise ValidationError("Eve POVM does not sum to the identity")
 
     @classmethod
-    def from_factors(cls, factors: Sequence[np.ndarray]) -> "EveMeasurement":
-        """Stack per-outcome factors V_l, each d_E x k_l with any k_l >= 0."""
+    def from_factors(cls, factors: Sequence[np.ndarray], floor=None) -> "EveMeasurement":
+        """Stack per-outcome factors V_l, each d_E x k_l with any k_l >= 0,
+        with the floor `floor`, if given."""
         factors = [np.asarray(f, dtype=complex) for f in factors]
         if not factors or any(f.ndim != 2 or f.shape[0] != factors[0].shape[0] for f in factors):
             raise ValueError("Eve's factors need one common number of rows")
@@ -131,7 +151,7 @@ class EveMeasurement:
                      dtype=complex)
         for l, f in enumerate(factors):
             v[:, l, : f.shape[1]] = f
-        return cls(v)
+        return cls(v, floor)
 
     @classmethod
     def from_elements(cls, elements: Sequence[np.ndarray]) -> "EveMeasurement":
@@ -160,7 +180,10 @@ class EveMeasurement:
     def element(self, l: int) -> np.ndarray:
         """The dense element R_l."""
         v = self.factors[:, l, :]
-        return v @ v.conj().T
+        r = v @ v.conj().T
+        if self.floor is not None:
+            r += self.floor[l] * np.eye(self.dim)
+        return r
 
 
 @dataclass(frozen=True)
@@ -321,11 +344,13 @@ class ConditionalStates:
 
     Exactly one of two forms, each party-first (`linalg`), is set.
     `vectors` (axes a, l, c): P(l) rho^l is the sum over c of
-    |vectors[:, l, c]><vectors[:, l, c]|, zero columns padding the ranks.
-    `pairs` (axes l, p): row j is P(l) rho^l with each party's row and
-    column index side by side, p = (a_1 a'_1, ..., a_n a'_n). `expect` is
-    where an operator, a `ProductSum` with coefficients scalar or arrays
-    over `labels`, meets either form, through `apply_local`.
+    |vectors[:, l, c]><vectors[:, l, c]|, zero columns padding the ranks,
+    plus, when Eve's measurement has a floor, floor[j] (x)_i marginals[i]
+    for l = labels[j], with marginals[i] = Tr_E rho_i. `pairs` (axes l,
+    p): row j is P(l) rho^l with each party's row and column index side
+    by side, p = (a_1 a'_1, ..., a_n a'_n). `expect` is where an
+    operator, a `ProductSum` with coefficients scalar or arrays over
+    `labels`, meets either form, through `apply_local`.
     """
 
     party_dims: tuple[int, ...]
@@ -333,6 +358,8 @@ class ConditionalStates:
     probs: np.ndarray
     vectors: Optional[np.ndarray] = None
     pairs: Optional[np.ndarray] = None
+    floor: Optional[np.ndarray] = None
+    marginals: Optional[tuple[np.ndarray, ...]] = None
 
     @classmethod
     def from_density(cls, party_dims: Sequence[int], l: int, rho) -> "ConditionalStates":
@@ -342,12 +369,20 @@ class ConditionalStates:
         t = t.transpose([k for i in range(n) for k in (i, n + i)])
         return cls(tuple(party_dims), (l,), np.ones(1), pairs=t.reshape(1, -1))
 
+    def _floor_trace(self, placed) -> complex:
+        """prod_i Tr[T_i marginals[i]], T_i = placed.get(i, 1): O(n d^2)."""
+        return math.prod(
+            np.sum(placed[i] * m.T) if i in placed else np.trace(m)
+            for i, m in enumerate(self.marginals)
+        )
+
     def expect(self, op: ProductSum) -> np.ndarray:
         """Re Tr[op rho^l] for each label: each term's complex trace,
         summed, then the real part once. A term is applied to the vectors
-        and met with the bras; on pairs its rows T_i^T (the identity's
-        where it places nothing) take the trace of each label slice,
-        flattened so that its leading factor is the label axis."""
+        and met with the bras, and meets the floor as the product of its
+        factors' traces on the marginals; on pairs its rows T_i^T (the
+        identity's where it places nothing) take the trace of each label
+        slice, flattened so that its leading factor is the label axis."""
         total = np.zeros(len(self.labels), dtype=complex)
         if self.vectors is not None:
             bra = self.vectors.conj()
@@ -355,6 +390,8 @@ class ConditionalStates:
                 ket = linalg.apply_local(self.vectors, self.party_dims, placed)
                 total += c * np.einsum("alc,alc->l", bra, ket)
                 del ket  # freed before the next term's arrays are allocated
+                if self.floor is not None:
+                    total += c * self.floor * self._floor_trace(placed)
             return total.real / self.probs
         squares = tuple(d * d for d in self.party_dims)
         step = max(1, MIXED_BATCH_ENTRIES // self.pairs.shape[1])
@@ -369,6 +406,10 @@ class ConditionalStates:
             ])
         return total.real / self.probs
 
+    def _marginal_product(self, x: np.ndarray) -> np.ndarray:
+        """((x)_i marginals[i]) applied to the party-first `x`."""
+        return linalg.apply_local(x, self.party_dims, dict(enumerate(self.marginals)))
+
     def fidelity(self, targets: np.ndarray) -> np.ndarray:
         """<t_l| rho^l |t_l>, one target vector per label (columns of `targets`)."""
         if self.vectors is None:
@@ -381,6 +422,9 @@ class ConditionalStates:
         else:
             amp = np.einsum("al,alc->lc", targets.conj(), self.vectors)
             raw = np.sum(np.abs(amp) ** 2, axis=1)
+            if self.floor is not None:
+                on_floor = np.einsum("al,al->l", targets.conj(), self._marginal_product(targets))
+                raw = raw + self.floor * on_floor.real
         return raw / self.probs
 
     def density(self, j: int) -> np.ndarray:
@@ -392,16 +436,19 @@ class ConditionalStates:
             raw = raw.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d, d)
         else:
             raw = self.vectors[:, j] @ self.vectors[:, j].conj().T
+            if self.floor is not None:
+                raw += self.floor[j] * self._marginal_product(np.eye(len(raw)))
         return raw / self.probs[j]
 
     def columns(self, j: int) -> np.ndarray:
         """Columns X with axes (a, c) and rho^l = X X^dag, for l = labels[j].
 
-        The vector form is sliced; the pair form is factored by one
-        `eigh`, keeping every positive eigenvalue: a cut relative to the
-        largest would drop weight that ||G X|| for a large G still sees.
+        The vector form without a floor is sliced; otherwise the density
+        is factored by one `eigh`, keeping every positive eigenvalue: a
+        cut relative to the largest would drop weight that ||G X|| for a
+        large G still sees.
         """
-        if self.vectors is not None:
+        if self.vectors is not None and self.floor is None:
             return self.vectors[:, j] / math.sqrt(self.probs[j])
         w, q = np.linalg.eigh(self.density(j))
         keep = w > 0
@@ -425,7 +472,14 @@ def _unnormalized_states(net: StarNetwork, labels: Optional[Sequence[int]]) -> C
     if net.source_vectors is not None and net.eve.factors.shape[2] < d:
         vecs = _pure_vectors(net, labels)
         probs = np.sum(np.abs(vecs) ** 2, axis=(0, 2))
-        return ConditionalStates(net.party_dims, labels, probs, vectors=vecs)
+        if net.eve.floor is None:
+            return ConditionalStates(net.party_dims, labels, probs, vectors=vecs)
+        floor = net.eve.floor[list(labels)]
+        marginals = tuple(linalg.partial_trace(s, keep=[0]).mat for s in net.sources)
+        probs += floor * math.prod(np.trace(m).real for m in marginals)
+        return ConditionalStates(
+            net.party_dims, labels, probs, vectors=vecs, floor=floor, marginals=marginals
+        )
     pairs = np.empty((len(labels), d * d), dtype=complex)
     for j, l in enumerate(labels):
         pairs[j] = _conditional_unnormalized(net, l)
@@ -456,10 +510,15 @@ def conditional_state(net: StarNetwork, l: int) -> DenseOperator:
 
 
 def eve_outcome_probability(net: StarNetwork, l: int) -> float:
-    """P(l) = sum_c <v_c| (x)_i Tr_A rho_{A_i E_i} |v_c> over R_l's factor columns."""
+    """P(l) = sum_c <v_c| (x)_i Tr_A rho_{A_i E_i} |v_c> over R_l's factor
+    columns, plus mu_l prod_i Tr[Tr_A rho_{A_i E_i}] for a floor."""
     marg = {i: linalg.partial_trace(s, keep=[1]).mat for i, s in enumerate(net.sources)}
-    v = net.eve.factors[:, _checked_label(net, l), :]
-    return float(np.real(np.vdot(v, linalg.apply_local(v, net.eve_dims, marg))))
+    l = _checked_label(net, l)
+    v = net.eve.factors[:, l, :]
+    p = float(np.real(np.vdot(v, linalg.apply_local(v, net.eve_dims, marg))))
+    if net.eve.floor is not None:
+        p += float(net.eve.floor[l]) * math.prod(np.trace(m).real for m in marg.values())
+    return p
 
 
 def settings_product(net: StarNetwork, settings: Sequence) -> ProductSum:
@@ -484,7 +543,7 @@ def network_to_json(net: StarNetwork) -> dict:
     def mat_json(m: np.ndarray, dims) -> dict:
         return linalg.operator_to_json(DenseOperator(m, dims))
 
-    return {
+    d = {
         "n": net.n,
         "sources": [linalg.operator_to_json(s) for s in net.sources],
         "observables": [
@@ -495,11 +554,37 @@ def network_to_json(net: StarNetwork) -> dict:
             linalg.matrix_to_json(net.eve.factors[:, l, :]) for l in range(len(net.eve))
         ],
     }
+    if net.eve.floor is not None:
+        d["eve_floor"] = [float(v) for v in net.eve.floor]
+    return d
+
+
+def _eve_from_factors_json(d: dict) -> EveMeasurement:
+    """Eve's measurement from `eve_factors` and the optional `eve_floor`.
+
+    The factors' declared sizes are checked against `linalg.ENTRY_CAPACITY`
+    before any array is built: the (e, l, c) stack they pad to, outcomes x
+    largest rows x largest cols, which is at least the sum of rows x cols.
+    """
+    records = d["eve_factors"]
+    rows = [linalg.json_size(f["rows"], "rows") for f in records]
+    cols = [linalg.json_size(f["cols"], "cols") for f in records]
+    if records:
+        entries = len(records) * max(rows) * max(1, *cols)
+        if entries > linalg.ENTRY_CAPACITY:
+            raise CapacityError(
+                f"eve_factors declare {entries} entries, over the cap {linalg.ENTRY_CAPACITY}"
+            )
+    floor = d.get("eve_floor")
+    if "eve_floor" in d and not isinstance(floor, list):
+        raise ValueError(f"eve_floor must be a list of numbers, got {type(floor).__name__}")
+    return EveMeasurement.from_factors([linalg.matrix_from_json(f) for f in records], floor)
 
 
 def network_from_json(d: dict) -> StarNetwork:
     """Inverse of `network_to_json`; also reads the dense `eve_povm` form
-    (one DenseOperator record per element) in place of `eve_factors`."""
+    (one DenseOperator record per element) in place of `eve_factors`;
+    `eve_floor` goes with `eve_factors` only."""
     if ("eve_factors" in d) == ("eve_povm" in d):
         raise ValueError("a strategy holds exactly one of eve_factors and eve_povm")
     sources = tuple(linalg.operator_from_json(s) for s in d["sources"])
@@ -508,7 +593,9 @@ def network_from_json(d: dict) -> StarNetwork:
         for triple in d["observables"]
     )
     if "eve_factors" in d:
-        eve = EveMeasurement.from_factors([linalg.matrix_from_json(f) for f in d["eve_factors"]])
+        eve = _eve_from_factors_json(d)
+    elif "eve_floor" in d:
+        raise ValueError("eve_floor goes with eve_factors, not eve_povm")
     else:
         eve = EveMeasurement.from_elements(
             [linalg.operator_from_json(r).mat for r in d["eve_povm"]]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -55,28 +56,26 @@ def _sos_basis(n: int, labels, pairs) -> tuple:
     return (mats, codes), j_row
 
 
-def sos_terms_A(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple:
+def sos_terms_A(n: int, labels, j_row: np.ndarray) -> tuple:
     """The first decomposition,
 
     2 (beta_Q 1 - I_l) = (n-1) P_1^2 + sum_{i>=2} P_i^2,
 
     with P_1 = 1 - (first term of I_l)/(n-1) and P_i = 1 - (term i of I_l).
-    `labels` is one outcome l or a sequence; `pairs` as returned by
-    `validated_pairs`, each matrix one (d, d) or stacked along the labels'
-    axis. Returns (basis, rows, weights, lhs): the (mats, codes) basis of
-    `_sos_basis`, each generator G_g and the LHS as coefficient rows over
-    it, and G_g's weight if not 1.
+    `labels` is one outcome l or a sequence, and `j_row` J_l's row over
+    the basis of `_sos_basis`. Returns (rows, weights, lhs): each
+    generator G_g and the LHS as coefficient rows over that basis, and
+    G_g's weight if not 1.
     """
-    basis, j_row = _sos_basis(n, labels, pairs)
     rows = {}
     for k in range(1, n + 1):
         rows[f"P_{k}"] = row = np.zeros_like(j_row)
         row[..., 0] = 1.0
         row[..., k] = j_row[..., k] / (n - 1) if k == 1 else j_row[..., k]
-    return basis, rows, {"P_1": n - 1}, 2.0 * j_row
+    return rows, {"P_1": n - 1}, 2.0 * j_row
 
 
-def sos_terms_B(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple:
+def sos_terms_B(n: int, labels, j_row: np.ndarray) -> tuple:
     """The second decomposition,
 
     2 beta_Q J_l = J_l^2 + sum_{i<j} Q_{i,j}^2 + (n-1) sum_j T_j^2,
@@ -84,7 +83,6 @@ def sos_terms_B(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) 
     with J_l = beta_Q 1 - I_l, Q_{i,j} = (-1)^{l_1} (term i - term j of
     I_l) and T_j = X_j + (-1)^{l_j} Y_j. As `sos_terms_A`.
     """
-    basis, j_row = _sos_basis(n, labels, pairs)
     sign = label_signs(n, labels)
     rows = {"J_l": j_row}
     for i, j in itertools.combinations(range(2, n + 1), 2):
@@ -95,23 +93,50 @@ def sos_terms_B(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) 
         rows[f"T_{j}"] = row = np.zeros_like(j_row)
         row[..., n + j - 1] = 1.0
         row[..., 2 * n + j - 2] = sign[..., j - 1]
-    return basis, rows, {f"T_{j}": n - 1 for j in range(2, n + 1)}, 4.0 * (n - 1) * j_row
+    return rows, {f"T_{j}": n - 1 for j in range(2, n + 1)}, 4.0 * (n - 1) * j_row
 
 
-def sos_residuals(terms, n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]):
+@dataclass(frozen=True)
+class SOSInputs:
+    """What both SOS identities read for the same inputs, built once by
+    `sos_inputs`: the basis codes and J_l's row of `_sos_basis`, and per
+    party the (B, 3, 3, d, d) table of the products of its identity and
+    two matrices, for the B inputs."""
+
+    n: int
+    labels: object
+    codes: np.ndarray
+    j_row: np.ndarray
+    tables: tuple[np.ndarray, ...]
+
+
+def sos_inputs(n: int, labels, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> SOSInputs:
+    """`SOSInputs` for outcome(s) `labels` on pairs that `validated_pairs`
+    already checked, each matrix one (d, d) or stacked along the labels'
+    axis."""
+    (mats, codes), j_row = _sos_basis(n, labels, pairs)
+    tables = []
+    for i, d in enumerate(pair_dims(pairs)):
+        shape = np.shape(labels) + (d, d)
+        m = np.stack([np.broadcast_to(a, shape) for a in (np.eye(d), *mats[i])], axis=-3)
+        m = m.reshape(-1, 3, d, d)
+        tables.append(m[:, :, None] @ m[:, None])
+    return SOSInputs(n, labels, codes, j_row, tuple(tables))
+
+
+def sos_residuals(terms, inputs: SOSInputs):
     """||lhs - sum_g w_g G_g^2||_F of the identity `terms` (`sos_terms_A`
-    or `sos_terms_B`) for each input, on pairs that `validated_pairs`
-    already checked, as the norm of the bilinear expansion
-    sum_{s,t} C[s, t] b_s b_t with
+    or `sos_terms_B`) for each input of `inputs`, as the norm of the
+    bilinear expansion sum_{s,t} C[s, t] b_s b_t with
 
     C = e_0 lhs^T - sum_g w_g v_g v_g^T,   v_g = rows[g];
 
     b_t b_0 = b_t is folded into row 0, and pairs whose coefficient is 0 on
     every input are dropped. On each party the products b_s b_t take one
-    of the 3 x 3 products of its identity and two matrices: those are
-    taken once per input, and each pair's factor is gathered from that
-    table by the two codes. The norms of all inputs are one `TermStack`."""
-    (mats, codes), rows, weights, lhs = terms(n, labels, pairs)
+    of the 3 x 3 products of its identity and two matrices: each pair's
+    factor is gathered from the party's table by the two codes. The norms
+    of all inputs are one `TermStack`."""
+    rows, weights, lhs = terms(inputs.n, inputs.labels, inputs.j_row)
     v = np.stack(list(rows.values()), axis=-2)
     w = np.array([weights.get(g, 1.0) for g in rows])
     coeff = -(v.swapaxes(-1, -2) @ (w[:, None] * v))
@@ -120,16 +145,10 @@ def sos_residuals(terms, n: int, labels, pairs: Sequence[tuple[np.ndarray, np.nd
     coeff[..., 1:, 0] = 0.0
     coeff = coeff.reshape((-1,) + coeff.shape[-2:])
     s, t = np.nonzero(np.any(coeff != 0, axis=0))
-    c = coeff[:, s, t]
-    factors = []
-    for i, d in enumerate(pair_dims(pairs)):
-        shape = np.shape(labels) + (d, d)
-        m = np.stack([np.broadcast_to(a, shape) for a in (np.eye(d), *mats[i])], axis=-3)
-        m = m.reshape(len(c), 3, d, d)
-        table = m[:, :, None] @ m[:, None]
-        factors.append(table[:, codes[s, i], codes[t, i]])
-    norms = TermStack(c, tuple(factors)).frobenius_norm()
-    return float(norms[0]) if np.ndim(labels) == 0 else norms
+    codes = inputs.codes
+    factors = tuple(table[:, codes[s, i], codes[t, i]] for i, table in enumerate(inputs.tables))
+    norms = TermStack(coeff[:, s, t], factors).frobenius_norm()
+    return float(norms[0]) if np.ndim(inputs.labels) == 0 else norms
 
 
 def verify_sos_identity_A(n: int, labels, observables: Sequence[Sequence[np.ndarray]]):
@@ -139,13 +158,13 @@ def verify_sos_identity_A(n: int, labels, observables: Sequence[Sequence[np.ndar
     a sequence of B labels, with each observables[i][x] a (B, d_i, d_i)
     stack, one norm per input in an array.
     """
-    return sos_residuals(sos_terms_A, n, labels, validated_pairs(n, observables))
+    return sos_residuals(sos_terms_A, sos_inputs(n, labels, validated_pairs(n, observables)))
 
 
 def verify_sos_identity_B(n: int, labels, observables: Sequence[Sequence[np.ndarray]]):
     """Frobenius norm of 2 beta_Q J_l - [J_l^2 + sum Q^2 + (n-1) sum T^2];
     arguments and result as for `verify_sos_identity_A`."""
-    return sos_residuals(sos_terms_B, n, labels, validated_pairs(n, observables))
+    return sos_residuals(sos_terms_B, sos_inputs(n, labels, validated_pairs(n, observables)))
 
 
 def residual_norms(net: StarNetwork, l: int) -> dict:
@@ -164,8 +183,8 @@ def residual_norms(net: StarNetwork, l: int) -> dict:
     if eps < -1e-8:
         raise InternalConsistencyError(f"value above the quantum bound by {-eps:.3e}")
     eps_pos = max(eps, 0.0)
-    (mats, codes), rows, _, _ = sos_terms_A(n, l, pairs)
-    rows = {**rows, **sos_terms_B(n, l, pairs)[1]}
+    (mats, codes), j_row = _sos_basis(n, l, pairs)
+    rows = {**sos_terms_A(n, l, j_row)[0], **sos_terms_B(n, l, j_row)[0]}
     columns = states.columns(0)
     placed = [{i: mats[i][x - 1] for i, x in enumerate(row) if x} for row in codes]
     images = np.stack([linalg.apply_local(columns, net.party_dims, p) for p in placed])
@@ -258,12 +277,15 @@ def apply_noise(net: StarNetwork, model: str, strength: float) -> StarNetwork:
             obs.append((triple[0], a1, triple[2]))
         return StarNetwork(net.n, net.sources, tuple(obs), net.eve)
     if model == "mix_povm":
-        # (1 - s) V_l V_l^dag + (s / 2^n) 1, factored as [sqrt(1 - s) V_l, sqrt(s / 2^n) 1].
-        v = net.eve.factors
-        d, count, _ = v.shape
-        fill = np.broadcast_to(np.sqrt(strength / count) * np.eye(d)[:, None, :], (d, count, d))
-        factors = np.concatenate([np.sqrt(1.0 - strength) * v, fill], axis=2)
-        return StarNetwork(net.n, net.sources, net.observables, EveMeasurement(factors))
+        # (1 - s) R_l + (s / 2^n) 1 over the 2^n outcomes: the factors
+        # sqrt(1 - s) V_l and the floor (1 - s) mu_l + s / 2^n, so that the
+        # white noise adds no columns and pure sources keep the vector path.
+        eve = net.eve
+        floor = np.full(len(eve), strength / len(eve))
+        if eve.floor is not None:
+            floor += (1.0 - strength) * eve.floor
+        eve = EveMeasurement(np.sqrt(1.0 - strength) * eve.factors, floor)
+        return StarNetwork(net.n, net.sources, net.observables, eve)
     raise ValueError(f"unknown noise model {model!r}; pick one of {NOISE_MODELS}")
 
 

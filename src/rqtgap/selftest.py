@@ -133,9 +133,9 @@ def verify_selftest_noiseless(net: StarNetwork) -> dict:
     uniform, each party's pair anticommutes as operators, the conditional
     states match the target entangled vectors with unit fidelity, and
     Eve's POVM elements are exactly the projectors onto them. The last
-    check measures max_l ||R_l - t_l t_l^dag||_F from Eve's factors; a
-    Frobenius norm is never smaller than the largest entry, so its 1e-10
-    bound is no looser than one on entries. Each record comes from
+    check measures max_l ||R_l - t_l t_l^dag||_F from Eve's factors, and
+    from her floor in closed form; a Frobenius norm is never smaller than
+    the largest entry, so its 1e-10 bound is no looser than one on entries. Each record comes from
     `check_record`: the per-outcome checks name their worst outcome
     (`worst_l`), the pair check its worst party (`worst_party`, 1-based).
     """
@@ -155,12 +155,18 @@ def verify_selftest_noiseless(net: StarNetwork) -> dict:
     ]
     checks[0]["per_l"] = {str(l): float(v) for l, v in zip(labels, per_l)}
 
-    # R_l - t_l t_l^dag = W_l S W_l^dag with W_l = [V_l, t_l] and
+    # V_l V_l^dag - t_l t_l^dag = W_l S W_l^dag with W_l = [V_l, t_l] and
     # S = diag(1, ..., 1, -1). With W_l = Q_l R_l (one stacked QR over l)
     # its Frobenius norm is ||R_l S R_l^dag||_F, and no d x d matrix is built.
     w = np.concatenate([np.moveaxis(net.eve.factors, 1, 0), targets.T[:, :, None]], axis=2)
     r = np.linalg.qr(w, mode="r")
     s = np.append(np.ones(w.shape[2] - 1), -1.0)
     povm = np.linalg.norm((r * s) @ np.conj(np.swapaxes(r, 1, 2)), axis=(1, 2))
+    mu = net.eve.floor
+    if mu is not None:
+        # A floor mu_l 1 adds 2 mu_l Tr(W_l S W_l^dag) + mu_l^2 d_E to the
+        # squared norm; rounding may take a zero sum below 0.
+        trace = np.sum(np.abs(w) ** 2 * s, axis=(1, 2))
+        povm = np.sqrt(np.maximum(povm**2 + 2.0 * mu * trace + mu**2 * net.eve.dim, 0.0))
     checks.append(check_record("eve_povm_projects", povm, tol, worst_l=range(len(povm))))
     return {"n": n, "passed": all(c["passed"] for c in checks), "checks": checks}

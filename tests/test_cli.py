@@ -106,10 +106,10 @@ def test_verify_fail_line_names_the_worst_sos_input(capsys, monkeypatch, bad_inp
     real = rqtgap.cli.sos_residuals
     calls = []
 
-    def fake(terms, n, labels, pairs):
-        residuals = real(terms, n, labels, pairs)
+    def fake(terms, inputs):
+        residuals = real(terms, inputs)
         if terms is rqtgap.cli.sos_terms_B:
-            calls.append(list(labels))
+            calls.append(list(inputs.labels))
             residuals[bad_input] = 1e-6
         return residuals
 
@@ -298,8 +298,8 @@ def test_verify_records_keep_their_key_order(tmp_path, capsys, monkeypatch, case
     elif case == "worst_draw":
         real = rqtgap.cli.sos_residuals
 
-        def fake(terms, n, labels, pairs):
-            residuals = real(terms, n, labels, pairs)
+        def fake(terms, inputs):
+            residuals = real(terms, inputs)
             residuals[5] = 1e-6
             return residuals
 
@@ -441,6 +441,14 @@ def _povm_form(net: StarNetwork) -> dict:
         ["verify", "--n", "2", "--strategy", "{tmp}/deeply_nested.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/upper_triangle_source.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/anti_hermitian_povm.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/floor_negative.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/floor_nan.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/floor_inf.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/floor_1e308.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/floor_wrong_length.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/floor_string.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/floor_null.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/floor_with_povm.json"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}/", "").replace("{tmp}", "DIR"),
 )
@@ -501,6 +509,22 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
     povm["eve_povm"][0]["re"][1] += 0.2
     povm["eve_povm"][0]["re"][4] -= 0.2
     (tmp_path / "anti_hermitian_povm.json").write_text(json.dumps(povm))
+    (tmp_path / "floor_with_povm.json").write_text(
+        json.dumps(dict(_povm_form(net), eve_floor=[0.0] * 4))
+    )
+    # `mix_povm`'s floor: every entry 0.025, each edit below breaks it.
+    floored = network_to_json(apply_noise(net, "mix_povm", 0.1))
+    floors = {
+        "negative": [-0.025] + floored["eve_floor"][1:],
+        "nan": [math.nan] + floored["eve_floor"][1:],
+        "inf": [math.inf] + floored["eve_floor"][1:],
+        "1e308": [1e308] * 4,
+        "wrong_length": floored["eve_floor"][1:],
+        "string": "0.025",
+        "null": None,
+    }
+    for name, floor in floors.items():
+        (tmp_path / f"floor_{name}.json").write_text(json.dumps(dict(floored, eve_floor=floor)))
     del strategy["eve_factors"]
     (tmp_path / "no_eve_key.json").write_text(json.dumps(strategy))
     # Nested past the recursion limit: json.load raises RecursionError.
@@ -516,6 +540,31 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def test_declared_factor_sizes_over_the_cap_are_rejected_before_allocating(
+    tmp_path, capsys, monkeypatch
+):
+    # 2^20 rows of 2^10 columns in each of four records, held by lists
+    # of four entries: rejected from the declared sizes, so no record is
+    # ever read into an array.
+    strategy = network_to_json(ideal_network(2))
+    for f in strategy["eve_factors"]:
+        f["rows"], f["cols"] = 2**20, 2**10
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(strategy))
+
+    def refuse(d):
+        raise AssertionError("a record was read past the size check")
+
+    monkeypatch.setattr(rqtgap.linalg, "matrix_from_json", refuse)
+    code, out, err = run(capsys, "verify", "--n", "2", "--strategy", str(path))
+    assert code == 2 and out == ""
+    cap = rqtgap.linalg.ENTRY_CAPACITY
+    assert err == (
+        f"error: cannot load strategy file {path}: eve_factors declare {4 * 2**30} entries,"
+        f" over the cap {cap}\n"
+    )
 
 
 # Values a fuzzed strategy file puts at one JSON path; _DELETE removes it.

@@ -6,7 +6,9 @@ projector check against the dense oracle (`kron_all`, `tensor_embed`,
 `build_I_operator`), and strategy-file round trips, on random inputs."""
 
 import itertools
+import json
 import math
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -320,22 +322,124 @@ def test_expect_matches_dense_trace(dims, labels, rank, seed, data):
             np.testing.assert_allclose(by_pairs.expect(op), want, rtol=1e-12, atol=1e-12)
 
 
+def _fill_form(eve: EveMeasurement) -> EveMeasurement:
+    """Eve's floor written as a fill of sqrt(mu_l) 1, d_E extra columns per
+    outcome, as `mix_povm` once built it."""
+    fill = np.sqrt(eve.floor)[None, :, None] * np.eye(eve.dim)[:, None, :]
+    return EveMeasurement(np.concatenate([eve.factors, fill], axis=2))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_representation_follows_rank(n):
-    """Rank-1 Eve factors give vectors; mix_povm's d_E + 1 columns per
-    outcome, on the same pure sources, give pair arrays from the
-    density-matrix kernel. Both match that kernel."""
+    """Rank-1 Eve factors give vectors, with or without `mix_povm`'s floor;
+    the same floor as a fill of d_E columns per outcome, on the same pure
+    sources, gives pair arrays from the density-matrix kernel. All match
+    that kernel."""
     ideal = ideal_network(n)
     mixed = apply_noise(ideal, "mix_povm", 0.1)
-    for net, vectors in ((ideal, True), (mixed, False)):
+    filled = StarNetwork(n, mixed.sources, mixed.observables, _fill_form(mixed.eve))
+    for net, vectors in ((ideal, True), (mixed, True), (filled, False)):
         assert net.source_vectors is not None
         states = conditional_states(net)
         assert (states.vectors is not None) == vectors
         assert (states.pairs is None) == vectors
+        assert (states.floor is not None) == (net is mixed)
         for j, l in enumerate(states.labels):
             raw = _conditional_unnormalized(net, l)
             got = _to_pairs(states.density(j) * states.probs[j], net.party_dims)
             np.testing.assert_allclose(got, raw, atol=1e-14)
+
+
+def _floored_eve(n: int, rng: np.random.Generator) -> EveMeasurement:
+    """Random complex rank-1 factors on n qubit E factors and a random
+    floor, scaled together to complete the measurement."""
+    dim = 1 << n
+    floor = rng.uniform(size=dim) * rng.uniform(0.05, 0.9) / dim
+    factors = np.stack(_random_factors(dim, [1] * dim, rng), axis=1)
+    return EveMeasurement(np.sqrt(1.0 - floor.sum()) * factors, floor)
+
+
+@pytest.mark.parametrize("sources", ["pure", "depolarized", "random pure", "random mixed"])
+@pytest.mark.parametrize("eve", ["mix_povm", "random"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_floor_form_matches_fill_form(n, eve, sources):
+    rng = np.random.default_rng(100 * n + len(sources))
+    if sources.startswith("random"):
+        pure = sources == "random pure"
+        net = _random_network([2] * n, [2] * n, n, pure=pure, eve=ideal_network(n).eve)
+    else:
+        net = ideal_network(n)
+        if sources == "depolarized":
+            net = apply_noise(net, "depolarize_sources", 0.2)
+    if eve == "mix_povm":
+        net = apply_noise(net, "mix_povm", 0.1)
+    else:
+        net = StarNetwork(n, net.sources, net.observables, _floored_eve(n, rng))
+    filled = StarNetwork(n, net.sources, net.observables, _fill_form(net.eve))
+    floor_states, fill_states = conditional_states(net), conditional_states(filled)
+    assert (floor_states.floor is not None) == sources.endswith("pure")
+    np.testing.assert_allclose(floor_states.probs, fill_states.probs, rtol=0, atol=1e-12)
+    terms = []
+    for k in range(3):
+        coeff = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        terms.append((coeff, {i: _random_matrix(2, rng) for i in range(k, n, 2)}))
+    op = ProductSum(tuple(terms))
+    np.testing.assert_allclose(floor_states.expect(op), fill_states.expect(op), rtol=0, atol=1e-12)
+    targets = _haar_unitary(_random_matrix(1 << n, rng))
+    np.testing.assert_allclose(
+        floor_states.fidelity(targets), fill_states.fidelity(targets), rtol=0, atol=1e-12
+    )
+    for j, l in enumerate(floor_states.labels):
+        want = fill_states.density(j)
+        np.testing.assert_allclose(floor_states.density(j), want, rtol=0, atol=1e-12)
+        x = floor_states.columns(j)
+        np.testing.assert_allclose(x @ x.conj().T, want, rtol=0, atol=1e-12)
+        assert eve_outcome_probability(net, l) == pytest.approx(
+            eve_outcome_probability(filled, l), rel=0, abs=1e-12
+        )
+        np.testing.assert_allclose(net.eve.element(l), filled.eve.element(l), rtol=0, atol=1e-12)
+    got, want = verify_selftest_noiseless(net), verify_selftest_noiseless(filled)
+    for a, b in zip(got["checks"], want["checks"]):
+        assert a.keys() == b.keys() and a["passed"] == b["passed"]
+        assert a["measured"] == pytest.approx(b["measured"], rel=0, abs=1e-12)
+        assert a.get("worst_l") == b.get("worst_l")
+
+
+def _assert_reports_match(got, want):
+    """Equal JSON trees, up to 1e-12 in every float."""
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_reports_match(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_reports_match(a, b)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_fill_form_strategy_file_gives_the_floor_forms_report(tmp_path, capsys, n):
+    # A `mix_povm` file in the fill form, as older versions wrote it (no
+    # eve_floor, 2^n + 1 columns per outcome), still loads, and verify
+    # reports on it what it reports on the same network with a floor.
+    net = apply_noise(ideal_network(n), "mix_povm", 0.1)
+    filled = StarNetwork(n, net.sources, net.observables, _fill_form(net.eve))
+    runs = []
+    for name, strategy in (("floor", net), ("fill", filled)):
+        path = tmp_path / f"{name}.json"
+        save_strategy(strategy, path)
+        code = rqtgap.cli.main(["verify", "--n", str(n), "--strategy", str(path)])
+        out, err = capsys.readouterr()
+        runs.append((code, json.loads(out), re.sub(r"measured \S+", "", err)))
+    assert "eve_floor" in path.with_name("floor.json").read_text()
+    assert load_strategy(path).eve.factors.shape == (1 << n, 1 << n, (1 << n) + 1)
+    (code, report, fail), (want_code, want, want_fail) = runs
+    assert code == want_code == 1 and fail == want_fail
+    _assert_reports_match(report, want)
 
 
 def test_states_and_I_pass_peak_within_20_mib():

@@ -142,7 +142,9 @@ def test_require_pm1_checks_each_matrix_of_a_stack():
 
 
 def _one_draw(dim: int, seed: int, real: bool) -> np.ndarray:
-    """A draw computed one seed at a time: own rng, QR, phase fix, signs."""
+    """A draw computed one seed at a time: own rng, QR, phase fix, signs.
+    A complex draw takes its real and imaginary parts in two `normal`
+    calls, which `random_pm1_matrices` makes as one."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim))
     if not real:
@@ -155,7 +157,7 @@ def _one_draw(dim: int, seed: int, real: bool) -> np.ndarray:
 
 
 @pytest.mark.parametrize("real", [False, True])
-@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_batched_draws_are_bit_identical_to_one_seed_draws(dim, real):
     seeds = np.random.default_rng(dim).integers(0, 2**63, size=(3, 4))
     got = random_pm1_matrices(dim, seeds, real=real)

@@ -148,6 +148,17 @@ def test_mix_povm_probability_deviation():
         assert abs(eve_outcome_probability(net, l) - 0.125) <= 0.01 / 8 + 1e-12
 
 
+def test_mix_povm_composes_through_the_floor():
+    # White noise of strength s on an already noisy measurement, whose
+    # floor is (1 - s) mu_l + s / 2^n, is white noise of strength
+    # 1 - (1 - s)(1 - t) on the ideal one.
+    s, t = 0.1, 0.2
+    twice = apply_noise(apply_noise(ideal_network(3), "mix_povm", t), "mix_povm", s)
+    once = apply_noise(ideal_network(3), "mix_povm", 1.0 - (1.0 - s) * (1.0 - t))
+    np.testing.assert_allclose(twice.eve.floor, once.eve.floor, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(twice.eve.factors, once.eve.factors, rtol=0, atol=1e-15)
+
+
 def test_rotate_observables_keeps_qubit_results():
     th = 0.07
     net = ideal_network(3)
