@@ -117,12 +117,13 @@ def cmd_gap(args) -> int:
     return EXIT_OK
 
 
-def _sos_checks(n: int, seed: int, net: StarNetwork) -> list[dict]:
+def _sos_checks(seed: int, net: StarNetwork) -> list[dict]:
     """Both identities on the network's observables at l = 0 and
     l = 2^n - 1, then on five random +/-1 draws at l = 0: the seven inputs
     are validated once and their shared tables built once (`sos_inputs`),
     then one call per identity takes them all. Each
     check names the input with the largest residual (`check_record`)."""
+    n = net.n
     labels = [0, (1 << n) - 1] + [0] * 5
     seeds = np.random.default_rng(seed).integers(0, 2**63, size=(5, n, 2))
     draws = linalg.random_pm1_matrices(2, seeds)
@@ -141,7 +142,8 @@ def _sos_checks(n: int, seed: int, net: StarNetwork) -> list[dict]:
     ]
 
 
-def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -> dict:
+def _verify_batteries(seed: int, net: StarNetwork, ideal: StarNetwork) -> dict:
+    n = net.n
     report: dict = {"n": n, "seed": seed, "rng": linalg.RNG_NAME, "checks": []}
 
     battery = verify_selftest_noiseless(net)
@@ -149,7 +151,7 @@ def _verify_batteries(n: int, seed: int, net: StarNetwork, ideal: StarNetwork) -
         {"name": "selftest_noiseless", "passed": battery["passed"], "detail": battery}
     )
 
-    report["checks"] += _sos_checks(n, seed, net)
+    report["checks"] += _sos_checks(seed, net)
 
     # Backend agreement: the factor-by-factor evaluation (I_values) and the
     # closed-form GHZ kernel must tell the same story on the ideal strategy.
@@ -212,7 +214,7 @@ def cmd_verify(args) -> int:
         obs[1] = (obs[1][0], Z.astype(complex), obs[1][2])
         net = StarNetwork(net.n, net.sources, tuple(obs), net.eve)
     try:
-        report = _verify_batteries(args.n, args.seed, net, ideal)
+        report = _verify_batteries(args.seed, net, ideal)
     except (ValidationError, DegenerateConditioningError) as exc:
         report = {"n": args.n, "seed": args.seed, "passed": False, "error": str(exc)}
     _emit(json.dumps(report, indent=2) + "\n", args.out)

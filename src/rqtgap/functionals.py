@@ -22,7 +22,7 @@ from .network import (
     settings_product,
     tilde_pair,
 )
-from .pauli import OutcomeLabel, PauliWord, ghz_expectation
+from .pauli import PauliWord, ghz_expectation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -121,14 +121,14 @@ def ideal_I_value(n: int, labels):
     for a float array: one `ghz_expectation` call per word either way.
     """
     sign = label_signs(n, labels)
-    lab = OutcomeLabel(n, labels) if np.ndim(labels) == 0 else np.asarray(labels)
+    lab = np.asarray(labels)
     full = (1 << n) - 1
     value = (n - 1) * ghz_expectation(PauliWord(n, full, 0), lab)
     for i in range(2, n + 1):
         z_mask = (1 << (n - 1)) | (1 << (n - i))
         value = value + sign[..., i - 1] * ghz_expectation(PauliWord(n, 0, z_mask), lab)
     value = (sign[..., 0] * value).real
-    return float(value) if np.ndim(labels) == 0 else value
+    return float(value) if lab.ndim == 0 else value
 
 
 def classical_bound_I(n: int) -> dict[str, float]:

@@ -3,13 +3,13 @@
 The operators the package checks are short sums of tensor products of
 local matrices. `ProductSum` holds the Bell operators I_l and J_N, and
 products of party settings, in that form, as a tuple of terms.
-`TermStack` holds K terms as arrays, one coefficient array and one
-(K, d_i, d_i) stack per factor, optionally for B operators at once along
-a leading input axis, and gets its Frobenius norm by splitting
-every term at the cut between the leading and trailing factors that best
-balances the two sides: the operator's entries, realigned as (left row,
-left column) x (right row, right column), form one matrix product of
-inner size K, so no 2^n x 2^n product is ever taken.
+`frobenius_norm` takes the norm of B such operators of K terms each,
+held as a (B, K) coefficient array and one (B, K, d_i, d_i) stack per
+factor, by splitting every term at the cut between the leading and
+trailing factors that best balances the two sides: the operator's
+entries, realigned as (left row, left column) x (right row, right
+column), form one matrix product of inner size K, so no 2^n x 2^n
+product is ever taken.
 
 States have one layout rule, party-first: axis 0 is the joint index of
 the factors, leftmost most significant, then any outcome and column
@@ -47,7 +47,8 @@ ENTRY_CAPACITY = 2**26
 RNG_NAME = "pcg64"  # np.random.default_rng bit generator, recorded in outputs
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only complex copy of `a`."""
     a = np.array(a, dtype=complex)
     a.setflags(write=False)
     return a
@@ -64,7 +65,7 @@ class DenseOperator:
     local_dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = _frozen(self.mat)
+        mat = frozen(self.mat)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "local_dims", tuple(int(d) for d in self.local_dims))
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -91,7 +92,7 @@ class StateVector:
     local_dims: tuple[int, ...]
 
     def __post_init__(self):
-        vec = _frozen(self.vec)
+        vec = frozen(self.vec)
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "local_dims", tuple(int(d) for d in self.local_dims))
         if vec.ndim != 1:
@@ -112,10 +113,10 @@ class StateVector:
 
 
 # Single-qubit constants.
-I2 = _frozen(np.eye(2))
-X = _frozen([[0, 1], [1, 0]])
-Y = _frozen([[0, -1j], [1j, 0]])
-Z = _frozen([[1, 0], [0, -1]])
+I2 = frozen(np.eye(2))
+X = frozen([[0, 1], [1, 0]])
+Y = frozen([[0, -1j], [1j, 0]])
+Z = frozen([[1, 0], [0, -1]])
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
@@ -220,53 +221,48 @@ class ProductSum:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class TermStack:
-    """sum_k coeffs[k] (x)_i factors[i][k]: K terms held as a coefficient
-    array (K,) and, for each tensor factor i, one (K, d_i, d_i) array, with
-    the identity where a term leaves the factor alone. A leading input axis
-    holds B such operators at once: coefficients (B, K), factors
-    (B, K, d_i, d_i).
+def frobenius_norm(coeffs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """||sum_k c_k (x)_i F_{i,k}||_F for each of B operators without the
+    dense operator: `coeffs` is (B, K), the K terms' coefficients, and
+    factors[i] is (B, K, d_i, d_i), the identity where a term leaves
+    factor i alone. Returns a (B,) array.
+
+    Factors split at the cut k that best balances the dimensions
+    d_L = prod_{i<k} d_i and d_R = prod_{i>=k} d_i. Row t of the side A
+    (of B) is the row-wise Khatri-Rao product of term t's flattened left
+    (right) factors, so A^T diag(c) B holds every entry of the dense
+    operator once, in another order, and has the same Frobenius norm: one
+    gemm of inner size K, the number of terms. The sides of all inputs
+    are built together, one broadcast product per factor; the gemm and
+    its norm are taken one input at a time, so only one realigned operator
+    is ever held. Its sum of squares is one `einsum` over the real and
+    imaginary parts, which, unlike a threaded BLAS dot, sums in the same
+    order at any thread count.
     """
+    dims = tuple(f.shape[-1] for f in factors)
+    d = math.prod(dims)
+    if d * d > ENTRY_CAPACITY:
+        raise CapacityError(f"{d * d} entries exceed the cap {ENTRY_CAPACITY}")
+    inputs, count = coeffs.shape
+    k = min(range(len(dims) + 1), key=lambda k: max(math.prod(dims[:k]), math.prod(dims[k:])))
+    sides = []
+    for part in (factors[:k], factors[k:]):
+        side = np.ones((inputs, count, 1), dtype=complex)
+        for f in part:
+            # The new factor's entries go outermost, so the inner loop of
+            # the broadcast product runs over the longer side.
+            width = f.shape[-1] ** 2
+            side = (f.reshape(inputs, count, width, 1) * side[:, :, None, :]).reshape(
+                inputs, count, width * side.shape[-1]
+            )
+        sides.append(side)
+    return np.array([_norm((a.T * c) @ b) for a, b, c in zip(*sides, coeffs)])
 
-    coeffs: np.ndarray
-    factors: tuple[np.ndarray, ...]
 
-    def frobenius_norm(self):
-        """||sum_k c_k (x)_i F_{i,k}||_F without the dense operator: a float,
-        or one per input in a (B,) array.
-
-        Factors split at the cut k that best balances the dimensions
-        d_L = prod_{i<k} d_i and d_R = prod_{i>=k} d_i. Row t of the side
-        A (of B) is the row-wise Khatri-Rao product of term t's flattened
-        left (right) factors, so A^T diag(c) B holds every entry of the
-        dense operator once, in another order, and has the same Frobenius
-        norm: one gemm of inner size K, the number of terms. The sides of
-        all inputs are built together, one broadcast product per factor;
-        the gemm and its norm are taken one input at a time, so only one
-        realigned operator is ever held.
-        """
-        dims = tuple(f.shape[-1] for f in self.factors)
-        d = math.prod(dims)
-        if d * d > ENTRY_CAPACITY:
-            raise CapacityError(f"{d * d} entries exceed the cap {ENTRY_CAPACITY}")
-        coeffs = np.asarray(self.coeffs)
-        count = coeffs.shape[-1]
-        batch = coeffs.reshape(-1, count)
-        k = min(range(len(dims) + 1), key=lambda k: max(math.prod(dims[:k]), math.prod(dims[k:])))
-        sides = []
-        for part in (self.factors[:k], self.factors[k:]):
-            side = np.ones((len(batch), count, 1), dtype=complex)
-            for f in part:
-                # The new factor's entries go outermost, so the inner loop
-                # of the broadcast product runs over the longer side.
-                width = f.shape[-1] ** 2
-                side = (f.reshape(-1, count, width, 1) * side[:, :, None, :]).reshape(
-                    len(batch), count, width * side.shape[-1]
-                )
-            sides.append(side)
-        norms = np.array([np.linalg.norm((a.T * c) @ b) for a, b, c in zip(*sides, batch)])
-        return float(norms[0]) if coeffs.ndim == 1 else norms
+def _norm(m: np.ndarray) -> float:
+    """||m||_F of a C-contiguous complex array, summed by `einsum`."""
+    v = m.view(float).ravel()
+    return math.sqrt(np.einsum("i,i->", v, v))
 
 
 def is_hermitian(m: np.ndarray) -> bool:
@@ -345,7 +341,7 @@ def random_pm1_observable(dim: int, seed: int) -> DenseOperator:
 # {"dim": n, "local_dims": [...], "re": [row-major], "im": [row-major]}
 # Round-trips bit-exactly at double precision (Python floats serialize via
 # repr, which is faithful). Sizes must be JSON integers (`json_size`), and
-# entries finite numbers (`_complex_from_json`).
+# entries finite JSON numbers (`json_numbers`, `_complex_from_json`).
 
 
 def json_size(value, name: str) -> int:
@@ -353,6 +349,21 @@ def json_size(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     return value
+
+
+def json_numbers(values, name: str) -> np.ndarray:
+    """The list `values` as a float array; ValidationError unless each
+    entry is an int or a float within double range, not a bool, a string,
+    null or a list, which numpy would convert."""
+    if not isinstance(values, list):
+        raise ValidationError(f"{name} must be a list of numbers, got {type(values).__name__}")
+    wrong = set(map(type, values)) - {int, float}
+    if wrong:
+        raise ValidationError(f"{name} must hold only numbers, got {min(t.__name__ for t in wrong)}")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise ValidationError(f"{name} holds an integer beyond double range") from None
 
 
 def operator_to_json(m: DenseOperator) -> dict:
@@ -365,11 +376,11 @@ def operator_to_json(m: DenseOperator) -> dict:
 
 
 def _complex_from_json(d: dict, shape: tuple[int, int]) -> np.ndarray:
-    """The row-major `re` and `im` lists of `d` as one complex array;
-    ValidationError unless every part is finite, checked before they are
-    combined, so that no inf or NaN reaches the arithmetic."""
-    re = np.array(d["re"], dtype=float).reshape(shape)
-    im = np.array(d["im"], dtype=float).reshape(shape)
+    """The row-major `re` and `im` lists of `d` (`json_numbers`) as one
+    complex array; ValidationError unless every part is finite, checked
+    before they are combined, so that no inf or NaN reaches the arithmetic."""
+    re = json_numbers(d["re"], "re").reshape(shape)
+    im = json_numbers(d["im"], "im").reshape(shape)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValidationError("re and im entries must all be finite")
     return re + 1j * im

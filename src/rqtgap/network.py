@@ -20,6 +20,9 @@ either form in `ConditionalStates.expect`, through `apply_local`: each
 term applied to the vectors, or traced on the pairs. The seesaw and
 `robustness.residual_norms` take rho^l as columns instead
 (`ConditionalStates.columns`).
+
+Every array a `StarNetwork` holds is read-only and its own. `ghz_state`
+and `ghz_basis` are one column builder's.
 """
 
 from __future__ import annotations
@@ -59,33 +62,30 @@ def tilde_pair(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (a0 - a1) / math.sqrt(2.0), (a0 + a1) / math.sqrt(2.0)
 
 
-def ghz_state(n: int, l: int) -> StateVector:
-    """GHZ-like vector (|l> + (-1)^{l_1} |lbar>)/sqrt(2) on n qubits."""
+def _ghz_columns(n: int, labels: np.ndarray) -> np.ndarray:
+    """One column (|l> + (-1)^{l_1} |lbar>)/sqrt(2) on n qubits for each
+    l of the integer array `labels`: O(2^n) entries per label."""
     if n < 1:
         raise ValueError("need at least one qubit")
     dim = 1 << n
-    l = int(l)
-    if not 0 <= l < dim:
-        raise ValueError(f"label {l} out of range")
-    v = np.zeros(dim, dtype=complex)
-    l1 = (l >> (n - 1)) & 1
-    v[l] += 1.0
-    v[l ^ (dim - 1)] += (-1.0) ** l1
-    return StateVector(v / np.sqrt(2.0), (2,) * n)
+    if np.any((labels < 0) | (labels >= dim)):
+        raise ValueError(f"label out of range for n = {n}")
+    cols = np.arange(len(labels))
+    v = np.zeros((dim, len(labels)), dtype=complex)
+    v[labels, cols] += 1.0
+    v[labels ^ (dim - 1), cols] += (-1.0) ** ((labels >> (n - 1)) & 1)
+    v /= np.sqrt(2.0)
+    return v
+
+
+def ghz_state(n: int, l: int) -> StateVector:
+    """GHZ-like vector (|l> + (-1)^{l_1} |lbar>)/sqrt(2) on n qubits."""
+    return StateVector(_ghz_columns(n, np.array([int(l)]))[:, 0], (2,) * n)
 
 
 def ghz_basis(n: int) -> np.ndarray:
-    """The unitary whose column l is ghz_state(n, l), built by index
-    arithmetic rather than 2^n `StateVector`s."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    dim = 1 << n
-    l = np.arange(dim)
-    v = np.zeros((dim, dim), dtype=complex)
-    v[l, l] += 1.0
-    v[l ^ (dim - 1), l] += (-1.0) ** ((l >> (n - 1)) & 1)
-    v /= np.sqrt(2.0)
-    return v
+    """The unitary whose column l is ghz_state(n, l)."""
+    return _ghz_columns(n, np.arange(1 << n))
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ class EveMeasurement:
     floor: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        v = np.array(self.factors, dtype=complex)
-        v.setflags(write=False)
+        v = linalg.frozen(self.factors)
         object.__setattr__(self, "factors", v)
         if v.ndim != 3:
             raise ValueError("factors need axes (e, l, c)")
@@ -194,7 +193,8 @@ class StarNetwork:
     None until a caller completes the strategy. Dense POVM elements enter
     through `EveMeasurement.from_elements`. `source_vectors` holds each
     source as a d_A x d_E matrix S_i with rho_i = |S_i>><<S_i| when every
-    source is pure, else None.
+    source is pure, else None. Each observable and source vector is a
+    read-only array of its own, as the sources and Eve's factors are.
     """
 
     n: int
@@ -214,7 +214,7 @@ class StarNetwork:
             raise ValueError("Eve's POVM must have 2^n elements")
         obs = []
         for i, triple in enumerate(self.observables):
-            triple = tuple(None if m is None else np.asarray(m, dtype=complex) for m in triple)
+            triple = tuple(None if m is None else linalg.frozen(m) for m in triple)
             if len(triple) != 3:
                 raise ValueError("each party carries exactly three observable slots")
             da = self.sources[i].local_dims[0]
@@ -237,7 +237,7 @@ class StarNetwork:
             if w[0] < -1e-10 or abs(np.trace(rho.mat) - 1.0) > 1e-10:
                 raise ValidationError(f"source {i + 1} is not a density operator")
             if np.count_nonzero(w > RANK_CUTOFF * w[-1]) == 1:
-                vectors.append((q[:, -1] * np.sqrt(w[-1])).reshape(rho.local_dims))
+                vectors.append(linalg.frozen((q[:, -1] * np.sqrt(w[-1])).reshape(rho.local_dims)))
         pure = len(vectors) == self.n
         object.__setattr__(self, "source_vectors", tuple(vectors) if pure else None)
         if self.eve.dim != self.eve_dim:
@@ -281,10 +281,7 @@ class StarNetwork:
         """Copy of the network with A_{i,2} replaced for every party."""
         if len(third) != self.n:
             raise ValueError("need one third observable per party")
-        obs = tuple(
-            (t[0], t[1], np.asarray(m, dtype=complex))
-            for t, m in zip(self.observables, third)
-        )
+        obs = tuple((t[0], t[1], m) for t, m in zip(self.observables, third))
         return StarNetwork(self.n, self.sources, obs, self.eve)
 
 
@@ -297,7 +294,7 @@ def ideal_network(n: int) -> StarNetwork:
     phi_plus = ghz_state(2, 0).projector()
     s2 = np.sqrt(2.0)
     obs: list[tuple] = [((X + Z) / s2, (X - Z) / s2, None)]
-    obs += [(Z.copy(), X.copy(), None)] * (n - 1)
+    obs += [(Z, X, None)] * (n - 1)
     eve = EveMeasurement(ghz_basis(n)[:, :, None])
     return StarNetwork(n, (phi_plus,) * n, tuple(obs), eve)
 
@@ -575,9 +572,7 @@ def _eve_from_factors_json(d: dict) -> EveMeasurement:
             raise CapacityError(
                 f"eve_factors declare {entries} entries, over the cap {linalg.ENTRY_CAPACITY}"
             )
-    floor = d.get("eve_floor")
-    if "eve_floor" in d and not isinstance(floor, list):
-        raise ValueError(f"eve_floor must be a list of numbers, got {type(floor).__name__}")
+    floor = linalg.json_numbers(d["eve_floor"], "eve_floor") if "eve_floor" in d else None
     return EveMeasurement.from_factors([linalg.matrix_from_json(f) for f in records], floor)
 
 

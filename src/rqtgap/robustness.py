@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .errors import InternalConsistencyError
 from .functionals import I_terms, I_values, label_signs, pair_dims, validated_pairs
-from .linalg import DenseOperator, TermStack
+from .linalg import DenseOperator
 from .network import EveMeasurement, StarNetwork, conditional_states, ideal_network, tilde_pair
 from .rqt import SeesawResult, seesaw_real
 
@@ -135,7 +135,7 @@ def sos_residuals(terms, inputs: SOSInputs):
     every input are dropped. On each party the products b_s b_t take one
     of the 3 x 3 products of its identity and two matrices: each pair's
     factor is gathered from the party's table by the two codes. The norms
-    of all inputs are one `TermStack`."""
+    of all inputs are one `linalg.frobenius_norm`."""
     rows, weights, lhs = terms(inputs.n, inputs.labels, inputs.j_row)
     v = np.stack(list(rows.values()), axis=-2)
     w = np.array([weights.get(g, 1.0) for g in rows])
@@ -147,7 +147,7 @@ def sos_residuals(terms, inputs: SOSInputs):
     s, t = np.nonzero(np.any(coeff != 0, axis=0))
     codes = inputs.codes
     factors = tuple(table[:, codes[s, i], codes[t, i]] for i, table in enumerate(inputs.tables))
-    norms = TermStack(coeff[:, s, t], factors).frobenius_norm()
+    norms = linalg.frobenius_norm(coeff[:, s, t], factors)
     return float(norms[0]) if np.ndim(inputs.labels) == 0 else norms
 
 

@@ -1,9 +1,10 @@
 """The real-quantum-theory side of the gap.
 
-The Pauli-block decomposition of third observables, the reduction of J_N
-to a vector t of real expectation values, its exact optimum over the
-cube, an explicit optimal real strategy, and a seesaw optimizer used as
-an independent numerical confirmation.
+The Pauli-block decomposition of third observables (one (4, aux, aux)
+stack), the reduction of J_N to a vector t of real expectation values on
+rho^0, its exact optimum over the cube, an explicit optimal real
+strategy, and a seesaw optimizer used as an independent numerical
+confirmation.
 """
 
 from __future__ import annotations
@@ -27,28 +28,14 @@ from .functionals import J_fixed_factors, J_weight
 _SIGMA = (I2, Z, X, Y)
 
 
-@dataclass(frozen=True)
-class PauliBlockDecomp:
-    """Blocks r_j of A = sum_j sigma_j (x) r_j on a qubit (x) aux space."""
-
-    r0: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    r3: np.ndarray
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        return (self.r0, self.r1, self.r2, self.r3)
-
-
-def pauli_block_decompose(a: DenseOperator) -> PauliBlockDecomp:
-    """r_j = (1/2) Tr_qubit[(sigma_j (x) 1) a]; leading factor must be a qubit."""
+def pauli_block_decompose(a: DenseOperator) -> np.ndarray:
+    """The blocks r_j of a = sum_j sigma_j (x) r_j on a qubit (x) aux
+    space, r_j = (1/2) Tr_qubit[(sigma_j (x) 1) a], as one (4, aux, aux)
+    stack in the order 1, Z, X, Y; the leading factor must be a qubit."""
     if a.local_dims[0] != 2:
         raise ValueError("leading factor must have dimension 2")
-    aux_dims = a.local_dims[1:] if len(a.local_dims) > 1 else (1,)
-    aux = math.prod(aux_dims)
-    t = a.mat.reshape(2, aux, 2, aux)
-    return PauliBlockDecomp(*(np.einsum("ab,biaj->ij", sigma, t) / 2.0 for sigma in _SIGMA))
+    aux = math.prod(a.local_dims[1:])
+    return np.einsum("sab,biaj->sij", np.stack(_SIGMA), a.mat.reshape(2, aux, 2, aux)) / 2.0
 
 
 def j_from_t(t: Sequence[float]) -> float:
@@ -88,27 +75,22 @@ def max_j_over_t(n: int) -> TMaximum:
 def t_values(net: StarNetwork) -> list[float]:
     """t_i = Tr(r_{i,2} rho_i) for each party's third observable.
 
-    For qubit parties the auxiliary factor is trivial and r_{i,2} is the
-    scalar X coefficient, and no state is built. Larger parties are split
-    as qubit (x) aux, and t_i is the expectation of 1 (x) r_{i,2} on that
-    party in the conditional state at l = 0, built once.
+    Each party is split as qubit (x) aux, a qubit party with a trivial
+    aux factor, and t_i is the expectation of 1 (x) r_{i,2} on that party
+    in the conditional state at l = 0, built once; as for `eval_J`, P(0)
+    must exceed the conditioning threshold.
     """
-    states = None
+    states = conditional_states(net, [0])
     out = []
     for i in range(net.n):
         a2 = net.observables[i][2]
         if a2 is None:
             raise ValueError(f"party {i + 1} has no third observable")
         d = a2.shape[0]
-        if d == 2:
-            out.append(float(np.real(np.trace(X @ a2)) / 2.0))
-            continue
         if d % 2:
             raise ValueError("party dimension must be even for the qubit split")
-        dec = pauli_block_decompose(DenseOperator(a2, (2, d // 2)))
-        if states is None:
-            states = conditional_states(net, [0])
-        out.append(float(states.expect(ProductSum.product({i: np.kron(I2, dec.r2)}))[0]))
+        r2 = pauli_block_decompose(DenseOperator(a2, (2, d // 2)))[2]
+        out.append(float(states.expect(ProductSum.product({i: np.kron(I2, r2)}))[0]))
     return out
 
 

@@ -164,7 +164,7 @@ def test_verify_sos_battery_peak_memory_at_n9():
     net = ideal_network(9)
     tracemalloc.start()
     try:
-        checks = rqtgap.cli._sos_checks(9, 0, net)
+        checks = rqtgap.cli._sos_checks(0, net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,6 +224,36 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
         )
         assert got == (proc.returncode, proc.stdout, proc.stderr)
     assert rqtgap.cli.build_parser() is rqtgap.cli.build_parser()
+
+
+def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # A threaded BLAS may sum a long dot product in another order; every
+    # reduction that reaches stdout must not.
+    path = tmp_path / "depolarized.json"
+    save_strategy(apply_noise(ideal_network(5), "depolarize_sources", 0.1), path)
+    calls = [
+        ["verify", "--n", "7"],
+        ["verify", "--n", "5", "--strategy", str(path)],
+        ["seesaw", "--n", "6"],
+    ]
+    script = (
+        "import contextlib, io, sys, rqtgap.cli\n"
+        f"for argv in {calls!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = rqtgap.cli.main(argv)\n"
+        "    print(code, buf.getvalue())\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(rqtgap.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith("0 {")
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_rejects_large_n(capsys):
@@ -334,7 +364,7 @@ def test_sos_checks_validate_each_input_once(monkeypatch):
         return real(m, who)
 
     monkeypatch.setattr(rqtgap.linalg, "require_pm1", counted)
-    checks = rqtgap.cli._sos_checks(n, 0, net)
+    checks = rqtgap.cli._sos_checks(0, net)
     assert [c["passed"] for c in checks] == [True, True]
     assert sorted(calls) == sorted(f"A_{i},{x}" for i in range(1, n + 1) for x in (0, 1))
 
@@ -449,6 +479,10 @@ def _povm_form(net: StarNetwork) -> dict:
         ["verify", "--n", "2", "--strategy", "{tmp}/floor_string.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/floor_null.json"],
         ["verify", "--n", "2", "--strategy", "{tmp}/floor_with_povm.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/string_re.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/bool_im.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/huge_int_re.json"],
+        ["verify", "--n", "2", "--strategy", "{tmp}/floor_numeric_strings.json"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}/", "").replace("{tmp}", "DIR"),
 )
@@ -525,6 +559,22 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, argv):
     }
     for name, floor in floors.items():
         (tmp_path / f"floor_{name}.json").write_text(json.dumps(dict(floored, eve_floor=floor)))
+    # Only JSON numbers are numbers: source 1's `re` as numeric strings,
+    # Eve's factor 0's `im` as booleans and `mix_povm`'s floor as numeric
+    # strings each convert to floats that would pass every other check.
+    # An integer past double range does not convert at all.
+    sources = [dict(s) for s in strategy["sources"]]
+    sources[0]["re"] = [str(v) for v in sources[0]["re"]]
+    (tmp_path / "string_re.json").write_text(json.dumps(dict(strategy, sources=sources)))
+    sources = [dict(s, re=list(s["re"])) for s in strategy["sources"]]
+    sources[0]["re"][1] = 10**400
+    (tmp_path / "huge_int_re.json").write_text(json.dumps(dict(strategy, sources=sources)))
+    factors = [dict(f) for f in strategy["eve_factors"]]
+    factors[0]["im"] = [False] * len(factors[0]["im"])
+    (tmp_path / "bool_im.json").write_text(json.dumps(dict(strategy, eve_factors=factors)))
+    (tmp_path / "floor_numeric_strings.json").write_text(
+        json.dumps(dict(floored, eve_floor=[str(v) for v in floored["eve_floor"]]))
+    )
     del strategy["eve_factors"]
     (tmp_path / "no_eve_key.json").write_text(json.dumps(strategy))
     # Nested past the recursion limit: json.load raises RecursionError.

@@ -11,7 +11,6 @@ from rqtgap.errors import CapacityError, ValidationError
 from rqtgap.linalg import (
     DenseOperator,
     StateVector,
-    TermStack,
     X,
     Z,
     kron_all,
@@ -41,12 +40,12 @@ def test_frobenius_norm_capacity_guard():
     # 14 qubit factors make a 2^28-entry operator. Its norm would take a
     # 2^14 x 2^14 product of two 2^14-entry sides (256 KiB each); the
     # guard fires before any of them is allocated.
-    stack = TermStack(np.ones(1, dtype=complex), (np.eye(2, dtype=complex)[None],) * 14)
+    coeffs, factors = np.ones((1, 1), dtype=complex), (np.eye(2, dtype=complex)[None, None],) * 14
     assert 4**14 > linalg.ENTRY_CAPACITY
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
-            stack.frobenius_norm()
+            linalg.frobenius_norm(coeffs, factors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -61,19 +60,19 @@ def test_frobenius_norm_capacity_guard():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_frobenius_norm_of_each_input_is_its_own_stacks_norm(dims, inputs, count, seed):
-    # A B-input stack gives each input exactly the norm of the one-input
-    # stack made of that input's coefficients and factors alone.
+    # A B-input batch gives each input exactly the norm of the one-input
+    # batch made of that input's coefficients and factors alone.
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    stack = TermStack(draw(inputs, count), tuple(draw(inputs, count, d, d) for d in dims))
-    norms = stack.frobenius_norm()
+    coeffs, factors = draw(inputs, count), tuple(draw(inputs, count, d, d) for d in dims)
+    norms = linalg.frobenius_norm(coeffs, factors)
     assert norms.shape == (inputs,)
     for b in range(inputs):
-        one = TermStack(stack.coeffs[b], tuple(f[b] for f in stack.factors)).frobenius_norm()
-        assert type(one) is float and norms[b] == one
+        one = linalg.frobenius_norm(coeffs[b : b + 1], tuple(f[b : b + 1] for f in factors))
+        assert one.shape == (1,) and norms[b] == one[0]
 
 
 def test_tensor_embed_places_factors():

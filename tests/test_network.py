@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -55,6 +56,22 @@ def test_ideal_network_structure():
     np.testing.assert_allclose(net.observables[1][0], Z)
     np.testing.assert_allclose(net.observables[1][1], X)
     assert net.observables[1][2] is None
+
+
+def test_network_arrays_are_read_only_and_unshared():
+    # ideal_network gives parties 2..n one (Z, X) pair; each party must
+    # still hold arrays of its own, and a write must not get past the +/-1
+    # check made at construction.
+    third = [X.copy() for _ in range(4)]
+    net = ideal_network(4).with_third(third)
+    third[0][0, 0] = 7.0  # the caller's array stays the caller's
+    assert net.observables[0][2][0, 0] == 0
+    own = [m for triple in net.observables for m in triple] + list(net.source_vectors)
+    for a in own + [s.mat for s in net.sources] + [net.eve.factors]:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 7.0
+    for a, b in itertools.combinations(own, 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_tilde_observables_of_party_one():

@@ -48,14 +48,15 @@ def test_pauli_block_roundtrip():
         m = m + m.conj().T
         d = pauli_block_decompose(DenseOperator(m, (2, 2)))
         sigmas = (np.eye(2), Z, X, Y)
-        rebuilt = sum(np.kron(sigma, r) for sigma, r in zip(sigmas, d.blocks))
+        rebuilt = sum(np.kron(sigma, r) for sigma, r in zip(sigmas, d))
         np.testing.assert_allclose(rebuilt, m, atol=1e-12)
 
 
 def test_block_decomposition_of_y():
     d = pauli_block_decompose(DenseOperator(Y, (2,)))
-    np.testing.assert_allclose(d.r3, np.array([[1.0]]), atol=1e-12)
-    for r in (d.r0, d.r1, d.r2):
+    assert d.shape == (4, 1, 1)
+    np.testing.assert_allclose(d[3], np.array([[1.0]]), atol=1e-12)
+    for r in d[:3]:
         np.testing.assert_allclose(r, np.array([[0.0]]), atol=1e-12)
 
 
@@ -127,10 +128,10 @@ def test_t_values_of_a_larger_party_use_its_auxiliary_marginal():
     third = [X.copy(), random_pm1_observable(4, 3).mat]
     obs = (base.observables[0][:2] + (third[0],), (big[0], big[1], third[1]))
     net = StarNetwork(2, sources, obs, base.eve)
-    dec = pauli_block_decompose(DenseOperator(third[1], (2, 2)))
+    r2 = pauli_block_decompose(DenseOperator(third[1], (2, 2)))[2]
     marginal = partial_trace(conditional_state(net, 0), keep=[1])
     aux = partial_trace(DenseOperator(marginal.mat, (2, 2)), keep=[1]).mat
-    want = [0.5 * np.trace(X @ third[0]).real, np.trace(dec.r2 @ aux).real]
+    want = [0.5 * np.trace(X @ third[0]).real, np.trace(r2 @ aux).real]
     assert t_values(net) == pytest.approx(want, abs=1e-12)
 
 
@@ -186,6 +187,30 @@ def test_seesaw_best_third_ignores_rounding_in_later_ties(monkeypatch):
     assert any(not np.array_equal(t[0], t[-1]) for t in thirds)
     for a, b in zip(plain.best_third, bumped.best_third):
         np.testing.assert_array_equal(a, b)
+
+
+def test_seesaw_restart_that_never_stops_keeps_its_last_thirds(monkeypatch, tmp_path):
+    # One sweep per restart: the first sweep never stops a restart, since
+    # J starts at -inf, so every restart ends by reaching SEESAW_MAX_ITER.
+    monkeypatch.setattr(rqt, "SEESAW_MAX_ITER", 1)
+    sweep, swept = rqt._sweep, []
+
+    def recorded(*args):
+        j = sweep(*args)
+        swept.extend(j.tolist())
+        return j
+
+    monkeypatch.setattr(rqt, "_sweep", recorded)
+    trace = tmp_path / "trace.jsonl"
+    res = seesaw_real(ideal_network(3), restarts=4, seed=1, trace_path=str(trace))
+    assert res.per_restart == tuple(swept) and len(swept) == 4
+    assert res.best_J == max(swept)
+    assert len(res.best_third) == 3
+    for m in res.best_third:
+        assert m.shape == (2, 2)
+        np.testing.assert_allclose(m @ m, np.eye(2), atol=1e-10)
+    lines = [json.loads(s) for s in trace.read_text().splitlines()]
+    assert lines == [{"restart": r, "iter": 0, "J": j} for r, j in enumerate(swept)]
 
 
 def test_seesaw_result_observables_are_real_pm1():
