@@ -211,7 +211,7 @@ def cmd_verify(args) -> int:
         net = ideal
     if args.inject_broken:
         obs = list(net.observables)
-        obs[1] = (obs[1][0], Z.astype(complex), obs[1][2])
+        obs[1] = (obs[1][0], Z, obs[1][2])
         net = StarNetwork(net.n, net.sources, tuple(obs), net.eve)
     try:
         report = _verify_batteries(args.seed, net, ideal)

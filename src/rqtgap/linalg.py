@@ -1,4 +1,11 @@
-"""Complex linear algebra over explicit tensor-product spaces.
+"""Linear algebra over explicit tensor-product spaces, real or complex.
+
+An array is held real (float64) when its imaginary part is exactly zero,
+and complex (complex128) otherwise. That is decided once, where the array
+enters (`frozen`, the JSON readers, `random_pm1_matrices(real=True)`);
+every kernel then follows numpy's type promotion, so a real strategy,
+such as the ideal network, runs in real arithmetic and a complex one in
+complex arithmetic, through the same code.
 
 The operators the package checks are short sums of tensor products of
 local matrices. `ProductSum` holds the Bell operators I_l and J_N, and
@@ -24,11 +31,11 @@ and `apply_factor` the step of the seesaw's blocks and of the source
 matrices that build the pure-source vectors.
 
 `kron_all`, `tensor_embed` and `ProductSum.dense` build the full
-operators. They are the ground-truth oracle the tests check the
-structured paths against. `is_hermitian` is the one Hermiticity test,
-`require_pm1` the one check that a matrix, or each matrix of a stack, is
-a +/-1 observable, and `first_near_max` the one tie rule for naming the
-largest of several values.
+operators, complex whatever their inputs. They are the ground-truth
+oracle the tests check the structured paths against. `is_hermitian` is
+the one Hermiticity test, `require_pm1` the one check that a matrix, or
+each matrix of a stack, is a +/-1 observable, and `first_near_max` the
+one tie rule for naming the largest of several values.
 """
 
 from __future__ import annotations
@@ -47,16 +54,25 @@ ENTRY_CAPACITY = 2**26
 RNG_NAME = "pcg64"  # np.random.default_rng bit generator, recorded in outputs
 
 
+def held_dtype(a: np.ndarray) -> type:
+    """The dtype the package holds `a` in: complex (complex128) when its
+    imaginary part is not exactly zero (a NaN counts as nonzero), else
+    float (float64)."""
+    return complex if np.iscomplexobj(a) and a.imag.any() else float
+
+
 def frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only complex copy of `a`."""
-    a = np.array(a, dtype=complex)
+    """A read-only copy of `a` in its `held_dtype`."""
+    a = np.asarray(a)
+    dtype = held_dtype(a)
+    a = np.array(a if dtype is complex else a.real, dtype=dtype)
     a.setflags(write=False)
     return a
 
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """Square complex matrix on an ordered tensor product of local factors.
+    """Square matrix on an ordered tensor product of local factors.
 
     Row-major computational basis, leftmost factor most significant.
     """
@@ -174,8 +190,15 @@ def partial_trace(rho: DenseOperator, keep: Iterable[int]) -> DenseOperator:
 
 def apply_factor(m: np.ndarray, x: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     """`m` on the factor that `shape`, (left, d, -1), isolates in the
-    party-first `x`; a (d', d) `m` maps it to dimension d'."""
-    return (m @ x.reshape(shape)).reshape((-1,) + x.shape[1:])
+    party-first `x`; a (d', d) `m` maps it to dimension d'. A trailing
+    size of 1 (the last factor of one vector) is one gemm over the left
+    index, where the (left, d, 1) view would take one matmul per index."""
+    left, d, _ = shape
+    if x.size == left * d:
+        y = x.reshape(left, d) @ m.T
+    else:
+        y = m @ x.reshape(shape)
+    return y.reshape((-1,) + x.shape[1:])
 
 
 def apply_local(
@@ -235,8 +258,8 @@ def frobenius_norm(coeffs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndar
     gemm of inner size K, the number of terms. The sides of all inputs
     are built together, one broadcast product per factor; the gemm and
     its norm are taken one input at a time, so only one realigned operator
-    is ever held. Its sum of squares is one `einsum` over the real and
-    imaginary parts, which, unlike a threaded BLAS dot, sums in the same
+    is ever held. Its sum of squares is one `einsum` over the real (and
+    imaginary) parts, which, unlike a threaded BLAS dot, sums in the same
     order at any thread count.
     """
     dims = tuple(f.shape[-1] for f in factors)
@@ -247,7 +270,7 @@ def frobenius_norm(coeffs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndar
     k = min(range(len(dims) + 1), key=lambda k: max(math.prod(dims[:k]), math.prod(dims[k:])))
     sides = []
     for part in (factors[:k], factors[k:]):
-        side = np.ones((inputs, count, 1), dtype=complex)
+        side = np.ones((inputs, count, 1))
         for f in part:
             # The new factor's entries go outermost, so the inner loop of
             # the broadcast product runs over the longer side.
@@ -260,7 +283,7 @@ def frobenius_norm(coeffs: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndar
 
 
 def _norm(m: np.ndarray) -> float:
-    """||m||_F of a C-contiguous complex array, summed by `einsum`."""
+    """||m||_F of a C-contiguous real or complex array, summed by `einsum`."""
     v = m.view(float).ravel()
     return math.sqrt(np.einsum("i,i->", v, v))
 
@@ -274,12 +297,14 @@ def is_hermitian(m: np.ndarray) -> bool:
 
 
 def require_pm1(m: np.ndarray, who: str) -> np.ndarray:
-    """`m` as a complex array; ValidationError naming `who` unless it is a
-    +/-1 observable, or a stack of them along leading axes: Hermitian
-    (`is_hermitian`) with square 1 to 1e-10 in every entry. A NaN or inf
-    entry fails; a non-square `m` raises ValueError. This is the package's
-    only +/-1 check."""
-    m = np.asarray(m, dtype=complex)
+    """`m` as a float64 or complex128 array, as its dtype is real or
+    complex; ValidationError naming `who` unless it is a +/-1 observable,
+    or a stack of them along leading axes: Hermitian (`is_hermitian`)
+    with square 1 to 1e-10 in every entry. A NaN or inf entry fails; a
+    non-square `m` raises ValueError. This is the package's only +/-1
+    check."""
+    m = np.asarray(m)
+    m = np.asarray(m, dtype=np.result_type(m, float))
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{who} must be a square matrix, got shape {m.shape}")
     with np.errstate(all="ignore"):  # a NaN deviation fails the test below
@@ -327,8 +352,7 @@ def random_pm1_matrices(dim: int, seeds, real: bool = False) -> np.ndarray:
         g[idx] = z if real else z[0] + 1j * z[1]
     q = _haar_unitary(g)
     signs = np.array([1.0] * (dim // 2) + [-1.0] * (dim - dim // 2))
-    mat = (q * signs) @ q.conj().swapaxes(-1, -2)
-    return mat.real if real else mat
+    return (q * signs) @ q.conj().swapaxes(-1, -2)
 
 
 def random_pm1_observable(dim: int, seed: int) -> DenseOperator:
@@ -341,7 +365,7 @@ def random_pm1_observable(dim: int, seed: int) -> DenseOperator:
 # {"dim": n, "local_dims": [...], "re": [row-major], "im": [row-major]}
 # Round-trips bit-exactly at double precision (Python floats serialize via
 # repr, which is faithful). Sizes must be JSON integers (`json_size`), and
-# entries finite JSON numbers (`json_numbers`, `_complex_from_json`).
+# entries finite JSON numbers (`json_numbers`, `_array_from_json`).
 
 
 def json_size(value, name: str) -> int:
@@ -375,21 +399,22 @@ def operator_to_json(m: DenseOperator) -> dict:
     }
 
 
-def _complex_from_json(d: dict, shape: tuple[int, int]) -> np.ndarray:
+def _array_from_json(d: dict, shape: tuple[int, int]) -> np.ndarray:
     """The row-major `re` and `im` lists of `d` (`json_numbers`) as one
-    complex array; ValidationError unless every part is finite, checked
-    before they are combined, so that no inf or NaN reaches the arithmetic."""
+    array, real when every `im` entry is zero (`held_dtype`), else
+    complex; ValidationError unless every part is finite, checked before
+    they are combined, so that no inf or NaN reaches the arithmetic."""
     re = json_numbers(d["re"], "re").reshape(shape)
     im = json_numbers(d["im"], "im").reshape(shape)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValidationError("re and im entries must all be finite")
-    return re + 1j * im
+    return re + 1j * im if im.any() else re
 
 
 def operator_from_json(d: dict) -> DenseOperator:
     dim = json_size(d["dim"], "dim")
     local_dims = tuple(json_size(v, "local_dims") for v in d["local_dims"])
-    return DenseOperator(_complex_from_json(d, (dim, dim)), local_dims)
+    return DenseOperator(_array_from_json(d, (dim, dim)), local_dims)
 
 
 # A rectangular matrix: {"rows": r, "cols": c, "re": [...], "im": [...]},
@@ -406,4 +431,4 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    return _complex_from_json(d, (json_size(d["rows"], "rows"), json_size(d["cols"], "cols")))
+    return _array_from_json(d, (json_size(d["rows"], "rows"), json_size(d["cols"], "cols")))

@@ -71,7 +71,7 @@ def _ghz_columns(n: int, labels: np.ndarray) -> np.ndarray:
     if np.any((labels < 0) | (labels >= dim)):
         raise ValueError(f"label out of range for n = {n}")
     cols = np.arange(len(labels))
-    v = np.zeros((dim, len(labels)), dtype=complex)
+    v = np.zeros((dim, len(labels)))
     v[labels, cols] += 1.0
     v[labels ^ (dim - 1), cols] += (-1.0) ** ((labels >> (n - 1)) & 1)
     v /= np.sqrt(2.0)
@@ -99,15 +99,20 @@ class EveMeasurement:
     vectors. `floor` holds mu_l >= 0 per outcome, or is None, which is
     the same measurement as a zero floor. Completeness,
     sum_l V_l V_l^dag + (sum_l mu_l) 1 = 1, is checked once, through the
-    stacked factors (a real product when they are entrywise real);
-    positivity holds by construction.
+    stacked factors; positivity holds by construction. The factors are
+    held as `linalg.frozen` holds them; a read-only array that owns its
+    memory and is already in its `linalg.held_dtype`, such as the stack
+    `from_factors` builds, is held as it is, without a copy.
     """
 
     factors: np.ndarray
     floor: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        v = linalg.frozen(self.factors)
+        v = self.factors
+        if not (isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable
+                and v.dtype == linalg.held_dtype(v)):
+            v = linalg.frozen(v)
         object.__setattr__(self, "factors", v)
         if v.ndim != 3:
             raise ValueError("factors need axes (e, l, c)")
@@ -126,16 +131,14 @@ class EveMeasurement:
         # inf or NaN, and the test below, written so that NaN fails too,
         # rejects it.
         with np.errstate(all="ignore"):
-            if flat.imag.any():
-                gram = flat @ flat.conj().T
-            else:
-                # Entrywise-real factors, as the ideal network's: a contiguous
-                # real copy lets the product run as one real syrk.
-                re = np.ascontiguousarray(flat.real)
-                gram = re @ re.T
+            gram = flat @ flat.conj().T
+            # The floor and the identity go onto the diagonal in place, a
+            # view, so no other d_E x d_E array is built.
+            diagonal = gram.reshape(-1)[:: v.shape[0] + 1]
             if self.floor is not None:
-                gram = gram + np.sum(self.floor) * np.eye(v.shape[0])
-            dev = np.max(np.abs(gram - np.eye(v.shape[0])))
+                diagonal += np.sum(self.floor)
+            diagonal -= 1.0
+            dev = np.max(np.abs(gram))
         if not dev <= 1e-10:
             raise ValidationError("Eve POVM does not sum to the identity")
 
@@ -143,14 +146,10 @@ class EveMeasurement:
     def from_factors(cls, factors: Sequence[np.ndarray], floor=None) -> "EveMeasurement":
         """Stack per-outcome factors V_l, each d_E x k_l with any k_l >= 0,
         with the floor `floor`, if given."""
-        factors = [np.asarray(f, dtype=complex) for f in factors]
+        factors = [np.asarray(f) for f in factors]
         if not factors or any(f.ndim != 2 or f.shape[0] != factors[0].shape[0] for f in factors):
             raise ValueError("Eve's factors need one common number of rows")
-        v = np.zeros((factors[0].shape[0], len(factors), max(1, *(f.shape[1] for f in factors))),
-                     dtype=complex)
-        for l, f in enumerate(factors):
-            v[:, l, : f.shape[1]] = f
-        return cls(v, floor)
+        return cls(_padded_stack(factors[0].shape[0], [f.shape[1] for f in factors], factors), floor)
 
     @classmethod
     def from_elements(cls, elements: Sequence[np.ndarray]) -> "EveMeasurement":
@@ -158,7 +157,7 @@ class EveMeasurement:
         checked Hermitian first (`eigh` would read only one triangle)."""
         factors = []
         for l, r in enumerate(elements):
-            r = np.asarray(r, dtype=complex)
+            r = np.asarray(r)
             if not linalg.is_hermitian(r):
                 raise ValidationError(f"Eve POVM element {l} is not Hermitian")
             # Halved before the sum, so that no finite entry overflows.
@@ -183,6 +182,23 @@ class EveMeasurement:
         if self.floor is not None:
             r += self.floor[l] * np.eye(self.dim)
         return r
+
+
+def _padded_stack(rows: int, cols: Sequence[int], factors) -> np.ndarray:
+    """The (e, l, c) stack of the iterable `factors`, V_l of shape
+    (rows, cols[l]), padded with zero columns and frozen. It is filled in
+    place as the factors arrive, real until one with a nonzero imaginary
+    part does (`linalg.held_dtype`)."""
+    v = np.zeros((rows, len(cols), max(1, *cols)))
+    for l, f in enumerate(factors):
+        if linalg.held_dtype(f) is complex:
+            if v.dtype != complex:
+                v = v.astype(complex)
+        else:
+            f = f.real
+        v[:, l, : cols[l]] = f
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
@@ -212,9 +228,20 @@ class StarNetwork:
             raise TypeError("eve must be an EveMeasurement")
         if len(self.eve) != 1 << self.n:
             raise ValueError("Eve's POVM must have 2^n elements")
-        obs = []
-        for i, triple in enumerate(self.observables):
-            triple = tuple(None if m is None else linalg.frozen(m) for m in triple)
+        obs = tuple(
+            tuple(None if m is None else linalg.frozen(m) for m in triple)
+            for triple in self.observables
+        )
+        # One `require_pm1` call per shape of observable; only the shapes
+        # that fail are checked again one by one, in order, so that the
+        # error names the first offender.
+        failed = set()
+        for shape, mats in _by_shape(m for triple in obs for m in triple if m is not None):
+            try:
+                linalg.require_pm1(np.stack(mats), "an observable")
+            except ValueError:  # ValidationError is one
+                failed.add(shape)
+        for i, triple in enumerate(obs):
             if len(triple) != 3:
                 raise ValueError("each party carries exactly three observable slots")
             da = self.sources[i].local_dims[0]
@@ -223,23 +250,10 @@ class StarNetwork:
                     continue
                 if m.shape != (da, da):
                     raise ValidationError(f"party {i + 1} setting {x}: wrong dimension")
-                linalg.require_pm1(m, f"party {i + 1} setting {x}")
-            obs.append(triple)
-        object.__setattr__(self, "observables", tuple(obs))
-        vectors = []
-        for i, rho in enumerate(self.sources):
-            if len(rho.local_dims) != 2:
-                raise ValidationError(f"source {i + 1} must be bipartite")
-            # `eigh` reads only the lower triangle.
-            if not linalg.is_hermitian(rho.mat):
-                raise ValidationError(f"source {i + 1} is not Hermitian")
-            w, q = np.linalg.eigh(rho.mat)
-            if w[0] < -1e-10 or abs(np.trace(rho.mat) - 1.0) > 1e-10:
-                raise ValidationError(f"source {i + 1} is not a density operator")
-            if np.count_nonzero(w > RANK_CUTOFF * w[-1]) == 1:
-                vectors.append(linalg.frozen((q[:, -1] * np.sqrt(w[-1])).reshape(rho.local_dims)))
-        pure = len(vectors) == self.n
-        object.__setattr__(self, "source_vectors", tuple(vectors) if pure else None)
+                if m.shape in failed:
+                    linalg.require_pm1(m, f"party {i + 1} setting {x}")
+        object.__setattr__(self, "observables", obs)
+        object.__setattr__(self, "source_vectors", _source_vectors(self.sources))
         if self.eve.dim != self.eve_dim:
             raise ValidationError("Eve's POVM does not act on the joined E factors")
 
@@ -264,7 +278,7 @@ class StarNetwork:
         """Party index 1..n; setting 0/1/2, a tilde tag (party 1) or None."""
         da = self.party_dims[party - 1]
         if setting is None:
-            return np.eye(da, dtype=complex)
+            return np.eye(da)
         triple = self.observables[party - 1]
         if setting in (TILDE_0, TILDE_1):
             if party != 1:
@@ -283,6 +297,59 @@ class StarNetwork:
             raise ValueError("need one third observable per party")
         obs = tuple((t[0], t[1], m) for t, m in zip(self.observables, third))
         return StarNetwork(self.n, self.sources, obs, self.eve)
+
+
+def _by_shape(mats) -> list[tuple[tuple, list]]:
+    """The arrays of the iterable `mats` grouped by shape, in order of first
+    appearance, as (shape, arrays) pairs."""
+    groups: dict = {}
+    for m in mats:
+        groups.setdefault(m.shape, []).append(m)
+    return list(groups.items())
+
+
+def _spectra(stack: np.ndarray) -> list[tuple[bool, Optional[np.ndarray]]]:
+    """For each Hermitian matrix of `stack`, one `eigh` for all: whether it
+    is a density operator, and its top eigenvector scaled by the root of
+    its eigenvalue when it has rank 1 (the rest are rounding noise), else
+    None."""
+    w, q = np.linalg.eigh(stack)
+    density = (w[:, 0] >= -1e-10) & (np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= 1e-10)
+    rank1 = np.count_nonzero(w > RANK_CUTOFF * w[:, -1:], axis=1) == 1
+    top = q[:, :, -1] * np.sqrt(w[:, -1:])
+    return [(ok, t if pure else None) for ok, pure, t in zip(density.tolist(), rank1.tolist(), top)]
+
+
+def _source_vectors(sources: Sequence[DenseOperator]) -> Optional[tuple[np.ndarray, ...]]:
+    """Each source as the d_A x d_E matrix S_i with rho_i = |S_i>><<S_i|
+    when every source is pure, else None; ValidationError naming the first
+    source, in order, that is not bipartite, not Hermitian or not a
+    density operator.
+
+    The bipartite sources of one shape are checked as one stack, by one
+    `linalg.is_hermitian` and one `_spectra`; a stack that is not
+    Hermitian (`eigh` reads only the lower triangle) goes source by
+    source."""
+    spectra: dict = {}
+    for shape, mats in _by_shape(s.mat for s in sources if len(s.local_dims) == 2):
+        stack = np.stack(mats)
+        if linalg.is_hermitian(stack):
+            spectra[shape] = iter(_spectra(stack))
+    vectors = []
+    for i, rho in enumerate(sources):
+        if len(rho.local_dims) != 2:
+            raise ValidationError(f"source {i + 1} must be bipartite")
+        if rho.mat.shape in spectra:
+            density, top = next(spectra[rho.mat.shape])
+        elif linalg.is_hermitian(rho.mat):
+            (density, top), = _spectra(rho.mat[None])
+        else:
+            raise ValidationError(f"source {i + 1} is not Hermitian")
+        if not density:
+            raise ValidationError(f"source {i + 1} is not a density operator")
+        if top is not None:
+            vectors.append(linalg.frozen(top.reshape(rho.local_dims)))
+    return tuple(vectors) if len(vectors) == len(sources) else None
 
 
 def ideal_network(n: int) -> StarNetwork:
@@ -374,8 +441,8 @@ class ConditionalStates:
         )
 
     def expect(self, op: ProductSum) -> np.ndarray:
-        """Re Tr[op rho^l] for each label: each term's complex trace,
-        summed, then the real part once. A term is applied to the vectors
+        """Re Tr[op rho^l] for each label: each term's trace, summed,
+        then the real part once. A term is applied to the vectors
         and met with the bras, and meets the floor as the product of its
         factors' traces on the marginals; on pairs its rows T_i^T (the
         identity's where it places nothing) take the trace of each label
@@ -477,7 +544,8 @@ def _unnormalized_states(net: StarNetwork, labels: Optional[Sequence[int]]) -> C
         return ConditionalStates(
             net.party_dims, labels, probs, vectors=vecs, floor=floor, marginals=marginals
         )
-    pairs = np.empty((len(labels), d * d), dtype=complex)
+    dtype = np.result_type(net.eve.factors, *(s.mat for s in net.sources))
+    pairs = np.empty((len(labels), d * d), dtype=dtype)
     for j, l in enumerate(labels):
         pairs[j] = _conditional_unnormalized(net, l)
     # P(l) = Tr: the entries with a_i = a'_i in every pair (an einsum view),
@@ -573,7 +641,11 @@ def _eve_from_factors_json(d: dict) -> EveMeasurement:
                 f"eve_factors declare {entries} entries, over the cap {linalg.ENTRY_CAPACITY}"
             )
     floor = linalg.json_numbers(d["eve_floor"], "eve_floor") if "eve_floor" in d else None
-    return EveMeasurement.from_factors([linalg.matrix_from_json(f) for f in records], floor)
+    if not records or len(set(rows)) > 1:
+        raise ValueError("Eve's factors need one common number of rows")
+    # Each record is read into the stack as it comes, so only one is held.
+    stack = _padded_stack(rows[0], cols, (linalg.matrix_from_json(f) for f in records))
+    return EveMeasurement(stack, floor)
 
 
 def network_from_json(d: dict) -> StarNetwork:

@@ -198,6 +198,8 @@ def _sweep(x: np.ndarray, dims, ones, third: list) -> np.ndarray:
         k = _open_trace(bra[0], ket[1], shapes[i]) if len(ket) > 1 else 0
         if len(bra) > 1:
             k = k + _open_trace(bra[1], ket[0], shapes[i])
+        # Tr(K A) over real symmetric A reads only Re K; on real columns
+        # `k.real` is k itself, not a copy.
         third[i] = _best_real_observables(J_weight(n) * k.real, third[i])
         bra = _place(bra, ones[i].conj().T, third[i].conj().swapaxes(1, 2), shapes[i], 2)
     return J_weight(n) * _inner(bra[2], x)

@@ -351,6 +351,55 @@ def test_verify_records_keep_their_key_order(tmp_path, capsys, monkeypatch, case
     assert [list(c) for c in rep["checks"][1:]] == [sos, sos, _RECORD]
 
 
+def _rotated(net: StarNetwork, seed: int) -> StarNetwork:
+    """`net` under seeded complex local unitaries U_i on A_i and W_i on
+    E_i: sources (U_i (x) W_i) rho_i (U_i (x) W_i)^dag, observables
+    U_i A U_i^dag and Eve's factors ((x)_i W_i) V, which leaves every
+    statistic unchanged."""
+    rng = np.random.default_rng(seed)
+    us, ws = (
+        [rqtgap.linalg._haar_unitary(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+         for _ in range(net.n)]
+        for _ in range(2)
+    )
+    sources = tuple(
+        DenseOperator(np.kron(u, w) @ s.mat @ np.kron(u, w).conj().T, s.local_dims)
+        for s, u, w in zip(net.sources, us, ws)
+    )
+    obs = tuple(
+        tuple(None if m is None else u @ m @ u.conj().T for m in triple)
+        for triple, u in zip(net.observables, us)
+    )
+    factors = rqtgap.linalg.apply_local(net.eve.factors, net.eve_dims, dict(enumerate(ws)))
+    return StarNetwork(net.n, sources, obs, EveMeasurement(factors, net.eve.floor))
+
+
+def _conjugated(net: StarNetwork) -> StarNetwork:
+    sources = tuple(DenseOperator(s.mat.conj(), s.local_dims) for s in net.sources)
+    obs = tuple(tuple(None if m is None else m.conj() for m in t) for t in net.observables)
+    return StarNetwork(net.n, sources, obs, EveMeasurement(net.eve.factors.conj(), net.eve.floor))
+
+
+@pytest.mark.parametrize("model", [None, "mix_povm"])
+def test_conjugate_network_gives_the_same_report(model, tmp_path, capsys):
+    # Complex conjugation of every array leaves every statistic unchanged,
+    # and the engine's complex arithmetic is conjugation-symmetric, so the
+    # reports agree byte for byte. The ideal network is real, its own
+    # conjugate: it is rotated into complex arrays first.
+    net = ideal_network(3)
+    if model:
+        net = apply_noise(net, model, 0.1)
+    net = _rotated(net, 7)
+    reports = []
+    for k, variant in enumerate((net, _conjugated(net))):
+        path, out = tmp_path / f"s{k}.json", tmp_path / f"r{k}.json"
+        save_strategy(variant, path)
+        code, _, err = run(capsys, "--out", str(out), "verify", "--n", "3", "--strategy", str(path))
+        reports.append((code, err, out.read_bytes()))
+    assert net.eve.factors.dtype == complex
+    assert reports[0] == reports[1]
+
+
 def test_sos_checks_validate_each_input_once(monkeypatch):
     # One +/-1 check per (party, setting) stack of the seven inputs, shared
     # by both identities.

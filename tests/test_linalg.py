@@ -107,7 +107,7 @@ def test_partial_trace_bell_marginal_is_mixed():
 def test_require_pm1_accepts_observables_and_rejects_the_rest(dim, seed, real, delta, bad, data):
     a = random_pm1_matrices(dim, seed, real=real)
     got = require_pm1(a, "A")
-    assert got.dtype == complex
+    assert got.dtype == (float if real else complex)
     np.testing.assert_array_equal(got, a)
     # A shift by a multiple of the identity moves A^2 by 2 delta A + delta^2:
     # at least |delta| in some entry for a +/-1 observable.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rqtgap.errors import ValidationError
+from rqtgap.functionals import cqt_strategy
 from rqtgap.linalg import DenseOperator, X, Y, Z, _haar_unitary, operator_to_json
 from rqtgap.network import (
     TILDE_0,
@@ -41,7 +42,7 @@ def test_ghz_state_components():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_ghz_basis_columns_are_ghz_states(n):
     basis = ghz_basis(n)
-    assert basis.shape == (1 << n, 1 << n) and basis.dtype == complex
+    assert basis.shape == (1 << n, 1 << n) and basis.dtype == float
     for l in range(1 << n):
         np.testing.assert_array_equal(basis[:, l], ghz_state(n, l).vec)
 
@@ -116,6 +117,63 @@ def test_dense_projectors_factor_to_rank_one():
     assert eve.factors.shape == (8, 8, 1)
     for l in range(8):
         np.testing.assert_allclose(eve.element(l), projectors[l], atol=1e-14)
+
+
+def test_ideal_network_is_held_real():
+    # phi+ sources, Z, X, (X +/- Z)/sqrt2 and the GHZ basis are real, so
+    # every array, and the conditional vectors built from them, is float.
+    net = ideal_network(4)
+    arrays = [s.mat for s in net.sources] + list(net.source_vectors) + [net.eve.factors]
+    arrays += [m for triple in net.observables for m in triple if m is not None]
+    assert all(a.dtype == float for a in arrays)
+    assert conditional_states(net, [0, 5]).vectors.dtype == float
+
+
+def test_complex_strategies_stay_complex():
+    net = cqt_strategy(3)
+    assert all(triple[2].dtype == complex for triple in net.observables)
+    assert all(m.dtype == float for triple in net.observables for m in triple[:2])
+    # A file with a nonzero `im` in one observable and one of Eve's factors.
+    d = network_to_json(ideal_network(2))
+    d["observables"][1][1] = operator_to_json(DenseOperator(Y, (2,)))
+    d["eve_factors"][3]["im"], d["eve_factors"][3]["re"] = d["eve_factors"][3]["re"], [0.0] * 4
+    net = network_from_json(d)
+    assert net.observables[1][1].dtype == complex and net.observables[1][0].dtype == float
+    assert net.eve.factors.dtype == complex and net.source_vectors[0].dtype == float
+    np.testing.assert_array_equal(net.eve.factors[:, 3], 1j * ideal_network(2).eve.factors[:, 3])
+    assert conditional_states(net).vectors.dtype == complex
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        # Two of one shape, in one stacked check.
+        ({(1, 1): 2.0 * Z, (2, 0): 3.0 * X}, "party 2 setting 1 is not a"),
+        # A +/-1 failure before a wrong dimension, and the other way round.
+        ({(0, 1): 2.0 * Z, (2, 0): np.eye(3)}, "party 1 setting 1 is not a"),
+        ({(0, 1): np.eye(3), (2, 0): 2.0 * Z}, "party 1 setting 1: wrong dimension"),
+    ],
+)
+def test_first_bad_observable_is_named(bad, named):
+    net = ideal_network(3)
+    obs = [list(triple) for triple in net.observables]
+    for (i, x), m in bad.items():
+        obs[i][x] = m
+    with pytest.raises(ValidationError, match=named):
+        StarNetwork(3, net.sources, tuple(map(tuple, obs)), net.eve)
+
+
+def test_first_bad_source_is_named():
+    net = ideal_network(3)
+    skew = DenseOperator(net.sources[0].mat + 0.1j * np.diag([1.0, 0, 0, 0]), (2, 2))
+    double = DenseOperator(2.0 * net.sources[0].mat, (2, 2))
+    for sources, named in [
+        ((net.sources[0], skew, double), "source 2 is not Hermitian"),
+        ((net.sources[0], double, skew), "source 2 is not a density operator"),
+        ((net.sources[0], double, double), "source 2 is not a density operator"),
+    ]:
+        with pytest.raises(ValidationError, match=named):
+            StarNetwork(3, sources, net.observables, net.eve)
 
 
 def test_non_pm1_observable_rejected():
