@@ -33,7 +33,7 @@ from .network import (
     load_strategy,
     save_strategy,
 )
-from .pauli import OutcomeLabel, PauliWord, ghz_expectation, ideal_spectrum
+from .pauli import OutcomeLabel, PauliWord, ghz_expectation
 from .robustness import (
     apply_noise,
     beta_rqt_upper,
@@ -47,6 +47,7 @@ from .robustness import (
 )
 from .rqt import (
     SeesawResult,
+    SeesawStart,
     TMaximum,
     construct_optimal_real_strategy,
     j_from_t,
@@ -84,7 +85,6 @@ __all__ = [
     "OutcomeLabel",
     "PauliWord",
     "ghz_expectation",
-    "ideal_spectrum",
     "apply_noise",
     "beta_rqt_upper",
     "delta_n",
@@ -95,6 +95,7 @@ __all__ = [
     "verify_sos_identity_A",
     "verify_sos_identity_B",
     "SeesawResult",
+    "SeesawStart",
     "TMaximum",
     "construct_optimal_real_strategy",
     "j_from_t",

@@ -33,19 +33,26 @@ from .robustness import (
     sos_terms_A,
     sos_terms_B,
 )
-from .rqt import max_j_over_t, seesaw_real
+from .rqt import SeesawStart, max_j_over_t, seesaw_real
 from .selftest import check_record, verify_selftest_noiseless
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Largest n accepted by verify and seesaw. 2 shared vCPUs, one BLAS thread,
-# three runs each: verify --n 10 0.58-0.65 s, 149 MB; verify --n 11
-# 3.2-3.4 s, 488 MB; seesaw --n 11 (20 restarts) 0.48-0.54 s, 293 MB. Load
-# moves these about 2x. Verify grows about 5x from n = 10 to 11, so it, not
-# the seesaw, holds the cap.
-MAX_N = 11
+# Each command's largest n. Measured in fresh processes on 2 shared vCPUs
+# with one BLAS thread; load moves the times about 2x.
+#
+# verify, three runs each: --n 10 0.61-0.72 s, 101 MB; --n 11 2.15-2.31 s,
+# 264 MB. Its time grew about 3.3x from n = 10 to 11; n = 12 is unmeasured.
+VERIFY_MAX_N = 11
+
+# seesaw: the largest n whose 20 default restarts fit 60 s and 2 GB with a
+# 2x load margin. One run each unless noted: --n 16 1.71 s, 59 MB; --n 18
+# 6.63 s, 129 MB; --n 19 11.95-12.03 s, 226 MB (two runs); --n 20
+# 26.0-27.0 s, 431 MB (three runs; 38.5 s once under load); --n 21
+# 54.8 s, 855 MB, which twice over passes 60 s.
+SEESAW_MAX_N = 20
 
 
 def _usage_error(message: str) -> int:
@@ -191,8 +198,8 @@ def _failures(checks: list, prefix: str = "") -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    if not 2 <= args.n <= MAX_N:
-        return _usage_error(f"need 2 <= n <= {MAX_N}")
+    if not 2 <= args.n <= VERIFY_MAX_N:
+        return _usage_error(f"need 2 <= n <= {VERIFY_MAX_N}")
     if args.strategy:
         try:
             net = load_strategy(args.strategy)
@@ -260,12 +267,12 @@ def cmd_noise_curve(args) -> int:
 
 
 def cmd_seesaw(args) -> int:
-    if not 2 <= args.n <= MAX_N:
-        return _usage_error(f"need 2 <= n <= {MAX_N}")
+    if not 2 <= args.n <= SEESAW_MAX_N:
+        return _usage_error(f"need 2 <= n <= {SEESAW_MAX_N}")
     if args.restarts < 1:
         return _usage_error("need --restarts >= 1")
     result = seesaw_real(
-        ideal_network(args.n), restarts=args.restarts, seed=args.seed,
+        SeesawStart.ideal(args.n), restarts=args.restarts, seed=args.seed,
         trace_path=args.trace,
     )
     exact = max_j_over_t(args.n)

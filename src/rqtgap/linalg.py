@@ -336,20 +336,21 @@ def _haar_unitary(g: np.ndarray) -> np.ndarray:
 
 def random_pm1_matrices(dim: int, seeds, real: bool = False) -> np.ndarray:
     """Seeded Hermitian unitaries with (near-)balanced +/-1 spectrum, Haar
-    distributed: one (dim, dim) matrix for one seed, a stack along a
-    leading axis for a sequence of seeds. Each seed's own `default_rng`
-    draws its normals in one call; the QR, the phase fix and the product
-    with the signs act on the whole stack. Entrywise real when `real`.
+    distributed: one (dim, dim) matrix for one seed, a stack along the
+    leading axes of an array of seeds. Each seed's own `default_rng` draws
+    its normals in one call; they are stacked, and combined into complex
+    numbers, once, and the QR, the phase fix and the product with the
+    signs act on the whole stack. Entrywise real when `real`.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
     seeds = np.asarray(seeds)
-    g = np.empty(seeds.shape + (dim, dim), dtype=float if real else complex)
-    for idx, seed in np.ndenumerate(seeds):
-        # One draw per seed: a complex seed's real parts come first in its
-        # stream, then its imaginary parts.
-        z = np.random.default_rng(seed).normal(size=(dim, dim) if real else (2, dim, dim))
-        g[idx] = z if real else z[0] + 1j * z[1]
+    # One draw per seed: a complex seed's real parts come first in its
+    # stream, then its imaginary parts.
+    size = (dim, dim) if real else (2, dim, dim)
+    z = np.array([np.random.default_rng(s).normal(size=size) for s in seeds.flat])
+    z = z.reshape(seeds.shape + size)
+    g = z if real else z[..., 0, :, :] + 1j * z[..., 1, :, :]
     q = _haar_unitary(g)
     signs = np.array([1.0] * (dim // 2) + [-1.0] * (dim - dim // 2))
     return (q * signs) @ q.conj().swapaxes(-1, -2)

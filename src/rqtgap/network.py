@@ -27,6 +27,7 @@ and `ghz_basis` are one column builder's.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,28 +65,30 @@ def tilde_pair(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _ghz_columns(n: int, labels: np.ndarray) -> np.ndarray:
     """One column (|l> + (-1)^{l_1} |lbar>)/sqrt(2) on n qubits for each
-    l of the integer array `labels`: O(2^n) entries per label."""
+    l of the integer array `labels`, O(2^n) entries per label, in the
+    layout of Eve's factors: axes (e, l, c), c of size 1, in an array
+    that owns its memory."""
     if n < 1:
         raise ValueError("need at least one qubit")
     dim = 1 << n
     if np.any((labels < 0) | (labels >= dim)):
         raise ValueError(f"label out of range for n = {n}")
     cols = np.arange(len(labels))
-    v = np.zeros((dim, len(labels)))
-    v[labels, cols] += 1.0
-    v[labels ^ (dim - 1), cols] += (-1.0) ** ((labels >> (n - 1)) & 1)
+    v = np.zeros((dim, len(labels), 1))
+    v[labels, cols, 0] += 1.0
+    v[labels ^ (dim - 1), cols, 0] += (-1.0) ** ((labels >> (n - 1)) & 1)
     v /= np.sqrt(2.0)
     return v
 
 
 def ghz_state(n: int, l: int) -> StateVector:
     """GHZ-like vector (|l> + (-1)^{l_1} |lbar>)/sqrt(2) on n qubits."""
-    return StateVector(_ghz_columns(n, np.array([int(l)]))[:, 0], (2,) * n)
+    return StateVector(_ghz_columns(n, np.array([int(l)]))[:, 0, 0], (2,) * n)
 
 
 def ghz_basis(n: int) -> np.ndarray:
     """The unitary whose column l is ghz_state(n, l)."""
-    return _ghz_columns(n, np.arange(1 << n))
+    return _ghz_columns(n, np.arange(1 << n))[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,9 @@ class EveMeasurement:
             if self.floor is not None:
                 diagonal += np.sum(self.floor)
             diagonal -= 1.0
-            dev = np.max(np.abs(gram))
+            # |gram| in place as well; a complex gram keeps it in its real part.
+            np.abs(gram, out=gram)
+            dev = np.max(gram.real)
         if not dev <= 1e-10:
             raise ValidationError("Eve POVM does not sum to the identity")
 
@@ -352,18 +357,36 @@ def _source_vectors(sources: Sequence[DenseOperator]) -> Optional[tuple[np.ndarr
     return tuple(vectors) if len(vectors) == len(sources) else None
 
 
+def _phi_plus() -> DenseOperator:
+    """The ideal network's source, |phi+><phi+| on A_i E_i."""
+    return ghz_state(2, 0).projector()
+
+
+@functools.cache
+def _phi_plus_vector() -> np.ndarray:
+    """The source vector of `_phi_plus` that a network computes
+    (`_source_vectors`), computed once; it is read-only."""
+    return _source_vectors((_phi_plus(),))[0]
+
+
+def _ideal_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ideal network's (A_{i,0}, A_{i,1}): the rotated pair
+    (X +/- Z)/sqrt2 for party 1, (Z, X) for the others."""
+    s2 = np.sqrt(2.0)
+    return [((X + Z) / s2, (X - Z) / s2)] + [(Z, X)] * (n - 1)
+
+
 def ideal_network(n: int) -> StarNetwork:
     """The maximally violating strategy: phi+ sources, the rotated pair for
     party 1, Z/X for the others, GHZ-like projectors for Eve. A_{i,2} is
-    left unset."""
+    left unset. Eve's factors are built read-only in place, so
+    `EveMeasurement` holds them without a copy."""
     if n < 2:
         raise ValueError("need at least 2 external parties")
-    phi_plus = ghz_state(2, 0).projector()
-    s2 = np.sqrt(2.0)
-    obs: list[tuple] = [((X + Z) / s2, (X - Z) / s2, None)]
-    obs += [(Z, X, None)] * (n - 1)
-    eve = EveMeasurement(ghz_basis(n)[:, :, None])
-    return StarNetwork(n, (phi_plus,) * n, tuple(obs), eve)
+    factors = _ghz_columns(n, np.arange(1 << n))
+    factors.setflags(write=False)
+    obs = tuple((a0, a1, None) for a0, a1 in _ideal_pairs(n))
+    return StarNetwork(n, (_phi_plus(),) * n, obs, EveMeasurement(factors))
 
 
 def _conditional_unnormalized(net: StarNetwork, l: int) -> np.ndarray:

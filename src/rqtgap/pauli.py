@@ -20,8 +20,6 @@ import numpy as np
 from .linalg import PAULIS, kron_all
 
 _LETTERS = "IXZY"  # indexed by x_bit + 2*z_bit
-# letter -> (x bit, z bit, phase exponent of i)
-_ENC = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 
 
 @dataclass(frozen=True)
@@ -35,16 +33,9 @@ class OutcomeLabel:
         if not 0 <= self.value < (1 << self.n):
             raise ValueError(f"label {self.value} out of range for n={self.n}")
 
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.n - i)) & 1 for i in range(1, self.n + 1))
-
     def bit(self, i: int) -> int:
         """l_i for i = 1..n."""
         return (self.value >> (self.n - i)) & 1
-
-    def flipped(self) -> "OutcomeLabel":
-        return OutcomeLabel(self.n, self.value ^ ((1 << self.n) - 1))
 
 
 @dataclass(frozen=True)
@@ -59,21 +50,6 @@ class PauliWord:
         if self.x_mask & ~full or self.z_mask & ~full:
             raise ValueError("mask wider than n sites")
         object.__setattr__(self, "phase_exp", self.phase_exp % 4)
-
-    @classmethod
-    def from_letters(cls, letters: str, phase: complex = 1) -> "PauliWord":
-        ph = {1: 0, 1j: 1, -1: 2, -1j: 3}.get(phase)
-        if ph is None:
-            raise ValueError("phase must be one of +1, -1, +i, -i")
-        x = z = 0
-        for c in letters:
-            if c not in _ENC:
-                raise ValueError(f"invalid Pauli letter {c!r}")
-            xb, zb, pe = _ENC[c]
-            x = (x << 1) | xb
-            z = (z << 1) | zb
-            ph += pe
-        return cls(len(letters), x, z, ph)
 
     @property
     def phase(self) -> complex:
@@ -136,18 +112,3 @@ def ghz_expectation(w: PauliWord, labels):
         parity = parity ^ (values >> (n - 1))  # the cross terms carry (-1)^{l_1}
     return 1j**w.phase_exp * (1 - 2 * parity)
 
-
-def ideal_spectrum(n: int, l: OutcomeLabel) -> list[tuple[int, float]]:
-    """Eigenvalues of the ideal Bell operator for outcome l.
-
-    The eigenbasis is the GHZ-like family: eigenvalue at label s is
-    (-1)^{l_1+s_1} [(n-1) + sum_{i>=2} (-1)^{l_i+s_i}].
-    """
-    if n < 2:
-        raise ValueError("need at least 2 parties")
-    out = []
-    for s in range(1 << n):
-        d = OutcomeLabel(n, s ^ l.value)
-        lam = (-1) ** d.bit(1) * ((n - 1) + sum((-1) ** d.bit(i) for i in range(2, n + 1)))
-        out.append((s, float(lam)))
-    return out

@@ -235,6 +235,40 @@ def _run_batch(x: np.ndarray, dims, ones, third: list) -> tuple[list, list, list
 
 
 @dataclass(frozen=True)
+class SeesawStart:
+    """What the seesaw reads of a network: rho^0 as columns X with
+    rho^0 = X X^dag (`ConditionalStates.columns`), axes (a, c), and each
+    party's fixed factor in J_N (`J_fixed_factors`)."""
+
+    n: int
+    party_dims: tuple[int, ...]
+    columns: np.ndarray
+    ones: list[np.ndarray]
+
+    @classmethod
+    def of(cls, net: StarNetwork) -> "SeesawStart":
+        """The seesaw's inputs read from `net`."""
+        x = conditional_states(net, [0]).columns(0)
+        return cls(net.n, net.party_dims, x, J_fixed_factors(net.pairs))
+
+    @classmethod
+    def ideal(cls, n: int) -> "SeesawStart":
+        """`of(ideal_network(n))` without the network: Eve's GHZ column for
+        l = 0 goes through the phi+ source vectors (from the engine's
+        `_source_vectors`) by one `apply_local`, then is normalised, as
+        `conditional_states` does it, so the columns are the same to the
+        bit, and no 2^n x 2^n basis is built."""
+        if n < 2:
+            raise ValueError("need at least 2 external parties")
+        dims = (2,) * n
+        v = linalg.apply_local(network._ghz_columns(n, np.zeros(1, dtype=int)), dims,
+                               dict.fromkeys(range(n), network._phi_plus_vector()))
+        prob = np.sum(np.abs(v) ** 2, axis=(0, 2))
+        x = v[:, 0] / math.sqrt(prob[0])
+        return cls(n, dims, x, J_fixed_factors(network._ideal_pairs(n)))
+
+
+@dataclass(frozen=True)
 class SeesawResult:
     """`best_J` is max(per_restart). `best_third` holds the thirds of the
     first restart within SEESAW_TOL of it, so restarts that tie
@@ -248,7 +282,7 @@ class SeesawResult:
 
 
 def seesaw_real(
-    net_base: StarNetwork,
+    start: StarNetwork | SeesawStart,
     restarts: int,
     seed: int,
     trace_path: Optional[str] = None,
@@ -256,13 +290,14 @@ def seesaw_real(
     """Alternating maximization of J_N over entrywise-real +/-1 third
     observables, states and first two observables held fixed.
 
-    J_N is affine in each party's A_{i,2}. rho^0 is read once, as columns
-    X with rho^0 = X X^dag (`ConditionalStates.columns`), and each sweep
-    (`_sweep`) takes every party's linear coefficient matrix K from prefix
-    blocks (parties before it, new thirds) and suffix blocks (parties
-    after it, old thirds), indexed by how many thirds they hold. Each K is
-    solved exactly by eigendecomposition (an O diag(+/-1) O^T update with
-    O real orthogonal).
+    `start` is a network or only what the seesaw reads of one, a
+    `SeesawStart`: `SeesawStart.ideal(n)` is the ideal network's, without
+    Eve's basis. J_N is affine in each party's A_{i,2}. Each sweep
+    (`_sweep`) takes every party's linear coefficient matrix K on rho^0's
+    columns from prefix blocks (parties before it, new thirds) and suffix
+    blocks (parties after it, old thirds), indexed by how many thirds they
+    hold. Each K is solved exactly by eigendecomposition (an
+    O diag(+/-1) O^T update with O real orthogonal).
 
     Restarts are independent and run in batches along a leading restart
     axis: blocks are (R, a, c) and each party's thirds one (R, d, d)
@@ -271,32 +306,36 @@ def seesaw_real(
     so that the blocks a sweep holds stay within
     `network.MIXED_BATCH_ENTRIES` entries, and a restart leaves its batch
     when it stops. Each restart draws its n seeds from one stream in
-    restart order, whatever the batch size, and `trace_path` gets one
-    JSON line per sweep, restart by restart. See `SeesawResult` for which
-    restart's thirds are returned.
+    restart order, whatever the batch size; a batch draws the thirds of
+    all parties of one dimension in one `random_pm1_matrices` call.
+    `trace_path` gets one JSON line per sweep, restart by restart. See
+    `SeesawResult` for which restart's thirds are returned.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    n = net_base.n
-    dims = net_base.party_dims
-    x = conditional_states(net_base, [0]).columns(0)
-    ones = J_fixed_factors(net_base.pairs)
+    start = start if isinstance(start, SeesawStart) else SeesawStart.of(start)
+    n, dims, x, ones = start.n, start.party_dims, start.columns, start.ones
     # Per restart, a sweep holds 2n suffix blocks, three bra blocks and a
     # few temporaries, each the size of X.
     batch = max(1, network.MIXED_BATCH_ENTRIES // ((2 * n + 10) * x.size))
+    by_dim = [(d, [i for i, e in enumerate(dims) if e == d]) for d in dict.fromkeys(dims)]
     rng = np.random.default_rng(seed)
     trace_fh = open(trace_path, "w") if trace_path else None
     per_restart: list = []
     thirds: list = []
     try:
-        for start in range(0, restarts, batch):
-            seeds = rng.integers(0, 2**63, size=(min(batch, restarts - start), n))
-            third = [linalg.random_pm1_matrices(d, seeds[:, i], real=True) for i, d in enumerate(dims)]
+        for done in range(0, restarts, batch):
+            seeds = rng.integers(0, 2**63, size=(min(batch, restarts - done), n))
+            third: list = [None] * n
+            for d, parties in by_dim:
+                drawn = linalg.random_pm1_matrices(d, seeds[:, parties], real=True)
+                for k, i in enumerate(parties):
+                    third[i] = drawn[:, k]
             values, ends, history = _run_batch(x, dims, ones, third)
             per_restart += values
             thirds += ends
             if trace_fh:
-                for r, js in enumerate(history, start):
+                for r, js in enumerate(history, done):
                     for it, j in enumerate(js):
                         trace_fh.write(json.dumps({"restart": r, "iter": it, "J": j}) + "\n")
     finally:

@@ -259,7 +259,7 @@ def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
 def test_verify_rejects_large_n(capsys):
     code, _, _ = run(capsys, "verify", "--n", "12")
     assert code == 2
-    code, _, _ = run(capsys, "seesaw", "--n", "12")
+    code, _, _ = run(capsys, "seesaw", "--n", str(rqtgap.cli.SEESAW_MAX_N + 1))
     assert code == 2
 
 
@@ -450,6 +450,13 @@ def test_seesaw_command(capsys):
     assert rep["sound"]
     assert rep["matches_enumeration"]
     assert len(rep["per_restart"]) == 4
+
+
+def test_seesaw_runs_above_the_verify_cap(capsys):
+    # The seesaw reads only rho^0 and the pairs, so its cap is its own.
+    code, out, _ = run(capsys, "seesaw", "--n", "13", "--restarts", "2")
+    assert code == 0
+    assert json.loads(out)["matches_enumeration"] is True
 
 
 def test_outputs_deterministic(tmp_path, capsys):

@@ -165,6 +165,10 @@ def test_batched_draws_are_bit_identical_to_one_seed_draws(dim, real):
         one = random_pm1_matrices(dim, int(seeds[idx]), real=real)
         np.testing.assert_array_equal(got[idx], one)
         np.testing.assert_array_equal(got[idx], _one_draw(dim, int(seeds[idx]), real))
+    # The seesaw draws all parties of one dimension at once, on their
+    # columns of a (restarts, parties) seed array.
+    for k in range(seeds.shape[1]):
+        np.testing.assert_array_equal(got[:, k], random_pm1_matrices(dim, seeds[:, k], real=real))
 
 
 def test_random_observable_deterministic():

@@ -19,6 +19,7 @@ from rqtgap.linalg import (
 )
 from rqtgap.network import StarNetwork, conditional_state, ideal_network
 from rqtgap.rqt import (
+    SeesawStart,
     _best_real_observables,
     construct_optimal_real_strategy,
     j_from_t,
@@ -148,6 +149,49 @@ def test_seesaw_reaches_optimum_and_is_sound():
         assert res.best_J <= exact + 1e-7
         assert len(res.per_restart) == 10
         assert res.rng == "pcg64"
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ideal_seesaw_start_equals_the_ideal_networks(n):
+    want = SeesawStart.of(ideal_network(n))
+    got = SeesawStart.ideal(n)
+    assert (got.n, got.party_dims) == (want.n, want.party_dims)
+    assert got.columns.dtype == want.columns.dtype
+    np.testing.assert_array_equal(got.columns, want.columns)
+    assert len(got.ones) == len(want.ones) == n
+    for a, b in zip(got.ones, want.ones):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_seesaw_on_the_ideal_start_equals_it_on_the_network(n):
+    net, start = ideal_network(n), SeesawStart.ideal(n)
+    for seed in range(3):
+        a = seesaw_real(net, restarts=6, seed=seed)
+        b = seesaw_real(start, restarts=6, seed=seed)
+        assert a.per_restart == b.per_restart and a.best_J == b.best_J
+        for x, y in zip(a.best_third, b.best_third, strict=True):
+            np.testing.assert_array_equal(x, y)
+
+
+def test_seesaw_draws_each_partys_thirds_from_its_own_seeds(monkeypatch):
+    # Parties of dimensions 4, 2, 4: one draw per dimension gives every
+    # party the matrices that a draw on its own column of seeds gives.
+    dims = (4, 2, 4)
+    started = []
+
+    def first_batch(x, dims, ones, third):
+        started.append(third)
+        raise StopIteration
+
+    monkeypatch.setattr(rqt, "_run_batch", first_batch)
+    start = SeesawStart(3, dims, np.full((32, 1), 32**-0.5), [np.eye(d) for d in dims])
+    with pytest.raises(StopIteration):
+        seesaw_real(start, restarts=5, seed=7)
+    seeds = np.random.default_rng(7).integers(0, 2**63, size=(5, 3))
+    for i, d in enumerate(dims):
+        np.testing.assert_array_equal(started[0][i], random_pm1_matrices(d, seeds[:, i], real=True))
 
 
 def test_seesaw_deterministic_and_traced(tmp_path):
